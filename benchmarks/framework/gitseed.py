@@ -2,8 +2,7 @@
 
 The recorded speedups compare against the real pre-PR code on the same
 machine, same Python, same moment — not against a number typed into a
-file.  Without git history a test declares its own fallback (recorded
-constants, labelled as such in the report) or skips its baseline leg.
+file.  Without git history a test skips its baseline leg.
 """
 
 from __future__ import annotations

@@ -35,30 +35,18 @@ from repro.sim import engine as current_engine
 SMOKE_N = 4_000
 FULL_N = 300_000
 
-#: required speedup per workload, all four gated (previously only the
-#: headline chain and spawn_join carried floors; interleave and
-#: pingpong ran unguarded).  Values are re-based for the calendar
-#: default backend with an explicit ~10-15% noise margin under repeated
-#: container measurements — the old chain floor (3.0 vs 3.01 measured)
-#: had none and flaked on any loaded runner.  The calendar trades the
-#: sparse microbenches for the clustered full-machine win: interleave
-#: (16 staggered chains, one bucket created and retired per event)
-#: measures ~1.3x vs ~2.1x under ``REPRO_SCHED=heap``, pingpong ~1.6x
-#: vs ~2.2x; chain and spawn_join are backend-neutral (~2.9x / ~2.5x).
-#: The fullmachine floor captures the other side of that trade.
+#: required speedup per workload, each the measured speedup minus a
+#: ~15% noise margin (a floor with no margin flakes on any loaded
+#: runner).  Three measured-tier runs on a shared 2-vCPU x86_64 VM,
+#: Python 3.11, gave chain 2.8-3.3x, interleave 2.2-2.7x, spawn_join
+#: 2.8-3.0x and pingpong 2.5-2.7x.  Interleave and pingpong take the
+#: lowest of those runs minus the margin; chain (2.5x) and spawn_join
+#: (2.2x) keep the floors they already had.
 MIN_SPEEDUPS = {
     "chain": 2.5,
-    "interleave": 1.15,
+    "interleave": 1.85,
     "spawn_join": 2.2,
-    "pingpong": 1.45,
-}
-
-#: recorded pre-PR rates, used only when git history is unavailable
-FALLBACK_SEED_RATES = {
-    "chain": 450_000.0,
-    "interleave": 430_000.0,
-    "spawn_join": 390_000.0,
-    "pingpong": 500_000.0,
+    "pingpong": 2.1,
 }
 
 WORKLOAD_NAMES = ["chain", "interleave", "spawn_join", "pingpong"]
@@ -200,13 +188,15 @@ class DesEngineThroughput(PerfTest):
 
     def measure(self, case: Case):
         seed = load_seed_engine()
+        if seed is None:
+            raise SkipCase("seed engine unavailable (no git history)")
         current = _workloads(current_engine)[case.workload]
-        variants = {"current": lambda: current(FULL_N)}
-        if seed is not None:
-            seed_fn = _workloads(seed)[case.workload]
-            variants["seed"] = lambda: seed_fn(FULL_N)
-        rates = paired_rates(variants, repeats=7)
-        base = rates.get("seed") or FALLBACK_SEED_RATES[case.workload]
+        seed_fn = _workloads(seed)[case.workload]
+        rates = paired_rates(
+            {"current": lambda: current(FULL_N), "seed": lambda: seed_fn(FULL_N)},
+            repeats=7,
+        )
+        base = rates["seed"]
         return {
             "baseline_events_per_s": round(base),
             "current_events_per_s": round(rates["current"]),
@@ -219,11 +209,7 @@ class DesEngineThroughput(PerfTest):
     def publish(self, metrics):
         # The historical "des_engine" section shape, byte for byte.
         return {
-            "baseline_source": (
-                "git-seed-commit"
-                if load_seed_engine() is not None
-                else "recorded-constants"
-            ),
+            "baseline_source": "git-seed-commit",
             "events_per_workload": FULL_N,
             "workloads": {name: dict(metrics[name]) for name in metrics},
             "headline": "chain",

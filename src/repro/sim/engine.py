@@ -64,18 +64,10 @@ trades some repetition for speed:
   waits in a single attribute, so the push-one/pop-one cadence of a
   timeout chain bypasses ``heapq`` entirely while reproducing the
   heap's total order exactly;
-* the future-event set itself is pluggable
-  (``Simulator(scheduler=...)`` / the ``REPRO_SCHED`` environment
-  variable): the default ``"calendar"`` backend replaces the binary
-  heap with a calendar of occupied instants — a small spine heap of
-  *distinct* times over per-instant priority lanes (see
-  :mod:`repro.sim.calendar`) — making scheduling into an occupied
-  instant an O(1) dict-lookup-plus-append with no entry tuple at all,
-  which is the dominant pattern in same-instant wavefront cohorts.
-  The ``"heap"`` backend is the seed's binary heap, retained as the
-  reference; both produce bit-identical event timelines (the lanes
-  preserve the exact ``(time, priority, seq)`` total order) and both
-  sit behind the same one-slot min buffer.
+* an attached observer (:meth:`Simulator.attach_observer`) rides the
+  same inlined loop: :meth:`Simulator.run` holds it in a local and
+  tests it once per dispatch (``if obs is not None``), so observed
+  runs keep every fast path and plain runs pay one ``is None`` test.
 
 Example
 -------
@@ -93,15 +85,12 @@ Example
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Generator, Iterable
 from heapq import heappop, heappush
 from sys import getrefcount
 from time import perf_counter
 from types import GeneratorType
 from typing import Any
-
-from repro.sim import calendar as _calendar
 
 __all__ = [
     "AllOf",
@@ -138,77 +127,33 @@ URGENT = 0
 NORMAL = 1
 
 
-def _insert_displaced(sim: "Simulator", entry: tuple) -> None:
-    """File an entry displaced from the one-slot buffer in its lane.
-
-    Calendar backend only.  The displaced entry was the global minimum,
-    so its ``seq`` is older than every stored entry's: it belongs at
-    the *front* of its lane's undrained region — the one push for which
-    the plain append (correct for fresh, monotonically numbered
-    entries) would misorder the lane.
-    """
-    t, prio, _seq, event = entry
-    buckets = sim._buckets
-    b = buckets.get(t)
-    if b is None:
-        heappush(sim._times, t)
-        b = [[], [], [], 0, 0, 0]
-        b[prio].append(event)
-        buckets[t] = b
-    else:
-        b[prio].insert(b[3 + prio], event)
-
-
 def _push(sim: "Simulator", entry: tuple) -> None:
     """Insert ``entry`` preserving the single-slot min-buffer invariant.
 
     ``sim._next``, when not None, holds the entry that sorts before
-    everything queued (binary heap and calendar alike); pops take it
-    without touching the backend.  A workload alternating one push with
-    one pop (the timeout chain every process body reduces to) then
-    never pays for queue maintenance at all.  Entries are unique in
-    their ``seq`` field, so the tuple comparisons below reproduce the
-    heap's total order exactly — the slot is invisible to the
-    determinism contract.
-
-    On the calendar backend (``sim._buckets`` is a dict) an entry bound
-    for an occupied instant is appended to that instant's priority
-    lane: ``seq`` numbers are handed out monotonically, so appends keep
-    every lane sorted and the lanes replay the heap's
-    ``(time, priority, seq)`` order exactly (the sole exception — an
-    entry displaced from the slot — is handled by
-    :func:`_insert_displaced`).
+    everything in the heap; pops take it without touching the heap.  A
+    workload alternating one push with one pop (the timeout chain every
+    process body reduces to) then never pays for heap maintenance at
+    all.  Entries are unique in their ``seq`` field, so the tuple
+    comparisons below reproduce the heap's total order exactly — the
+    slot is invisible to the determinism contract.
 
     The hot construction sites (``Timeout.__init__``,
-    ``Simulator.timeout``, ``Event.succeed``, process bootstrap) inline
-    this body to avoid the call frame; keep them in sync.
+    ``Simulator.timeout``, ``Event.succeed``, process bootstrap, process
+    termination in :meth:`Simulator.run`) inline this body to avoid the
+    call frame; keep them in sync.
     """
     nxt = sim._next
-    buckets = sim._buckets
-    if buckets is None:
-        if nxt is None:
-            if sim._queue:
-                heappush(sim._queue, entry)
-            else:
-                sim._next = entry
-        elif entry < nxt:
-            sim._next = entry
-            heappush(sim._queue, nxt)
-        else:
+    if nxt is None:
+        if sim._queue:
             heappush(sim._queue, entry)
-    elif nxt is None and not buckets:
+        else:
+            sim._next = entry
+    elif entry < nxt:
         sim._next = entry
-    elif nxt is not None and entry < nxt:
-        sim._next = entry
-        _insert_displaced(sim, nxt)
+        heappush(sim._queue, nxt)
     else:
-        t = entry[0]
-        b = buckets.get(t)
-        if b is None:
-            heappush(sim._times, t)
-            b = [[], [], [], 0, 0, 0]
-            buckets[t] = b
-        b[entry[1]].append(entry[3])
+        heappush(sim._queue, entry)
 
 
 class Event:
@@ -277,41 +222,28 @@ class Event:
         """Schedule this event to fire successfully after ``delay``."""
         if self._triggered:
             raise SimulationError("event already triggered")
-        if delay < 0:
+        # Negated >= so NaN (for which every comparison is False) is
+        # rejected along with negative delays.
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
         self._triggered = True
         self._ok = True
         self._value = value
         sim = self.sim
         sim._seq = seq = sim._seq + 1
-        t = sim._now + delay
+        entry = (sim._now + delay, NORMAL, seq, self)
         # Inline _push (hot: every process termination lands here).
         nxt = sim._next
-        buckets = sim._buckets
-        if buckets is None:
-            entry = (t, NORMAL, seq, self)
-            if nxt is None:
-                if sim._queue:
-                    heappush(sim._queue, entry)
-                else:
-                    sim._next = entry
-            elif entry < nxt:
-                sim._next = entry
-                heappush(sim._queue, nxt)
-            else:
+        if nxt is None:
+            if sim._queue:
                 heappush(sim._queue, entry)
-        elif nxt is None and not buckets:
-            sim._next = (t, NORMAL, seq, self)
-        elif nxt is not None and (t, NORMAL, seq, self) < nxt:
-            sim._next = (t, NORMAL, seq, self)
-            _insert_displaced(sim, nxt)
-        else:
-            b = buckets.get(t)
-            if b is None:
-                heappush(sim._times, t)
-                buckets[t] = [[], [self], [], 0, 0, 0]
             else:
-                b[1].append(self)
+                sim._next = entry
+        elif entry < nxt:
+            sim._next = entry
+            heappush(sim._queue, nxt)
+        else:
+            heappush(sim._queue, entry)
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -320,7 +252,7 @@ class Event:
             raise SimulationError("event already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
         self._triggered = True
         self._ok = False
@@ -347,7 +279,7 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
+        if not delay >= 0:  # rejects NaN too
             raise SimulationError(f"negative timeout delay: {delay!r}")
         # Inline Event.__init__ + Simulator._schedule: a timeout is born
         # triggered, and this constructor is the hottest allocation site
@@ -362,34 +294,19 @@ class Timeout(Event):
         self.defused = False
         self.delay = delay
         sim._seq = seq = sim._seq + 1
-        t = sim._now + delay
+        entry = (sim._now + delay, NORMAL, seq, self)
         # Inline _push (hottest allocation site in the repository).
         nxt = sim._next
-        buckets = sim._buckets
-        if buckets is None:
-            entry = (t, NORMAL, seq, self)
-            if nxt is None:
-                if sim._queue:
-                    heappush(sim._queue, entry)
-                else:
-                    sim._next = entry
-            elif entry < nxt:
-                sim._next = entry
-                heappush(sim._queue, nxt)
-            else:
+        if nxt is None:
+            if sim._queue:
                 heappush(sim._queue, entry)
-        elif nxt is None and not buckets:
-            sim._next = (t, NORMAL, seq, self)
-        elif nxt is not None and (t, NORMAL, seq, self) < nxt:
-            sim._next = (t, NORMAL, seq, self)
-            _insert_displaced(sim, nxt)
-        else:
-            b = buckets.get(t)
-            if b is None:
-                heappush(sim._times, t)
-                buckets[t] = [[], [self], [], 0, 0, 0]
             else:
-                b[1].append(self)
+                sim._next = entry
+        elif entry < nxt:
+            sim._next = entry
+            heappush(sim._queue, nxt)
+        else:
+            heappush(sim._queue, entry)
 
 
 class _Bootstrap:
@@ -458,35 +375,20 @@ class Process(Event):
         else:
             marker = _Bootstrap(self)
         sim._seq = seq = sim._seq + 1
-        t = sim._now
+        entry = (sim._now, URGENT, seq, marker)
         # Inline _push (URGENT: bootstraps run before NORMAL events at
-        # the same instant — lane 0 on the calendar backend).
+        # the same instant).
         nxt = sim._next
-        buckets = sim._buckets
-        if buckets is None:
-            entry = (t, URGENT, seq, marker)
-            if nxt is None:
-                if sim._queue:
-                    heappush(sim._queue, entry)
-                else:
-                    sim._next = entry
-            elif entry < nxt:
-                sim._next = entry
-                heappush(sim._queue, nxt)
-            else:
+        if nxt is None:
+            if sim._queue:
                 heappush(sim._queue, entry)
-        elif nxt is None and not buckets:
-            sim._next = (t, URGENT, seq, marker)
-        elif nxt is not None and (t, URGENT, seq, marker) < nxt:
-            sim._next = (t, URGENT, seq, marker)
-            _insert_displaced(sim, nxt)
-        else:
-            b = buckets.get(t)
-            if b is None:
-                heappush(sim._times, t)
-                buckets[t] = [[marker], [], [], 0, 0, 0]
             else:
-                b[0].append(marker)
+                sim._next = entry
+        elif entry < nxt:
+            sim._next = entry
+            heappush(sim._queue, nxt)
+        else:
+            heappush(sim._queue, entry)
 
     @property
     def is_alive(self) -> bool:
@@ -709,25 +611,16 @@ _POOL_SIZE = 64
 class Simulator:
     """The event loop: owns the clock and the future-event set.
 
+    The future-event set is a binary heap of ``(time, priority, seq,
+    event)`` entries behind a one-slot min buffer (see :func:`_push`).
     ``pool_size`` bounds the timeout free-list (``None`` uses the
     module default, ``0`` disables recycling entirely — the unpooled
     reference path the full-machine benchmark cross-checks against).
-
-    ``scheduler`` picks the future-event-set backend: ``"calendar"``
-    (the default — a calendar of occupied instants, O(1) scheduling
-    into an occupied instant, see :mod:`repro.sim.calendar`) or
-    ``"heap"`` (the seed's binary heap, retained as the reference).
-    ``None`` defers to :data:`repro.sim.calendar.DEFAULT_SCHEDULER`,
-    i.e. the ``REPRO_SCHED`` environment variable.  Both backends pop
-    in the identical ``(time, priority, seq)`` total order, so every
-    simulation is bit-for-bit reproducible under either.
     """
 
     __slots__ = (
         "_now",
         "_queue",
-        "_times",
-        "_buckets",
         "_next",
         "_seq",
         "_active_process",
@@ -736,33 +629,13 @@ class Simulator:
         "_free_bootstrap",
         "_pool_cap",
         "_observer",
-        "scheduler",
     )
 
-    def __init__(self, pool_size: int | None = None, scheduler: str | None = None):
-        if scheduler is None:
-            scheduler = _calendar.DEFAULT_SCHEDULER
-        if scheduler not in _calendar.SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; expected one of "
-                f"{_calendar.SCHEDULERS}"
-            )
-        #: the future-event-set backend this simulator runs on
-        self.scheduler = scheduler
+    def __init__(self, pool_size: int | None = None):
         self._now = 0.0
-        #: binary-heap backend storage (always a list so emptiness
-        #: checks stay cheap; unused — empty — on the calendar backend)
+        #: binary heap of (time, priority, seq, event) entries
         self._queue: list[tuple[float, int, int, Event]] = []
-        if scheduler == "calendar":
-            #: spine heap of the distinct occupied instants
-            self._times: list[float] | None = []
-            #: time -> [urgent, normal, after, ui, ni, ai] lane bucket;
-            #: also the backend discriminator (None means heap mode)
-            self._buckets: dict[float, list] | None = {}
-        else:
-            self._times = None
-            self._buckets = None
-        #: single-slot min buffer in front of either backend (see _push)
+        #: single-slot min buffer in front of the heap (see _push)
         self._next: tuple[float, int, int, Event] | None = None
         self._seq = 0
         self._active_process: Process | None = None
@@ -776,8 +649,8 @@ class Simulator:
         #: one-deep free slot for process-bootstrap heap markers
         self._free_bootstrap: _Bootstrap | None = None
         self._pool_cap = _POOL_SIZE if pool_size is None else pool_size
-        #: observability sink (see attach_observer); None keeps run()
-        #: on the uninstrumented fast loop
+        #: observability sink (see attach_observer); None skips the
+        #: per-dispatch reporting in run()
         self._observer = None
 
     @property
@@ -797,15 +670,14 @@ class Simulator:
         return self._observer
 
     def attach_observer(self, observer) -> None:
-        """Route :meth:`run` through the observed loop.
+        """Report every dispatch of :meth:`run` to ``observer``.
 
         ``observer`` implements ``_note_event(cls_name, proc_name,
         host_dt)`` (see :class:`repro.obs.recorder.ObsRecorder`) and may
         expose a ``host_run_time`` accumulator.  Observation never
-        changes the event timeline: the observed loop dispatches through
-        the same generic machinery as :meth:`step`, consumes ``seq``
-        numbers identically to the fast loop, and only *reads* state —
-        the determinism contract holds with or without an observer.
+        changes the event timeline: the observed run takes the same
+        loop as an unobserved one and only *reads* state — the
+        determinism contract holds with or without an observer.
         ``None`` (or an observer whose ``enabled`` is false) detaches.
         """
         if observer is not None and not getattr(observer, "enabled", True):
@@ -813,7 +685,7 @@ class Simulator:
         self._observer = observer
 
     def detach_observer(self) -> None:
-        """Return :meth:`run` to the uninstrumented fast loop."""
+        """Stop reporting dispatches to the observer."""
         self._observer = None
 
     # -- event construction -------------------------------------------------
@@ -831,40 +703,25 @@ class Simulator:
             if not free:
                 return Timeout(self, delay, value)
             t = free.pop()
-        if delay < 0:
+        if not delay >= 0:  # rejects NaN too
             self._free_timeout = t
             raise SimulationError(f"negative timeout delay: {delay!r}")
         t._value = value
         t.delay = delay
         self._seq = seq = self._seq + 1
-        when = self._now + delay
+        entry = (self._now + delay, NORMAL, seq, t)
         # Inline _push (the recycled-timeout fast path).
         nxt = self._next
-        buckets = self._buckets
-        if buckets is None:
-            entry = (when, NORMAL, seq, t)
-            if nxt is None:
-                if self._queue:
-                    heappush(self._queue, entry)
-                else:
-                    self._next = entry
-            elif entry < nxt:
-                self._next = entry
-                heappush(self._queue, nxt)
-            else:
+        if nxt is None:
+            if self._queue:
                 heappush(self._queue, entry)
-        elif nxt is None and not buckets:
-            self._next = (when, NORMAL, seq, t)
-        elif nxt is not None and (when, NORMAL, seq, t) < nxt:
-            self._next = (when, NORMAL, seq, t)
-            _insert_displaced(self, nxt)
-        else:
-            b = buckets.get(when)
-            if b is None:
-                heappush(self._times, when)
-                buckets[when] = [[], [t], [], 0, 0, 0]
             else:
-                b[1].append(t)
+                self._next = entry
+        elif entry < nxt:
+            self._next = entry
+            heappush(self._queue, nxt)
+        else:
+            heappush(self._queue, entry)
         return t
 
     def process(self, generator: Generator, name: str | None = None) -> Process:
@@ -881,7 +738,7 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
         self._seq += 1
         _push(self, (self._now + delay, priority, self._seq, event))
@@ -891,45 +748,7 @@ class Simulator:
         nxt = self._next
         if nxt is not None:
             return nxt[0]
-        if self._buckets is None:
-            return self._queue[0][0] if self._queue else float("inf")
-        # Eager bucket retirement keeps the spine free of exhausted
-        # times, so its front is the next instant verbatim.
-        return self._times[0] if self._times else float("inf")
-
-    def _pop_bucket(self) -> tuple[float, Any] | None:
-        """Extract the next event from the calendar (slot already empty).
-
-        Returns ``(time, event)``, or None when no events remain.  The
-        pop that drains a bucket's last lane entry also retires the
-        bucket — no user code runs in between, so a dispatch that
-        schedules back into that instant re-creates the bucket *after*
-        everything previously there has been extracted, preserving the
-        ``(time, priority, seq)`` order.  The run loop inlines this
-        body; keep them in sync.
-        """
-        times = self._times
-        if not times:
-            return None
-        t = times[0]
-        buckets = self._buckets
-        b = buckets[t]
-        for prio in (0, 1, 2):
-            i = b[3 + prio]
-            lane = b[prio]
-            if i < len(lane):
-                event = lane[i]
-                lane[i] = None
-                b[3 + prio] = i + 1
-                if (
-                    b[3] == len(b[0])
-                    and b[4] == len(b[1])
-                    and b[5] == len(b[2])
-                ):
-                    heappop(times)
-                    del buckets[t]
-                return t, event
-        raise SimulationError("event queue corrupted: exhausted bucket on spine")
+        return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process exactly one event (the slow, single-step path)."""
@@ -937,11 +756,6 @@ class Simulator:
         if nxt is not None:
             self._next = None
             time, _prio, _seq, event = nxt
-        elif self._buckets is not None:
-            popped = self._pop_bucket()
-            if popped is None:
-                raise SimulationError("step() on an empty event queue")
-            time, event = popped
         elif self._queue:
             time, _prio, _seq, event = heappop(self._queue)
         else:
@@ -968,219 +782,131 @@ class Simulator:
         if not event._ok and not event.defused:
             raise event._value
 
-    def _step_observed(self, obs) -> Any:
-        """Pop and dispatch one event, reporting it to ``obs``.
-
-        Mirrors :meth:`step`'s generic dispatch (identical event order
-        and clock advance — the inlined fast paths of :meth:`run` exist
-        for speed, not semantics) and additionally attributes the host
-        wall-clock cost of each dispatch to the resumed process.
-        Returns the popped occurrence so :meth:`_run_observed` can
-        recognize its own horizon sentinel.
-        """
-        nxt = self._next
-        if nxt is not None:
-            self._next = None
-            time, _prio, _seq, event = nxt
-        elif self._buckets is not None:
-            time, event = self._pop_bucket()
-        else:
-            time, _prio, _seq, event = heappop(self._queue)
-        if time < self._now:
-            raise SimulationError("event queue corrupted: time moved backwards")
-        self._now = time
-        cls = type(event)
-        if cls is _Stop:
-            return event
-        t0 = perf_counter()
-        if cls is _Bootstrap:
-            process = event.process
-            process._resume(event)
-            obs._note_event("Bootstrap", process.name, perf_counter() - t0)
-            return event
-        event._processed = True
-        waiter = event._waiter
-        name = waiter.name if waiter is not None else None
-        if waiter is not None:
-            event._waiter = None
-            waiter._resume(event)
-        callbacks = event.callbacks
-        event.callbacks = None
-        for callback in callbacks:
-            callback(event)
-        obs._note_event(cls.__name__, name, perf_counter() - t0)
-        if not event._ok and not event.defused:
-            raise event._value
-        return event
-
-    def _run_observed(self, until: float | Event | None) -> Any:
-        """The observed counterpart of :meth:`run`.
-
-        Reproduces run()'s semantics exactly — including the horizon
-        sentinel (one ``seq`` consumed, identical to the fast loop) and
-        orphaned-sentinel skipping — while counting every processed
-        event and attributing host time per resumed process.
-        """
-        obs = self._observer
-        t_run = perf_counter()
-        try:
-            if isinstance(until, Event):
-                stop = until
-                while not stop._processed:
-                    if self._next is None and not self._queue and not self._times:
-                        raise SimulationError(
-                            "simulation ran out of events before the awaited "
-                            "event fired"
-                        )
-                    self._step_observed(obs)
-                if stop._ok:
-                    return stop._value
-                stop.defused = True
-                raise stop._value
-            marker = None
-            if until is not None:
-                horizon = float(until)
-                if horizon < self._now:
-                    raise SimulationError(
-                        f"run(until={horizon!r}) is in the past (now={self._now!r})"
-                    )
-                marker = _Stop()
-                self._seq = seq = self._seq + 1
-                _push(self, (horizon, _AFTER, seq, marker))
-            while self._next is not None or self._queue or self._times:
-                occurrence = self._step_observed(obs)
-                if occurrence is marker and marker is not None:
-                    break
-            if marker is not None:
-                self._now = horizon
-            return None
-        finally:
-            try:
-                obs.host_run_time += perf_counter() - t_run
-            except AttributeError:
-                pass
-
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the queue drains, time ``until``, or event ``until``.
 
         Returns the event's value when ``until`` is an event that fired.
+
+        With an observer attached, every dispatch (bar horizon
+        sentinels) is reported to it with the resumed process's name
+        and the host time since the previous dispatch ended — the pop
+        that produced the event included, so the per-dispatch times
+        partition the loop's wall time — and the whole call's host time
+        is added to its ``host_run_time``.
         """
-        if self._observer is not None:
-            return self._run_observed(until)
-        # NB: named stop_evt, not stop — the dispatch arms' `except
-        # StopIteration as stop` clauses delete `stop` on block exit.
-        stop_evt = None
-        marker = None
-        if isinstance(until, Event):
-            # An awaited stop event runs through the same inlined hot
-            # loop as an unbounded run: one `stop_evt._processed` check
-            # per iteration replaces the seed's step()-per-event loop
-            # (the full-machine sweep drives its finish-line event
-            # through here, so this is the hottest run() mode in the
-            # repo).
-            stop_evt = until
-        elif until is not None:
-            horizon = float(until)
-            if horizon < self._now:
-                raise SimulationError(
-                    f"run(until={horizon!r}) is in the past (now={self._now!r})"
-                )
-            # A sentinel at the horizon (at _AFTER priority, i.e. behind
-            # every real event scheduled for that instant) replaces the
-            # per-iteration `queue[0][0] <= horizon` bound check.  The
-            # sentinel is in the heap, so the loop below cannot drain the
-            # queue without popping it: a bounded run always exits at its
-            # own marker (or by an exception, which orphans the marker —
-            # later runs recognize and skip orphans by identity).
-            marker = _Stop()
-            self._seq = seq = self._seq + 1
-            _push(self, (horizon, _AFTER, seq, marker))
-        # The hot loop: step() inlined with queue/heappop bound to
-        # locals, dispatched on the event's concrete class (Timeout
-        # first — it dominates every workload in this repo), and the
-        # parked waiter resumed without a _resume call frame.  Heap pops
-        # are monotone by construction (negative delays are rejected at
-        # scheduling time), so the corruption check lives only on the
-        # slow step() path.  The inline resume block is deliberately
-        # repeated in all three dispatch arms: hoisting it into a helper
-        # costs a Python call frame per event, which is precisely what
-        # this loop exists to avoid.
-        queue = self._queue
-        times = self._times
-        buckets = self._buckets
-        pop = heappop
-        free = self._free_timeouts
-        cap = self._pool_cap
-        while True:
-            if stop_evt is not None and stop_evt._processed:
-                break
-            entry = self._next
-            if entry is not None:
-                self._next = None
-                time, _prio, _seq, event = entry
-                # Drop the tuple: the refcount==2 recycle test below
-                # must see only this frame's reference to the event.
-                entry = None
-            elif buckets is None:
-                if queue:
+        obs = self._observer
+        if obs is not None:
+            t_run = t0 = perf_counter()
+        try:
+            # NB: named stop_evt, not stop — the resume block's `except
+            # StopIteration as stop` clause deletes `stop` on block exit.
+            stop_evt = None
+            marker = None
+            if isinstance(until, Event):
+                # An awaited stop event runs through the same inlined hot
+                # loop as an unbounded run: one `stop_evt._processed`
+                # check per iteration (the full-machine sweep drives its
+                # finish-line event through here, so this is the hottest
+                # run() mode in the repo).
+                stop_evt = until
+            elif until is not None:
+                horizon = float(until)
+                if not horizon >= self._now:  # rejects NaN too
+                    raise SimulationError(
+                        f"run(until={horizon!r}) is in the past (now={self._now!r})"
+                    )
+                # A sentinel at the horizon (at _AFTER priority, i.e.
+                # behind every real event scheduled for that instant)
+                # replaces a per-iteration `queue[0][0] <= horizon` bound
+                # check.  The loop below cannot drain the queue without
+                # popping it: a bounded run always exits at its own marker
+                # (or by an exception, which orphans the marker — later
+                # runs recognize and skip orphans by identity).
+                marker = _Stop()
+                self._seq = seq = self._seq + 1
+                _push(self, (horizon, _AFTER, seq, marker))
+            # The hot loop: step() inlined with queue/heappop bound to
+            # locals, dispatched on the event's concrete class (Timeout
+            # first — it dominates every workload in this repo), and the
+            # parked waiter resumed by one inline block shared by every
+            # class, with no _resume call frame.  Heap pops are monotone
+            # by construction (negative and NaN delays are rejected at
+            # scheduling time), so the corruption check lives only on
+            # the slow step() path.
+            queue = self._queue
+            pop = heappop
+            free = self._free_timeouts
+            cap = self._pool_cap
+            while True:
+                if stop_evt is not None and stop_evt._processed:
+                    break
+                entry = self._next
+                if entry is not None:
+                    self._next = None
+                    time, _prio, _seq, event = entry
+                    # Drop the tuple: the refcount==2 recycle tests below
+                    # must see only this frame's reference to the event.
+                    entry = None
+                elif queue:
                     time, _prio, _seq, event = pop(queue)
                     if queue and queue[0][0] == time:
-                        # Same-instant cohort (a wavefront diagonal
-                        # firing together): hoist the next member into
-                        # the empty slot so the cohort drains through
-                        # slotted pops and pushes during dispatch
-                        # compare against it first.
+                        # Same-instant cohort (a wavefront diagonal firing
+                        # together): hoist the next member into the empty
+                        # slot so the cohort drains through slotted pops
+                        # and pushes during dispatch compare against it
+                        # first.
                         self._next = pop(queue)
                 else:
                     break
-            elif times:
-                # Calendar pop (the inlined body of _pop_bucket): front
-                # bucket, first undrained lane in priority order; the
-                # extraction that empties a bucket retires it in place.
-                time = times[0]
-                b = buckets[time]
-                i = b[3]
-                lane = b[0]
-                if i < len(lane):
-                    event = lane[i]
-                    lane[i] = None
-                    i += 1
-                    b[3] = i
-                    if i == len(lane) and b[4] == len(b[1]) and b[5] == len(b[2]):
-                        pop(times)
-                        del buckets[time]
+                self._now = time
+                cls = type(event)
+                if cls is Timeout:
+                    # Timeouts always succeed.
+                    event._processed = True
+                    waiter = event._waiter
+                    if waiter is not None:
+                        event._waiter = None
+                        value = event._value
+                elif cls is _Bootstrap:
+                    waiter = event.process
+                    value = None
+                elif cls is _Stop:
+                    if event is marker:
+                        break
+                    # Sentinel orphaned by an earlier run that raised: skip.
+                    continue
                 else:
-                    i = b[4]
-                    lane = b[1]
-                    if i < len(lane):
-                        event = lane[i]
-                        lane[i] = None
-                        i += 1
-                        b[4] = i
-                        if i == len(lane) and b[5] == len(b[2]):
-                            pop(times)
-                            del buckets[time]
-                    else:
-                        i = b[5]
-                        lane = b[2]
-                        event = lane[i]
-                        lane[i] = None
-                        i += 1
-                        b[5] = i
-                        if i == len(lane):
-                            pop(times)
-                            del buckets[time]
-            else:
-                break
-            self._now = time
-            cls = type(event)
-            if cls is Timeout:
-                event._processed = True
-                waiter = event._waiter
+                    # Generic event (Process termination, bare Events,
+                    # conditions).
+                    event._processed = True
+                    waiter = event._waiter
+                    if not event._ok:
+                        # Failure: the generic path throws it into the
+                        # parked waiter, then runs the callbacks; a
+                        # failure nobody consumed propagates out of run().
+                        if waiter is not None:
+                            event._waiter = None
+                            waiter._resume(event)
+                        callbacks = event.callbacks
+                        event.callbacks = None
+                        for callback in callbacks:
+                            callback(event)
+                        if obs is not None:
+                            t1 = perf_counter()
+                            obs._note_event(
+                                cls.__name__,
+                                None if waiter is None else waiter.name,
+                                t1 - t0,
+                            )
+                            t0 = t1
+                        if not event.defused:
+                            raise event._value
+                        continue
+                    if waiter is not None:
+                        event._waiter = None
+                        value = event._value
                 if waiter is not None:
-                    # Timeouts always succeed: resume the waiter inline.
-                    event._waiter = None
-                    value = event._value
+                    # Resume the waiter inline with the event's value.
                     self._active_process = waiter
                     send = waiter._send
                     while True:
@@ -1189,41 +915,28 @@ class Simulator:
                         except StopIteration as stop:
                             self._active_process = None
                             waiter._target = None
-                            # Inline Event.succeed: process termination is
-                            # the spawn/join hot path.
+                            # Inline Event.succeed + _push: process
+                            # termination is the spawn/join hot path.
                             if waiter._triggered:
                                 raise SimulationError("event already triggered")
                             waiter._triggered = True
                             waiter._ok = True
                             waiter._value = stop.value
                             self._seq = seq = self._seq + 1
+                            entry = (time, NORMAL, seq, waiter)
                             nxt = self._next
-                            if buckets is None:
-                                entry = (time, NORMAL, seq, waiter)
-                                if nxt is None:
-                                    if queue:
-                                        heappush(queue, entry)
-                                    else:
-                                        self._next = entry
-                                elif entry < nxt:
-                                    self._next = entry
-                                    heappush(queue, nxt)
-                                else:
+                            if nxt is None:
+                                if queue:
                                     heappush(queue, entry)
-                            elif nxt is None and not buckets:
-                                self._next = (time, NORMAL, seq, waiter)
-                            elif nxt is not None and (time, NORMAL, seq, waiter) < nxt:
-                                self._next = (time, NORMAL, seq, waiter)
-                                _insert_displaced(self, nxt)
-                            else:
-                                b = buckets.get(time)
-                                if b is None:
-                                    heappush(times, time)
-                                    buckets[time] = [[], [waiter], [], 0, 0, 0]
                                 else:
-                                    b[1].append(waiter)
-                            # Clear the parked-yield local: a stale reference
-                            # would defeat the timeout recycle test below.
+                                    self._next = entry
+                            elif entry < nxt:
+                                self._next = entry
+                                heappush(queue, nxt)
+                            else:
+                                heappush(queue, entry)
+                            # Clear the parked-yield local: a stale
+                            # reference would defeat the recycle tests.
                             target = None
                             break
                         except BaseException as exc:
@@ -1232,8 +945,13 @@ class Simulator:
                             waiter.fail(exc)
                             target = None
                             break
+                        # Park on the yielded event.  Timeout targets get
+                        # their own copy of the parking code so its
+                        # attribute sites stay monomorphic (CPython
+                        # specializes them per type).
                         if type(target) is Timeout and target.sim is self:
                             if target._processed:
+                                # Already fired: resume with its value.
                                 value = target._value
                                 continue
                             waiter._target = target
@@ -1241,9 +959,7 @@ class Simulator:
                                 target._waiter = waiter
                             else:
                                 target.callbacks.append(waiter._resume)
-                            self._active_process = None
-                            break
-                        if (
+                        elif (
                             isinstance(target, Event)
                             and target.sim is self
                             and not target._processed
@@ -1253,236 +969,74 @@ class Simulator:
                                 target._waiter = waiter
                             else:
                                 target.callbacks.append(waiter._resume)
+                        else:
                             self._active_process = None
+                            waiter._park_slow(target)
                             break
                         self._active_process = None
-                        waiter._park_slow(target)
                         break
-                # Callbacks registered after the parked waiter fire after
-                # it, preserving registration order; with none, recycle
-                # the timeout if the loop holds the only live reference
-                # (into the one-deep slot first, the overflow list once
-                # the slot is taken).
-                callbacks = event.callbacks
-                if callbacks:
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                elif cap and getrefcount(event) == 2:
-                    if self._free_timeout is None:
-                        # callbacks (the original empty list) stays attached.
-                        event._value = None
-                        event._processed = False
-                        self._free_timeout = event
-                    elif len(free) < cap:
-                        event._value = None
-                        event._processed = False
-                        free.append(event)
+                if cls is Timeout:
+                    # Callbacks registered after the parked waiter fire
+                    # after it, preserving registration order; with none,
+                    # recycle the timeout if the loop holds the only live
+                    # reference (into the one-deep slot first, the
+                    # overflow list once the slot is taken).
+                    callbacks = event.callbacks
+                    if callbacks:
+                        event.callbacks = None
+                        for callback in callbacks:
+                            callback(event)
+                    elif cap and getrefcount(event) == 2:
+                        if self._free_timeout is None:
+                            # callbacks (the original empty list) stays
+                            # attached.
+                            event._value = None
+                            event._processed = False
+                            self._free_timeout = event
+                        elif len(free) < cap:
+                            event._value = None
+                            event._processed = False
+                            free.append(event)
+                        else:
+                            event.callbacks = None
                     else:
                         event.callbacks = None
+                elif cls is _Bootstrap:
+                    # Recycle the two-word marker for the next spawn (the
+                    # loop holds the only reference once the entry is
+                    # gone).
+                    if self._free_bootstrap is None and getrefcount(event) == 2:
+                        event.process = None
+                        self._free_bootstrap = event
                 else:
+                    callbacks = event.callbacks
                     event.callbacks = None
-                continue
-            if cls is _Bootstrap:
-                waiter = event.process
-                value = None
-                self._active_process = waiter
-                send = waiter._send
-                while True:
-                    try:
-                        target = send(value)
-                    except StopIteration as stop:
-                        self._active_process = None
-                        waiter._target = None
-                        # Inline Event.succeed: process termination is
-                        # the spawn/join hot path.
-                        if waiter._triggered:
-                            raise SimulationError("event already triggered")
-                        waiter._triggered = True
-                        waiter._ok = True
-                        waiter._value = stop.value
-                        self._seq = seq = self._seq + 1
-                        nxt = self._next
-                        if buckets is None:
-                            entry = (time, NORMAL, seq, waiter)
-                            if nxt is None:
-                                if queue:
-                                    heappush(queue, entry)
-                                else:
-                                    self._next = entry
-                            elif entry < nxt:
-                                self._next = entry
-                                heappush(queue, nxt)
-                            else:
-                                heappush(queue, entry)
-                        elif nxt is None and not buckets:
-                            self._next = (time, NORMAL, seq, waiter)
-                        elif nxt is not None and (time, NORMAL, seq, waiter) < nxt:
-                            self._next = (time, NORMAL, seq, waiter)
-                            _insert_displaced(self, nxt)
-                        else:
-                            b = buckets.get(time)
-                            if b is None:
-                                heappush(times, time)
-                                buckets[time] = [[], [waiter], [], 0, 0, 0]
-                            else:
-                                b[1].append(waiter)
-                        # Clear the parked-yield local: a stale reference
-                        # would defeat the timeout recycle test below.
-                        target = None
-                        break
-                    except BaseException as exc:
-                        self._active_process = None
-                        waiter._target = None
-                        waiter.fail(exc)
-                        target = None
-                        break
-                    if type(target) is Timeout and target.sim is self:
-                        if target._processed:
-                            value = target._value
-                            continue
-                        waiter._target = target
-                        if target._waiter is None and not target.callbacks:
-                            target._waiter = waiter
-                        else:
-                            target.callbacks.append(waiter._resume)
-                        self._active_process = None
-                        break
-                    if (
-                        isinstance(target, Event)
-                        and target.sim is self
-                        and not target._processed
-                    ):
-                        waiter._target = target
-                        if target._waiter is None and not target.callbacks:
-                            target._waiter = waiter
-                        else:
-                            target.callbacks.append(waiter._resume)
-                        self._active_process = None
-                        break
-                    self._active_process = None
-                    waiter._park_slow(target)
-                    break
-                # Recycle the two-word marker for the next spawn (the
-                # loop holds the only reference once the entry is gone).
-                if self._free_bootstrap is None and getrefcount(event) == 2:
-                    event.process = None
-                    self._free_bootstrap = event
-                continue
-            if cls is _Stop:
-                if event is marker:
-                    break
-                # Sentinel orphaned by an earlier run that raised: skip.
-                continue
-            # Generic event (Process termination, bare Events, conditions).
-            event._processed = True
-            waiter = event._waiter
-            if waiter is not None and event._ok:
-                event._waiter = None
-                value = event._value
-                self._active_process = waiter
-                send = waiter._send
-                while True:
-                    try:
-                        target = send(value)
-                    except StopIteration as stop:
-                        self._active_process = None
-                        waiter._target = None
-                        # Inline Event.succeed: process termination is
-                        # the spawn/join hot path.
-                        if waiter._triggered:
-                            raise SimulationError("event already triggered")
-                        waiter._triggered = True
-                        waiter._ok = True
-                        waiter._value = stop.value
-                        self._seq = seq = self._seq + 1
-                        nxt = self._next
-                        if buckets is None:
-                            entry = (time, NORMAL, seq, waiter)
-                            if nxt is None:
-                                if queue:
-                                    heappush(queue, entry)
-                                else:
-                                    self._next = entry
-                            elif entry < nxt:
-                                self._next = entry
-                                heappush(queue, nxt)
-                            else:
-                                heappush(queue, entry)
-                        elif nxt is None and not buckets:
-                            self._next = (time, NORMAL, seq, waiter)
-                        elif nxt is not None and (time, NORMAL, seq, waiter) < nxt:
-                            self._next = (time, NORMAL, seq, waiter)
-                            _insert_displaced(self, nxt)
-                        else:
-                            b = buckets.get(time)
-                            if b is None:
-                                heappush(times, time)
-                                buckets[time] = [[], [waiter], [], 0, 0, 0]
-                            else:
-                                b[1].append(waiter)
-                        # Clear the parked-yield local: a stale reference
-                        # would defeat the timeout recycle test below.
-                        target = None
-                        break
-                    except BaseException as exc:
-                        self._active_process = None
-                        waiter._target = None
-                        waiter.fail(exc)
-                        target = None
-                        break
-                    if type(target) is Timeout and target.sim is self:
-                        if target._processed:
-                            value = target._value
-                            continue
-                        waiter._target = target
-                        if target._waiter is None and not target.callbacks:
-                            target._waiter = waiter
-                        else:
-                            target.callbacks.append(waiter._resume)
-                        self._active_process = None
-                        break
-                    if (
-                        isinstance(target, Event)
-                        and target.sim is self
-                        and not target._processed
-                    ):
-                        waiter._target = target
-                        if target._waiter is None and not target.callbacks:
-                            target._waiter = waiter
-                        else:
-                            target.callbacks.append(waiter._resume)
-                        self._active_process = None
-                        break
-                    self._active_process = None
-                    waiter._park_slow(target)
-                    break
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks:
-                    for callback in callbacks:
-                        callback(event)
-                continue
-            if waiter is not None:
-                # Failed event with a parked waiter: the generic path
-                # throws the failure into the generator.
-                event._waiter = None
-                waiter._resume(event)
-            callbacks = event.callbacks
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event.defused:
-                raise event._value
-        if marker is not None:
-            self._now = horizon
-        if stop_evt is not None:
-            if stop_evt._processed:
-                if stop_evt._ok:
-                    return stop_evt._value
-                stop_evt.defused = True
-                raise stop_evt._value
-            raise SimulationError(
-                "simulation ran out of events before the awaited event fired"
-            )
-        return None
+                    if callbacks:
+                        for callback in callbacks:
+                            callback(event)
+                if obs is not None:
+                    t1 = perf_counter()
+                    obs._note_event(
+                        "Bootstrap" if cls is _Bootstrap else cls.__name__,
+                        None if waiter is None else waiter.name,
+                        t1 - t0,
+                    )
+                    t0 = t1
+            if marker is not None:
+                self._now = horizon
+            if stop_evt is not None:
+                if stop_evt._processed:
+                    if stop_evt._ok:
+                        return stop_evt._value
+                    stop_evt.defused = True
+                    raise stop_evt._value
+                raise SimulationError(
+                    "simulation ran out of events before the awaited event fired"
+                )
+            return None
+        finally:
+            if obs is not None:
+                try:
+                    obs.host_run_time += perf_counter() - t_run
+                except AttributeError:
+                    pass

@@ -4,16 +4,21 @@ The kernel promises (see the contract in :mod:`repro.sim.engine`) that
 two runs of the same model visit identical events at identical times.
 These tests exercise the promise through the layers above the kernel:
 a seeded random all-to-all over SimMPI and the full distributed sweep,
-each run twice and compared record-for-record via the MPI trace.
+each run twice and compared record-for-record via the MPI trace.  At
+the kernel itself, a mixed workload is checked against the seed engine
+from git history, and observed against unobserved.
 """
 
 import random
 
 import numpy as np
+import pytest
 
+from benchmarks.framework.gitseed import load_seed_engine
 from repro.comm.mpi import Location, SimMPI, UniformFabric
 from repro.comm.transport import Transport
 from repro.hardware.cell import POWERXCELL_8I
+from repro.obs import ObsRecorder
 from repro.sim import Simulator, Tracer
 from repro.sweep3d.cellport import grind_time
 from repro.sweep3d.decomposition import Decomposition2D
@@ -108,6 +113,65 @@ def test_parallel_sweep_twice_is_bit_identical():
     assert np.array_equal(result_a.phi, result_b.phi)
     assert len(records_a) > 0
     assert records_a == records_b
+
+
+# -- the engine against the seed engine, observed and plain ---------------
+
+
+def _engine_timeline(Simulator, observer=None):
+    """A mixed workload's resume timeline: staggered timeout chains
+    (clustered instants) and spawn/join — every scheduling site the
+    engine inlines.  Returns the timeline and the final ``seq``."""
+    sim = Simulator()
+    if observer is not None:
+        sim.attach_observer(observer)
+    record: list[tuple] = []
+
+    def chain(sim, tag, delay, n):
+        for _ in range(n):
+            yield sim.timeout(delay)
+            record.append(("t", tag, sim.now))
+
+    def child(sim, tag):
+        yield sim.timeout(0.5)
+        record.append(("c", tag, sim.now))
+        return tag
+
+    def parent(sim, n):
+        for i in range(n):
+            got = yield sim.process(child(sim, i))
+            record.append(("j", got, sim.now))
+
+    for i in range(8):
+        sim.process(chain(sim, i, 1.0 + 0.25 * (i % 3), 40))
+    sim.process(parent(sim, 25))
+    sim.run()
+    return record, sim._seq
+
+
+def test_engine_timeline_matches_seed_engine():
+    """Differential oracle: the optimized engine resumes every process
+    at the same simulated time, in the same order, as the seed engine
+    loaded from the repository's first commit."""
+    seed = load_seed_engine()
+    if seed is None:
+        pytest.skip("seed engine unavailable (no git history)")
+    timeline, _seq = _engine_timeline(Simulator)
+    assert len(timeline) == 8 * 40 + 2 * 25
+    assert timeline == _engine_timeline(seed.Simulator)[0]
+
+
+def test_observed_engine_timeline_matches_plain():
+    """An attached observer changes nothing: identical timeline and the
+    same number of ``seq`` numbers consumed — and it sees every
+    dispatch, each bootstrap once."""
+    rec = ObsRecorder()
+    assert _engine_timeline(Simulator, observer=rec) == _engine_timeline(Simulator)
+    assert rec.events_by_class["Bootstrap"] == 8 + 1 + 25
+    assert rec.events_by_class["Timeout"] == 8 * 40 + 25
+    assert rec.events_by_class["Process"] == 25 + 9
+    assert rec.resumes_by_process["parent"] == 1 + 25
+    assert rec.host_run_time > 0
 
 
 # -- the event/timeout free-list pool --------------------------------------

@@ -34,6 +34,34 @@ def test_negative_timeout_rejected():
         sim.timeout(-1.0)
 
 
+def test_nan_delays_rejected():
+    """Every delay guard rejects NaN, fresh and recycled timeouts alike;
+    infinity stays a legal delay."""
+    nan = float("nan")
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.timeout(nan)
+    with pytest.raises(SimulationError):
+        sim.event().succeed(delay=nan)
+    with pytest.raises(SimulationError):
+        sim.event().fail(RuntimeError("x"), delay=nan)
+    with pytest.raises(SimulationError):
+        sim._schedule(sim.event(), delay=nan)
+
+    def ticker(sim):
+        for _ in range(3):
+            yield sim.timeout(1.0)
+
+    sim.process(ticker(sim))
+    sim.run()
+    assert sim._free_timeout is not None  # the next timeout is recycled
+    with pytest.raises(SimulationError):
+        sim.timeout(nan)
+    sim.timeout(float("inf"))
+    sim.event().succeed(delay=float("inf"))
+    assert sim.now == 3.0
+
+
 def test_events_fire_in_time_order():
     sim = Simulator()
     log = []
@@ -112,6 +140,16 @@ def test_run_until_past_raises():
     sim.run(until=5.0)
     with pytest.raises(SimulationError):
         sim.run(until=1.0)
+
+
+def test_run_until_nan_raises():
+    sim = Simulator()
+    sim.timeout(1.0)
+    with pytest.raises(SimulationError):
+        sim.run(until=float("nan"))
+    assert sim.now == 0.0
+    sim.run(until=float("inf"))
+    assert sim.now == float("inf")
 
 
 def test_event_succeed_wakes_waiter_with_value():
