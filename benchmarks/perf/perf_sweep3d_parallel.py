@@ -5,6 +5,9 @@ and the transport curves at once, so it measures the composite effect
 of every fast path in this package.  The smoke tier runs a small 8x4
 sweep twice and asserts the full determinism contract — bit-identical
 flux field, simulated iteration time and traced MPI event timeline.
+A second seed oracle runs the distributed source iteration,
+``solve_distributed()``, on a smaller tile through both layers and
+compares flux, iteration count, simulated time and message count.
 The measured tier times the same configuration against the seed
 commit's ``parallel.py`` with the seed-commit ``sweep_octant`` injected
 into it — the genuine pre-PR numeric stack, not the seed sweep layer
@@ -43,6 +46,10 @@ DECOMP = Decomposition2D(8, 4)
 
 MIN_E2E_SPEEDUP = 2.0
 
+#: the solve oracle: converges in 18 sweeps, each cheap in the seed layer
+SOLVE_INP = SweepInput(it=3, jt=3, kt=8, mk=2, mmi=3)
+SOLVE_DECOMP = Decomposition2D(3, 2)
+
 
 def _run(mod, tracer=None):
     sweep = mod.ParallelSweep(
@@ -54,6 +61,26 @@ def _run(mod, tracer=None):
         **({"tracer": tracer} if tracer is not None else {}),
     )
     return sweep.run()
+
+
+def _solve(mod):
+    sweep = mod.ParallelSweep(
+        SOLVE_INP,
+        SOLVE_DECOMP,
+        grind_time=grind_time(POWERXCELL_8I),
+        fabric=cell_fabric(),
+        locations=spe_locations(SOLVE_DECOMP),
+    )
+    return sweep.solve_distributed()
+
+
+def _load_seed_layer():
+    seed = load_seed_module(
+        "src/repro/sweep3d/parallel.py", "_seed_sweep3d_parallel"
+    )
+    if seed is None:
+        raise SkipCase("seed sweep layer unavailable (no git history)")
+    return seed
 
 
 def _trace_fingerprint(tracer: Tracer) -> str:
@@ -71,7 +98,7 @@ class ParallelSweepDeterminism(PerfTest):
     name = "sweep3d_parallel_determinism"
     title = "sweep3d parallel: bit-identical runs and seed-layer identity"
     tiers = ("smoke",)
-    params = {"oracle": ["twice", "seed"]}
+    params = {"oracle": ["twice", "seed", "seed_solve"]}
 
     def sanity(self, case: Case):
         if case.oracle == "twice":
@@ -83,17 +110,24 @@ class ParallelSweepDeterminism(PerfTest):
             assert np.array_equal(r1.phi, r2.phi)
             assert len(t1.records) > 0
             assert _trace_fingerprint(t1) == _trace_fingerprint(t2)
-        else:
-            # The preallocated-inflow sweep produces bit-identical
-            # results to the seed commit's sweep layer over the same
-            # kernel.
-            seed = load_seed_module(
-                "src/repro/sweep3d/parallel.py", "_seed_sweep3d_parallel"
-            )
-            if seed is None:
-                raise SkipCase("seed sweep layer unavailable (no git history)")
+        elif case.oracle == "seed":
+            # The level-batched sweep produces bit-identical results to
+            # the seed commit's block-by-block sweep layer.
+            seed = _load_seed_layer()
             r_seed = _run(seed)
             r_now = _run(current_parallel)
+            assert r_now.iteration_time == r_seed.iteration_time
+            assert r_now.messages == r_seed.messages
+            assert np.array_equal(r_now.phi, r_seed.phi)
+        else:
+            # The distributed source iteration: the flux feeds back into
+            # the next sweep's source, and the convergence test decides
+            # the iteration count, so every bit has to carry over.
+            seed = _load_seed_layer()
+            r_seed, info_seed = _solve(seed)
+            r_now, info_now = _solve(current_parallel)
+            assert info_now == info_seed
+            assert r_now.iterations == r_seed.iterations
             assert r_now.iteration_time == r_seed.iteration_time
             assert r_now.messages == r_seed.messages
             assert np.array_equal(r_now.phi, r_seed.phi)

@@ -20,6 +20,9 @@ vacuum-boundary sweep in one pass, stacking their independent inflows
 into the trailing angle axis (``8`` octants side by side) with the
 octant flips applied through the plan's precomputed index maps — one
 kernel invocation per transport sweep instead of eight.
+:class:`BoundKernel` sweeps a stack of same-geometry blocks per call —
+the distributed sweep's one call per wavefront level — each block bit
+for bit what :func:`sweep_octant` gives it alone.
 """
 
 from __future__ import annotations
@@ -127,39 +130,43 @@ def sweep_octant(
 
 
 class BoundKernel:
-    """:func:`sweep_octant` with everything but the data bound ahead.
+    """:func:`sweep_octant` over a stack of blocks, with everything but
+    the data bound ahead.
 
-    At full-machine scale the kernel runs ~49,000 times per sweep on
-    tiny blocks, and its cost is numpy *call dispatch*, not arithmetic.
-    A ``BoundKernel`` binds geometry (the plan), a **scalar** total
-    cross-section, cell spacings, and the ordinate set once, and
-    restructures the per-step body around one fused face buffer:
+    The distributed sweep evaluates its blocks level by level (see
+    :mod:`repro.sweep3d.parallel`): every block of one wavefront level,
+    across all ranks and octants, goes through **one** call, with a
+    leading block axis on the source and on every face.  Its cost is
+    numpy *call dispatch*, not arithmetic, so a ``BoundKernel`` binds
+    geometry (the plan), a **scalar** total cross-section, cell
+    spacings, and the ordinate set once, and shapes the per-step body
+    around one fused face buffer:
 
-    * the three face surfaces live stacked in a single
-      ``(J*K + I*K + I*J, M)`` array, gathered and scattered through
-      one precomputed concatenated index vector per step — one
-      ``take`` / one fancy-store where the unbound kernel pays three;
+    * the three face surfaces live stacked in a single face-major
+      ``(J*K + I*K + I*J, R, M)`` array, gathered and scattered through
+      one precomputed concatenated index vector per step;
     * the ``cx/cy/cz`` multiplies and the ``2*center - in`` outflow
-      updates run once over a ``(3, n, M)`` stack instead of three
-      times over ``(n, M)``;
-    * every workspace slice, reshape, and broadcast view the step loop
-      needs is precomputed at bind time, so the per-call loop performs
-      only the arithmetic ops themselves.
+      updates run once over a ``(3, n, R, M)`` stack;
+    * source values and scalar fluxes have no cross-step dataflow, so
+      they are gathered once before the step loop and scattered once
+      after it.
 
-    The arithmetic *order* is kept exactly the seed's —
-    ``((cx*in_x + src) + cy*in_y) + cz*in_z``, the one-row BLAS
-    ``ddot`` fix-up rows, the ``0.0 + p`` flux store — so results are
-    bit-identical to :func:`sweep_octant` (asserted in the perf smoke
-    tier).  Inflow shapes are trusted, not validated: callers are the
-    inner loops that already carry plan-shaped faces.  Like the plan
-    workspaces, a bound kernel is not re-entrant; calls complete
-    atomically between DES yields.
+    Every block stays **bit-identical** to :func:`sweep_octant` on its
+    own (asserted in the perf smoke tier and by property tests).  The
+    elementwise steps are exact IEEE operations in the seed's order —
+    ``((cx*in_x + src) + cy*in_y) + cz*in_z`` and the ``0.0 + p`` flux
+    store — wherever a block sits in the stack.  The angle reduction is
+    one stacked ``matmul`` whose per-block operand is the same
+    ``(n, M)`` matrix as an unstacked call (only its row stride
+    differs), so BLAS runs the same ``gemv`` (``ddot`` for one-row
+    steps) per block; the plan's one-row
+    fix-up rows are one stacked ``(1, M) @ (M,)`` matmul, a ``ddot``
+    per row, exactly as the seed's single-row reductions.  Inflow shapes
+    are trusted, not validated: the caller is the block graph, which
+    only stacks plan-shaped faces.
     """
 
-    __slots__ = (
-        "plan", "shape", "_steps", "_denom", "_w", "_faces",
-        "_cell_all", "_src_all", "_p_all",
-    )
+    __slots__ = ("plan", "shape", "_steps", "_denom", "_w", "_c3", "_faces")
 
     def __init__(
         self,
@@ -173,53 +180,22 @@ class BoundKernel:
         if np.ndim(sigma_t) != 0:
             raise ValueError("BoundKernel requires a scalar sigma_t")
         I, J, K = plan.shape
-        M = plan.n_angles
         self.plan = plan
         self.shape = (I, J, K)
         cx, cy, cz, c_sum, w = plan.angle_constants(dx, dy, dz, angles)
         self._denom = sigma_t + c_sum
         self._w = w
+        # (3, 1, 1, M) per-axis constants, broadcast over the (3, n, R, M) stack
+        self._c3 = np.ascontiguousarray(np.stack([cx, cy, cz])[:, None, None, :])
         JK, IK = J * K, I * K
         self._faces = (JK, IK, I * J)
-        # (3, 1, M) per-axis constants, broadcast over the face stack.
-        c3 = np.ascontiguousarray(np.stack([cx, cy, cz])[:, None, :])
-
-        n_max = int(np.diff(plan.offsets).max())
-        w_in = np.empty((3 * n_max, M))
-        w_prod = np.empty((3 * n_max, M))
-        w_out = np.empty((3 * n_max, M))
-        w_numer = np.empty((n_max, M))
-        w_center = np.empty((n_max, M))
-        w_two = np.empty((n_max, M))
-        # Source and scalar-flux values have no cross-step dataflow
-        # (unlike the face traffic), so they live in step-concatenated
-        # buffers: one gather before the loop, one ``0.0 + p`` store
-        # and one scatter after it, instead of one of each per step.
-        self._cell_all = plan.cell_idx
-        self._src_all = np.empty(plan.n_cells)
-        self._p_all = np.empty(plan.n_cells)
-
         steps = []
-        for d, (cell, xf, yf, zf, fix, _fix8) in enumerate(plan.steps):
-            n = cell.shape[0]
-            n3 = 3 * n
-            o0, o1 = int(plan.offsets[d]), int(plan.offsets[d + 1])
-            idx3 = np.concatenate([xf, JK + yf, JK + IK + zf])
+        for d, (_cell, xf, yf, zf, fix, _fix8) in enumerate(plan.steps):
             steps.append((
-                idx3,
-                fix,
-                w_in[:n3],                      # take target (n3, M)
-                w_in[:n3].reshape(3, n, M),     # ... viewed as the stack
-                w_prod[:n3].reshape(3, n, M),
-                self._src_all[o0:o1, None],     # this step's source column
-                w_numer[:n],
-                w_center[:n],
-                self._p_all[o0:o1],             # this step's flux rows
-                w_two[:n],
-                w_two[None, :n],                # ... broadcast over the stack
-                w_out[:n3].reshape(3, n, M),
-                w_out[:n3],                     # scatter source (n3, M)
-                c3,
+                int(plan.offsets[d]),
+                int(plan.offsets[d + 1]),
+                np.concatenate([xf, JK + yf, JK + IK + zf]),
+                np.array(fix, dtype=np.intp) if fix else None,
             ))
         self._steps = tuple(steps)
 
@@ -230,47 +206,51 @@ class BoundKernel:
         inflow_y: np.ndarray,
         inflow_z: np.ndarray,
     ):
-        """Sweep one octant; same returns as :func:`sweep_octant`.
+        """Sweep ``R`` blocks of one octant geometry at once.
 
-        ``phi`` and the outflow faces are freshly allocated per call
-        (the faces are views of one buffer): callers hand them to
-        in-flight simulated messages and chain them into the next
-        block's inflow, so they must survive across calls.
+        ``source`` is ``(R, I, J, K)`` and the inflows ``(R, J, K, M)``
+        / ``(R, I, K, M)`` / ``(R, I, J, M)``; returns
+        ``(phi, out_x, out_y, out_z)`` with the same leading axis, block
+        ``r`` equal bit for bit to :func:`sweep_octant` on block ``r``.
+        The outflow faces are views of one freshly allocated buffer.
         """
         I, J, K = self.shape
         JK, IK, IJ = self._faces
-        M = self.plan.n_angles
-        src = source.reshape(-1)
-        denom = self._denom
-        w = self._w
-        psi = np.empty((JK + IK + IJ, M))
-        psi[:JK] = inflow_x.reshape(JK, M)
-        psi[JK:JK + IK] = inflow_y.reshape(IK, M)
-        psi[JK + IK:] = inflow_z.reshape(IJ, M)
-        phi = np.empty(I * J * K)
-        src.take(self._cell_all, None, self._src_all)
-        for (idx3, fix, t_in, in3, prod3, src_col, t_numer, t_center,
-             t_p, t_two, two_b, out3, out_flat, c3) in self._steps:
-            psi.take(idx3, 0, t_in)
-            np.multiply(c3, in3, out=prod3)
-            numer = np.add(prod3[0], src_col, out=t_numer)
-            numer += prod3[1]
-            numer += prod3[2]
-            center = np.divide(numer, denom, out=t_center)
-            p = np.matmul(center, w, out=t_p)
-            for r in fix:
-                p[r] = center[r] @ w
-            np.multiply(2.0, center, out=t_two)
-            np.subtract(two_b, in3, out=out3)
-            psi[idx3] = out_flat
-        p_all = self._p_all
-        np.add(p_all, 0.0, out=p_all)  # 0.0 + p: the seed's "+=" on zeros
-        phi[self._cell_all] = p_all
+        plan = self.plan
+        M = plan.n_angles
+        R = source.shape[0]
+        denom, w, c3 = self._denom, self._w, self._c3
+        # Face-major working layout: a step's gather and scatter move
+        # whole (R, M) rows, and each block's center is still an
+        # (n, M) matrix for BLAS, just with a row stride of R*M.
+        psi = np.empty((JK + IK + IJ, R, M))
+        psi[:JK] = inflow_x.reshape(R, JK, M).transpose(1, 0, 2)
+        psi[JK:JK + IK] = inflow_y.reshape(R, IK, M).transpose(1, 0, 2)
+        psi[JK + IK:] = inflow_z.reshape(R, IJ, M).transpose(1, 0, 2)
+        src = source.reshape(R, -1).T.take(plan.cell_idx, 0)[:, :, None]
+        p_all = np.empty((R, plan.n_cells))
+        for o0, o1, idx3, fix in self._steps:
+            n = o1 - o0
+            in3 = psi.take(idx3, 0).reshape(3, n, R, M)
+            prod3 = c3 * in3
+            center = np.add(prod3[0], src[o0:o1])
+            center += prod3[1]
+            center += prod3[2]
+            center /= denom
+            per_block = center.transpose(1, 0, 2)
+            p = np.matmul(per_block, w, out=p_all[:, o0:o1])
+            if fix is not None:
+                p[:, fix] = np.matmul(per_block[:, fix, None, :], w)[:, :, 0]
+            center *= 2.0
+            psi[idx3] = np.subtract(center, in3, out=in3).reshape(3 * n, R, M)
+        phi = np.empty((R, plan.n_cells))
+        phi[:, plan.cell_idx] = np.add(p_all, 0.0, out=p_all)  # 0.0 + p: the seed's "+="
+        psi = psi.transpose(1, 0, 2)
         return (
-            phi.reshape(I, J, K),
-            psi[:JK].reshape(J, K, M),
-            psi[JK:JK + IK].reshape(I, K, M),
-            psi[JK + IK:].reshape(I, J, M),
+            phi.reshape(R, I, J, K),
+            psi[:, :JK].reshape(R, J, K, M),
+            psi[:, JK:JK + IK].reshape(R, I, K, M),
+            psi[:, JK + IK:].reshape(R, I, J, M),
         )
 
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.sweep3d.quadrature import OCTANTS, AngleSet
 
-__all__ = ["SweepPlan", "get_plan", "clear_plans"]
+__all__ = ["SweepPlan", "get_plan", "clear_plans", "octant_flip_maps"]
 
 #: bounded caches: plans per geometry, angle constants per plan
 _PLAN_CACHE_MAX = 64
@@ -173,17 +173,9 @@ class SweepPlan:
         sources and scatters fluxes back).  Built lazily — only the
         batched sequential sweep needs it."""
         if self._octant_maps is None:
-            I, J, K = self.shape
-            i = np.arange(I)[:, None, None]
-            j = np.arange(J)[None, :, None]
-            k = np.arange(K)[None, None, :]
-            maps = np.empty((self.n_cells, len(OCTANTS)), dtype=np.intp)
-            for octant in OCTANTS:
-                fi = I - 1 - i if octant.sx < 0 else i
-                fj = J - 1 - j if octant.sy < 0 else j
-                fk = K - 1 - k if octant.sz < 0 else k
-                maps[:, octant.id] = ((fi * J + fj) * K + fk).reshape(-1)
-            self._octant_maps = maps
+            self._octant_maps = np.ascontiguousarray(
+                octant_flip_maps(*self.shape).T
+            )
         return self._octant_maps
 
     # -- scratch workspaces ----------------------------------------------------
@@ -207,6 +199,23 @@ class SweepPlan:
             }
             self._workspaces[width] = ws
         return ws
+
+
+def octant_flip_maps(I: int, J: int, K: int) -> np.ndarray:
+    """``(8, I*J*K)`` flat index maps realizing the octant flips of an
+    ``(I, J, K)`` cell array: row ``o`` maps each sweep-orientation
+    cell of octant ``o`` to its global cell (an involution, so the same
+    map gathers flipped sources and scatters fluxes back)."""
+    i = np.arange(I)[:, None, None]
+    j = np.arange(J)[None, :, None]
+    k = np.arange(K)[None, None, :]
+    maps = np.empty((len(OCTANTS), I * J * K), dtype=np.intp)
+    for octant in OCTANTS:
+        fi = I - 1 - i if octant.sx < 0 else i
+        fj = J - 1 - j if octant.sy < 0 else j
+        fk = K - 1 - k if octant.sz < 0 else k
+        maps[octant.id] = ((fi * J + fj) * K + fk).reshape(-1)
+    return maps
 
 
 def get_plan(I: int, J: int, K: int, M: int) -> SweepPlan:

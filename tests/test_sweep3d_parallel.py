@@ -3,13 +3,17 @@ solver; simulated timing matches the analytic wavefront model."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.comm.mpi import Location, UniformFabric
 from repro.comm.transport import Transport
 from repro.sweep3d.decomposition import Decomposition2D
 from repro.sweep3d.input import SweepInput
-from repro.sweep3d.parallel import ParallelSweep
+from repro.sweep3d.kernel import bind_octant_kernel, sweep_octant
+from repro.sweep3d.parallel import ParallelSweep, SweepAborted
 from repro.sweep3d.perfmodel import SweepMachineParams, WavefrontModel
+from repro.sweep3d.plan import get_plan
 from repro.sweep3d.quadrature import make_angle_set
 from repro.sweep3d.solver import sweep_all_octants
 from repro.units import US
@@ -243,3 +247,160 @@ def test_solve_distributed_validation():
     sweep = ParallelSweep(inp, Decomposition2D(1, 1), 1e-9, FREE_FABRIC)
     with pytest.raises(ValueError):
         sweep.solve_distributed(max_iterations=0)
+
+
+def test_solve_distributed_reports_time_unmoved_by_recv_timeout():
+    """Bounded receives leave timers behind; the solve must stop at the
+    last rank's finish, not after draining them."""
+    inp = SweepInput(it=2, jt=2, kt=4, mk=2, mmi=1)
+    dec = Decomposition2D(2, 2)
+    fabric = UniformFabric(Transport("ib", latency=2e-6, bandwidth=2e9))
+    plain, info = ParallelSweep(inp, dec, 1e-6, fabric).solve_distributed(16)
+    bounded, bounded_info = ParallelSweep(
+        inp, dec, 1e-6, fabric, recv_timeout=1.0
+    ).solve_distributed(16)
+    assert bounded_info == info
+    assert bounded.iteration_time == plain.iteration_time
+    assert bounded.messages == plain.messages
+    np.testing.assert_array_equal(bounded.phi, plain.phi)
+
+
+def test_solve_distributed_fault_aborts_with_progress():
+    """The fault hook is wired into the solve, and a dead rank ends it
+    in SweepAborted carrying the survivors' completed iterations."""
+    from repro.resilience import DeliveryPolicy, FabricHealth, FaultInjector
+
+    inp = SweepInput(it=2, jt=2, kt=4, mk=2, mmi=1)
+    dec = Decomposition2D(2, 2)
+    fabric = UniformFabric(Transport("ib", latency=2e-6, bandwidth=2e9))
+    clean, _info = ParallelSweep(inp, dec, 1e-6, fabric).solve_distributed(16)
+    it_time = clean.iteration_time
+    health = FabricHealth()
+    hooked = []
+
+    def hook(sim, procs, locs):
+        hooked.append(len(procs))
+        injector = FaultInjector(sim, health=health)
+        injector.watch(3, procs[3])
+        injector.fail_node_at(2.5 * it_time, 3)
+
+    sweep = ParallelSweep(
+        inp, dec, 1e-6, fabric, delivery=DeliveryPolicy(health=health),
+        recv_timeout=2.0 * it_time, fault_hook=hook,
+    )
+    with pytest.raises(SweepAborted) as exc:
+        sweep.solve_distributed(16)
+    assert hooked == [dec.size]
+    assert 1 <= exc.value.completed_iterations <= 2
+    assert exc.value.sim_time < 16 * it_time
+
+
+def test_solve_distributed_delivery_failure_is_sweep_aborted():
+    """A send that exhausts its retries aborts the solve (it used to
+    escape as a bare DeliveryError)."""
+    from repro.resilience import DeliveryPolicy, FabricHealth
+
+    inp = SweepInput(it=2, jt=2, kt=4, mk=2, mmi=1)
+    health = FabricHealth()
+    health.fail_node(1)
+    sweep = ParallelSweep(
+        inp, Decomposition2D(2, 2), 1e-6, FREE_FABRIC,
+        delivery=DeliveryPolicy(health=health, max_retries=2),
+    )
+    with pytest.raises(SweepAborted) as exc:
+        sweep.solve_distributed(4)
+    assert exc.value.completed_iterations == 0
+    assert exc.value.retries > 0
+
+
+# --- the block graph: one kernel call per wavefront level -------------------------
+
+def _trace_kernel_calls(monkeypatch) -> list:
+    """Wrap the binder the way ``benchmarks/e2e/tracer.py`` does:
+    looked up on the module, the bound kernel called positionally, one
+    count of ``args[0].size * args[-1].shape[-1]`` cell-angles per call."""
+    from repro.sweep3d import parallel
+
+    cell_angles: list = []
+    bind = parallel.bind_octant_kernel
+
+    def traced_bind(*args, **kwargs):
+        kernel = bind(*args, **kwargs)
+
+        def traced_kernel(*kargs):
+            cell_angles.append(kargs[0].size * kargs[-1].shape[-1])
+            return kernel(*kargs)
+        return traced_kernel
+
+    monkeypatch.setattr(parallel, "bind_octant_kernel", traced_bind)
+    return cell_angles
+
+
+@pytest.mark.parametrize("npe", [(1, 1), (3, 2), (2, 5)])
+def test_run_calls_the_kernel_once_per_wavefront_level(monkeypatch, npe):
+    inp = SweepInput(it=2, jt=3, kt=6, mk=2, mmi=2)
+    dec = Decomposition2D(*npe)
+    cell_angles = _trace_kernel_calls(monkeypatch)
+    result = ParallelSweep(inp, dec, 1e-9, FREE_FABRIC).run(iterations=3)
+    assert len(cell_angles) == dec.npe_i + dec.npe_j + inp.k_blocks - 2
+    M = make_angle_set(inp.mmi).n_angles
+    assert sum(cell_angles) == dec.size * 8 * inp.it * inp.jt * inp.kt * M
+    np.testing.assert_allclose(
+        result.phi, sequential_global(inp, dec), rtol=1e-12, atol=1e-13
+    )
+
+
+def test_solve_distributed_batches_each_iteration(monkeypatch):
+    """Each iteration's blocks go through a few level-batched calls, not
+    one call per block."""
+    inp = SweepInput(it=2, jt=2, kt=8, mk=2, mmi=2)
+    dec = Decomposition2D(2, 2)
+    cell_angles = _trace_kernel_calls(monkeypatch)
+    _result, info = ParallelSweep(inp, dec, 1e-9, FREE_FABRIC).solve_distributed()
+    M = make_angle_set(inp.mmi).n_angles
+    levels = dec.npe_i + dec.npe_j + inp.k_blocks - 2
+    assert info["iterations"] * levels <= len(cell_angles)
+    assert len(cell_angles) < info["iterations"] * 8 * inp.k_blocks
+    assert sum(cell_angles) == (
+        info["iterations"] * dec.size * 8 * inp.it * inp.jt * inp.kt * M
+    )
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    I=st.integers(1, 6), J=st.integers(1, 6), K=st.integers(1, 6),
+    M=st.integers(1, 6), R=st.integers(1, 4), seed=st.integers(0, 2**16),
+)
+def test_stacked_bound_kernel_matches_sweep_octant_bitwise(I, J, K, M, R, seed):
+    """R blocks through one stacked call equal R single-block sweeps bit
+    for bit: singleton steps, one-row fix-ups and M = 1 included."""
+    rng = np.random.default_rng(seed)
+    ang = make_angle_set(M)
+    kernel = bind_octant_kernel(0.75, 0.3, 0.4, 0.5, ang, get_plan(I, J, K, M))
+    src = rng.uniform(0.05, 2.0, (R, I, J, K))
+    ins = (rng.uniform(0.0, 4.0, (R, J, K, M)), rng.uniform(0.0, 4.0, (R, I, K, M)),
+           rng.uniform(0.0, 4.0, (R, I, J, M)))
+    got = kernel(src, *ins)
+    for r in range(R):
+        want = sweep_octant(0.75, src[r], 0.3, 0.4, 0.5, ang,
+                            ins[0][r], ins[1][r], ins[2][r])
+        for g, w in zip(got, want):
+            assert np.array_equal(g[r], w)
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    shape=st.sampled_from(["1xN", "Nx1", "3x5"]), n=st.integers(2, 5),
+    it=st.integers(1, 3), jt=st.integers(1, 3), mk=st.integers(1, 3),
+    k_blocks=st.integers(2, 3), mmi=st.integers(1, 3),
+)
+def test_run_matches_sequential_over_decompositions(shape, n, it, jt, mk, k_blocks, mmi):
+    npe = {"1xN": (1, n), "Nx1": (n, 1), "3x5": (3, 5)}[shape]
+    inp = SweepInput(it=it, jt=jt, kt=mk * k_blocks, mk=mk, mmi=mmi)
+    dec = Decomposition2D(*npe)
+    result = ParallelSweep(inp, dec, 1e-9, FREE_FABRIC).run(
+        iterations=2, replay=False
+    )
+    np.testing.assert_allclose(
+        result.phi, sequential_global(inp, dec), rtol=1e-12, atol=1e-13
+    )
