@@ -16,6 +16,8 @@ aggregate capping and per-pair degradation under load.
 
 from __future__ import annotations
 
+from math import inf
+
 from repro.sim.engine import Event, Simulator
 from repro.sim.resources import BandwidthLink, Resource
 
@@ -60,8 +62,8 @@ class EIBSim:
         (the real arbiter picks by path non-overlap; round-robin gives
         the same steady-state sharing for symmetric traffic).
         """
-        if size_bytes < 0:
-            raise ValueError("size must be >= 0")
+        if not 0 <= size_bytes < inf:
+            raise ValueError(f"size must be finite and >= 0, got {size_bytes!r}")
         done = Event(self.sim)
         if size_bytes == 0:
             done.succeed(self.sim.now)

@@ -24,6 +24,7 @@ bit-identical to the historical perfect-fabric communicator.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Any, Callable, NamedTuple
 
 from repro.comm.transport import PipelinePath, Transport
@@ -374,8 +375,8 @@ class Rank:
         serialization time; delivery happens one wire latency later."""
         if not 0 <= dest < self.comm.size:
             raise ValueError(f"destination rank {dest} out of range")
-        if size < 0:
-            raise ValueError("message size must be >= 0")
+        if not 0 <= size < inf:
+            raise ValueError(f"message size must be finite and >= 0, got {size!r}")
         comm, sim = self.comm, self.sim
         if comm.delivery is not None:
             # Resilient path lives out-of-line so the default (perfect
@@ -389,11 +390,13 @@ class Rank:
         if latency is None:
             latency = comm.fabric.zero_byte_latency(src_loc, dst_loc)
             comm._lat_cache[pair] = latency
-        tkey = (self.index, dest, size)
-        total = comm._time_cache.get(tkey)
-        if total is None:
-            total = comm.fabric.one_way_time(src_loc, dst_loc, size)
-            comm._time_cache[tkey] = total
+        contended = comm._contended
+        if not contended:  # a contended fabric times its links instead
+            tkey = (self.index, dest, size)
+            total = comm._time_cache.get(tkey)
+            if total is None:
+                total = comm.fabric.one_way_time(src_loc, dst_loc, size)
+                comm._time_cache[tkey] = total
         sent_at = sim.now
         comm.sent_counts[self.index] += 1
         comm.sent_bytes[self.index] += size
@@ -401,7 +404,7 @@ class Rank:
         if tracer is not NULL_TRACER:
             tracer.record(sim.now, "mpi.send", self.index,
                           {"dest": dest, "size": size, "tag": tag})
-        if comm._contended:
+        if contended:
             # Contended fabric: the bandwidth phase runs through shared
             # link resources; the sender is occupied until its payload
             # clears them (conservative store-and-forward semantics).

@@ -15,6 +15,7 @@ costs at relay points.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import inf
 from typing import Sequence
 
 __all__ = ["Transport", "PipelinePath", "set_transport_observer"]
@@ -90,8 +91,8 @@ class Transport:
             return cached
         if _OBSERVER is not None:
             _OBSERVER.count("transport.cache_miss", track=self.name)
-        if size_bytes < 0:
-            raise ValueError("message size must be >= 0")
+        if not 0 <= size_bytes < inf:
+            raise ValueError(f"message size must be finite and >= 0, got {size_bytes!r}")
         eager_bw = self.eager_bandwidth or self.bandwidth
         if size_bytes <= self.eager_threshold:
             result = self.latency + size_bytes / eager_bw

@@ -11,6 +11,7 @@ eight SPEs on the chip.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from repro.sim.engine import Event, Simulator
 from repro.sim.resources import BandwidthLink
@@ -44,8 +45,8 @@ class DMAEngine:
 
     def commands_for(self, size_bytes: int) -> int:
         """Number of hardware DMA commands a request of ``size`` needs."""
-        if size_bytes < 0:
-            raise ValueError("size must be >= 0")
+        if not 0 <= size_bytes < inf:
+            raise ValueError(f"size must be finite and >= 0, got {size_bytes!r}")
         if size_bytes == 0:
             return 0
         return -(-size_bytes // self.max_transfer)

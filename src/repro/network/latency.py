@@ -10,6 +10,7 @@ to the far-side CUs (7 hops).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from repro.network.routing import hop_count, hop_vector
 from repro.network.topology import NodeId, RoadrunnerTopology
@@ -41,8 +42,8 @@ class IBLatencyModel:
         self, topo: RoadrunnerTopology, src: NodeId, dst: NodeId, size_bytes: int
     ) -> float:
         """One-way latency of a ``size_bytes`` message."""
-        if size_bytes < 0:
-            raise ValueError("message size must be >= 0")
+        if not 0 <= size_bytes < inf:
+            raise ValueError(f"message size must be finite and >= 0, got {size_bytes!r}")
         base = self.zero_byte_latency(topo, src, dst)
         return base + size_bytes / self.bandwidth
 

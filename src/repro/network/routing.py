@@ -32,14 +32,16 @@ from repro.network.crossbar import XbarId
 from repro.network.cu_switch import (
     MIXED_XBAR,
     NODES_PER_LOWER_XBAR,
+    lower_xbar_of_local_node,
 )
-from repro.network.intercu import FIRST_SIDE_CUS
+from repro.network.intercu import FIRST_SIDE_CUS, uplink_target
 from repro.network.topology import NodeId, RoadrunnerTopology
 
 __all__ = [
     "hop_count",
     "hop_vector",
     "route",
+    "route_uplinks",
     "hop_census",
     "average_hops",
     "bfs_hop_count",
@@ -116,8 +118,6 @@ def hop_vector(topo: RoadrunnerTopology, src: NodeId = 0) -> np.ndarray:
 def _route_cached(
     topo: RoadrunnerTopology, src: NodeId, dst: NodeId, spread: bool
 ) -> tuple[XbarId, ...]:
-    from repro.network.intercu import uplink_target
-
     cu_s, _ = topo.split(src)
     cu_d, local_d = topo.split(dst)
     lx_s = topo.lower_xbar(src)
@@ -164,6 +164,31 @@ def route(
     if src == dst:
         return []
     return list(_route_cached(topo, src, dst, bool(spread)))
+
+
+@lru_cache(maxsize=None)
+def _uplink_edge(cu: int, lower: int, uplink: int) -> tuple[XbarId, XbarId]:
+    """The canonical (sorted) vertex pair of one CU uplink edge."""
+    return tuple(sorted((XbarId("L", cu, lower), uplink_target(cu, lower, uplink))))
+
+
+def route_uplinks(
+    topo: RoadrunnerTopology, src: NodeId, dst: NodeId, spread: bool = False
+) -> tuple[tuple[XbarId, XbarId], ...]:
+    """The CU uplink edges :func:`route` crosses, in path order, as
+    shared sorted vertex pairs (none within a CU).
+
+    A route leaving its CU climbs from lower crossbar ``i`` through
+    uplink ``k`` and lands on lower crossbar ``i`` of the destination CU
+    through its uplink ``k``, so no path needs to be built.
+    """
+    cu_s, local_s = topo.split(src)
+    cu_d, local_d = topo.split(dst)
+    if cu_s == cu_d:
+        return ()
+    lower = lower_xbar_of_local_node(local_s)
+    uplink = local_d % 4 if spread else 0
+    return (_uplink_edge(cu_s, lower, uplink), _uplink_edge(cu_d, lower, uplink))
 
 
 def bfs_hop_count(topo: RoadrunnerTopology, src: NodeId, dst: NodeId) -> int:

@@ -13,13 +13,23 @@ will run the communicator, then pass it to
 :class:`~repro.comm.mpi.SimMPI` as the fabric.  The zero-byte latency
 part stays analytic (hop count x 220 ns + software overhead); only the
 bandwidth phase contends.
+
+A message's bytes cross its links concurrently.  The fabric starts one
+transfer per link and hands every link the same countdown record
+(:class:`_Flow`), which fires the message's ``done`` event when the last
+link clears: no helper process, condition event or per-link event is
+created.  With ``model_uplinks`` the links include the two CU uplinks a
+route crosses, taken in closed form from
+:func:`~repro.network.routing.route_uplinks`.
 """
 
 from __future__ import annotations
 
+from math import inf
+
 from repro.comm.mpi import DeliveryError, Location
 from repro.network.latency import IBLatencyModel
-from repro.network.routing import hop_count
+from repro.network.routing import hop_count, route_uplinks
 from repro.network.topology import RoadrunnerTopology
 from repro.sim.engine import Event, Simulator
 from repro.sim.resources import BandwidthLink
@@ -27,54 +37,26 @@ from repro.sim.resources import BandwidthLink
 __all__ = ["ContendedFabric"]
 
 
-class _LinkSpan:
-    """Slotted, reusable per-link transfer record.
+class _Flow:
+    """One message's countdown over the links it crosses, pooled per
+    fabric.  Each link calls :meth:`succeed` when the bytes have cleared
+    it; the last call fires the message's ``done`` event."""
 
-    One fires per shared link a transfer crosses, emitting the ``link``
-    span and byte counter the profiler consumes; afterwards it parks
-    itself on the fabric's free-list for the next transfer.  Replaces a
-    closure allocation per link per message on the observed path.
-    """
+    __slots__ = ("fabric", "done", "pending")
 
-    __slots__ = ("fabric", "name", "t0", "size")
-
-    def __init__(self, fabric: "ContendedFabric", name: str, t0: float, size: int):
+    def __init__(self, fabric: "ContendedFabric"):
         self.fabric = fabric
-        self.name = name
-        self.t0 = t0
-        self.size = size
 
-    def __call__(self, _evt: Event) -> None:
-        fabric = self.fabric
-        obs = fabric.obs
-        obs.span("link", self.name, self.t0, fabric.sim.now, size=self.size)
-        obs.count("link.bytes", self.size, track=self.name)
-        self.name = None
-        free = fabric._free_spans
-        if len(free) < 64:
-            free.append(self)
-
-
-class _Finish:
-    """Slotted completion record relaying a mover's outcome to the
-    transfer's ``done`` event, pooled per fabric like :class:`_LinkSpan`."""
-
-    __slots__ = ("fabric", "done")
-
-    def __init__(self, fabric: "ContendedFabric", done: Event):
-        self.fabric = fabric
-        self.done = done
-
-    def __call__(self, evt: Event) -> None:
+    def succeed(self, now: float) -> None:
+        self.pending -= 1
+        if self.pending:
+            return
         done = self.done
         self.done = None
-        free = self.fabric._free_finishes
+        free = self.fabric._free_flows
         if len(free) < 64:
             free.append(self)
-        if evt.ok:
-            done.succeed(evt.value)
-        else:
-            done.fail(evt.value)
+        done.succeed(now)
 
 
 class ContendedFabric:
@@ -97,10 +79,10 @@ class ContendedFabric:
         obs=None,
     ):
         self.sim = sim
-        #: optional :class:`repro.obs.recorder.ObsRecorder`: each
-        #: transfer records a ``link`` span per shared link it crosses
-        #: (t0 = transfer start, t1 = that link's bytes cleared) plus
-        #: ``link.bytes`` counters — the profiler's per-link occupancy
+        #: optional :class:`repro.obs.recorder.ObsRecorder`, handed to
+        #: every link: each records a ``link`` span per transfer it
+        #: carries (t0 = transfer start, t1 = that link's bytes cleared)
+        #: plus ``link.bytes`` counters — the profiler's per-link occupancy
         if obs is not None:
             from repro.obs.recorder import active
 
@@ -108,7 +90,7 @@ class ContendedFabric:
         self.obs = obs
         self.topology = topology or RoadrunnerTopology(cu_count=1)
         self.latency = latency_model or IBLatencyModel()
-        #: also contend for the CU uplink a route leaves through (the
+        #: also contend for the CU uplinks a route crosses (the
         #: 2:1-taper resource of §II-C); off by default for speed
         self.model_uplinks = model_uplinks
         #: optional failed-node ledger (duck-typed ``node_ok``, e.g.
@@ -121,18 +103,18 @@ class ContendedFabric:
         self._tx: dict[int, BandwidthLink] = {}
         self._rx: dict[int, BandwidthLink] = {}
         self._uplinks: dict[tuple, BandwidthLink] = {}
-        #: free-lists of reusable per-transfer records (timeline-neutral
-        #: allocation recycling; see _LinkSpan / _Finish)
-        self._free_spans: list[_LinkSpan] = []
-        self._free_finishes: list[_Finish] = []
+        #: free-list of countdown records (see _Flow)
+        self._free_flows: list[_Flow] = []
+
+    def _new_link(self, name: str) -> BandwidthLink:
+        return BandwidthLink(self.sim, self.latency.bandwidth, name=name, obs=self.obs)
 
     def _nic(self, table: dict[int, BandwidthLink], node: int) -> BandwidthLink:
-        if node not in table:
+        link = table.get(node)
+        if link is None:
             kind = "tx" if table is self._tx else "rx"
-            table[node] = BandwidthLink(
-                self.sim, self.latency.bandwidth, name=f"hca-{kind}-{node}"
-            )
-        return table[node]
+            link = table[node] = self._new_link(f"hca-{kind}-{node}")
+        return link
 
     # -- analytic protocol (used by SimMPI for latency bookkeeping) --------
     def zero_byte_latency(self, src: Location, dst: Location) -> float:
@@ -151,13 +133,15 @@ class ContendedFabric:
         """Move a message's payload bytes through the shared NICs.
 
         Returns an event firing when the bytes have cleared both the
-        source's injection port and the destination's ejection port.
-        The two crossings proceed concurrently (cut-through: bytes
-        stream out of one port into the other), so an uncontended
-        message pays one bandwidth phase and the slower of two congested
-        ports sets the pace.  Zero-size messages and intranode messages
-        complete immediately.
+        source's injection port and the destination's ejection port (and
+        the CU uplinks, with ``model_uplinks``).  The crossings proceed
+        concurrently (cut-through: bytes stream out of one port into the
+        next), so an uncontended message pays one bandwidth phase and
+        the most congested link sets the pace.  Zero-size messages and
+        intranode messages complete immediately.
         """
+        if not 0 <= size < inf:
+            raise ValueError(f"message size must be finite and >= 0, got {size!r}")
         done = Event(self.sim)
         health = self.health
         if health is not None and not (
@@ -169,39 +153,15 @@ class ContendedFabric:
         if size == 0 or src.node == dst.node:
             done.succeed(self.sim.now)
             return done
-        links = [
-            self._nic(self._tx, src.node),
-            self._nic(self._rx, dst.node),
-        ]
+        links = [self._nic(self._tx, src.node), self._nic(self._rx, dst.node)]
         if self.model_uplinks:
             links.extend(self._route_uplinks(src.node, dst.node))
-        obs = self.obs
-
-        def mover(sim):
-            events = [link.transfer(size) for link in links]
-            if obs is not None:
-                t0 = sim.now
-                spans = self._free_spans
-                for link, evt in zip(links, events):
-                    if spans:
-                        rec = spans.pop()
-                        rec.name = link.name
-                        rec.t0 = t0
-                        rec.size = size
-                    else:
-                        rec = _LinkSpan(self, link.name, t0, size)
-                    evt.callbacks.append(rec)
-            yield sim.all_of(events)
-            return sim.now
-
-        proc = self.sim.process(mover(self.sim), name="fabric-transfer")
-        finishes = self._free_finishes
-        if finishes:
-            fin = finishes.pop()
-            fin.done = done
-        else:
-            fin = _Finish(self, done)
-        proc.callbacks.append(fin)
+        free = self._free_flows
+        flow = free.pop() if free else _Flow(self)
+        flow.done = done
+        flow.pending = len(links)
+        for link in links:
+            link.transfer(size, flow)
         return done
 
     def _route_uplinks(self, src_node: int, dst_node: int) -> list[BandwidthLink]:
@@ -212,20 +172,15 @@ class ContendedFabric:
         their CU's 96 uplinks, so these links are where the paper's
         2:1 taper bites under load.
         """
-        from repro.network.crossbar import XbarId
-        from repro.network.routing import route
-
-        path = route(self.topology, src_node, dst_node, spread=self.spread_routing)
+        uplinks = self._uplinks
         out = []
-        for u, v in zip(path, path[1:]):
-            levels = {u.level, v.level}
-            if "L" in levels and levels & {"F", "T"}:
-                key = tuple(sorted((u, v)))
-                if key not in self._uplinks:
-                    self._uplinks[key] = BandwidthLink(
-                        self.sim, self.latency.bandwidth, name=f"uplink-{key}"
-                    )
-                out.append(self._uplinks[key])
+        for edge in route_uplinks(
+            self.topology, src_node, dst_node, spread=self.spread_routing
+        ):
+            link = uplinks.get(edge)
+            if link is None:
+                link = uplinks[edge] = self._new_link(f"uplink-{edge}")
+            out.append(link)
         return out
 
     def hops(self, src: Location, dst: Location) -> int:

@@ -19,6 +19,7 @@ models:
 from __future__ import annotations
 
 from collections import deque
+from math import inf
 from typing import Any
 
 from repro.sim.engine import Event, SimulationError, Simulator
@@ -135,47 +136,48 @@ class Store:
 
 
 class _Transfer:
-    __slots__ = ("size", "remaining", "done")
+    __slots__ = ("size", "remaining", "done", "start", "nbytes")
 
-    def __init__(self, size: float, done: Event):
-        self.size = float(size)
-        self.remaining = float(size)
+    def __init__(self, size: float, done, start: float):
+        self.size = self.remaining = float(size)
         self.done = done
+        # the link span's t0 and size attribute (the size as given)
+        self.start = start
+        self.nbytes = size
 
 
 class BandwidthLink:
     """A fair-shared (processor-sharing) bandwidth pipe.
 
     ``n`` concurrent transfers each progress at ``bandwidth / n`` bytes
-    per second.  :meth:`transfer` returns an event that fires when the
+    per second.  :meth:`transfer` signals a completion target when the
     requested number of bytes has fully crossed the link.
 
     The implementation is event-driven: whenever the set of active
     transfers changes, remaining byte counts are advanced to the current
-    time and a fresh completion event is scheduled for the next finisher.
-    A generation counter invalidates completion events that were
-    scheduled under an outdated sharing level.
+    time and a fresh completion timer is scheduled for the next finisher.
+    Timers scheduled under an outdated sharing level are no longer the
+    link's current ``_timer`` and do nothing when they fire.
+
+    With ``obs`` (an :class:`~repro.obs.recorder.ObsRecorder`, or None)
+    each completed transfer records a ``link`` span (start to bytes
+    cleared, attribute ``size``) and ``link.bytes`` counter under ``name``.
     """
 
-    __slots__ = (
-        "sim",
-        "bandwidth",
-        "name",
-        "_active",
-        "_last_update",
-        "_generation",
-        "bytes_transferred",
-    )
+    __slots__ = ("sim", "bandwidth", "name", "obs", "_active", "_last_update",
+                 "_timer", "_fire", "bytes_transferred")
 
-    def __init__(self, sim: Simulator, bandwidth: float, name: str = "link"):
+    def __init__(self, sim: Simulator, bandwidth: float, name: str = "link", obs=None):
         if bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
         self.sim = sim
         self.bandwidth = float(bandwidth)
         self.name = name
+        self.obs = obs
         self._active: list[_Transfer] = []
         self._last_update = 0.0
-        self._generation = 0
+        self._timer: Event | None = None
+        self._fire = self._on_timer  # bound once, appended per reschedule
         #: cumulative bytes that have fully crossed the link
         self.bytes_transferred = 0.0
 
@@ -184,66 +186,72 @@ class BandwidthLink:
         """Number of transfers currently sharing the link."""
         return len(self._active)
 
-    def transfer(self, size: float) -> Event:
-        """Start moving ``size`` bytes; returns the completion event."""
-        if size < 0:
-            raise ValueError(f"transfer size must be >= 0, got {size}")
-        done = Event(self.sim)
+    def transfer(self, size: float, done=None):
+        """Start moving ``size`` bytes and return ``done``.
+
+        ``done`` is the completion target, anything with ``succeed(value)``:
+        it gets the time the bytes cleared (``0.0`` at once for zero bytes).
+        Omitted, a new :class:`~repro.sim.engine.Event` is made.
+        """
+        if not 0 <= size < inf:
+            raise ValueError(f"transfer size must be finite and >= 0, got {size!r}")
+        if done is None:
+            done = Event(self.sim)
         if size == 0:
             done.succeed(0.0)
             return done
         self._advance()
-        self._active.append(_Transfer(size, done))
+        self._active.append(_Transfer(size, done, self.sim.now))
         self._reschedule()
         return done
 
     # -- internal ---------------------------------------------------------
-    def _rate(self) -> float:
-        return self.bandwidth / len(self._active) if self._active else 0.0
-
     def _advance(self) -> None:
         """Progress all active transfers up to the current instant."""
         now = self.sim.now
-        if self._active:
-            moved = (now - self._last_update) * self._rate()
+        active = self._active
+        if active:
+            moved = (now - self._last_update) * (self.bandwidth / len(active))
             if moved > 0:
-                for t in self._active:
+                for t in active:
                     t.remaining -= moved
         self._last_update = now
 
     def _reschedule(self) -> None:
-        self._generation += 1
-        gen = self._generation
-        if not self._active:
+        active = self._active
+        if not active:
+            self._timer = None
             return
-        rate = self._rate()
-        next_done = min(t.remaining for t in self._active)
+        rate = self.bandwidth / len(active)
+        next_done = min([t.remaining for t in active])
         delay = max(0.0, next_done / rate)
-        timer = self.sim.timeout(delay)
-        timer.callbacks.append(lambda _evt, gen=gen: self._on_timer(gen))
+        self._timer = timer = self.sim.timeout(delay)
+        timer.callbacks.append(self._fire)
 
-    def _on_timer(self, generation: int) -> None:
-        if generation != self._generation:
+    def _on_timer(self, timer: Event) -> None:
+        if timer is not self._timer:
             return  # superseded by a membership change
         self._advance()
-
-        def is_done(t: _Transfer) -> bool:
-            # Absolute floor plus a relative tolerance: repeated
-            # rate-change bookkeeping leaves O(eps * size) residuals.
-            return t.remaining <= max(1e-9, 1e-9 * t.size)
-
-        finished = [t for t in self._active if is_done(t)]
-        if not finished and self._active:
+        active = self._active
+        # Absolute floor plus a relative tolerance: repeated rate-change
+        # bookkeeping leaves O(eps * size) residuals.
+        finished = [t for t in active if t.remaining <= max(1e-9, 1e-9 * t.size)]
+        if not finished and active:
             # Guaranteed progress: if the earliest finisher's residual
             # is too small for the clock to advance (now + dt == now in
             # floating point), force-complete it rather than livelock.
-            rate = self._rate()
-            nearest = min(self._active, key=lambda t: t.remaining)
+            rate = self.bandwidth / len(active)
+            nearest = min(active, key=lambda t: t.remaining)
             if self.sim.now + nearest.remaining / rate == self.sim.now:
                 finished = [nearest]
-        finished_set = set(id(t) for t in finished)
-        self._active = [t for t in self._active if id(t) not in finished_set]
+        if finished:
+            self._active = [t for t in active if t not in finished]
+        now = self.sim.now
+        obs = self.obs
         for t in finished:
             self.bytes_transferred += t.size
-            t.done.succeed(self.sim.now)
+            t.done.succeed(now)
+            if obs is not None:
+                obs.span("link", self.name, t.start, now, size=t.nbytes)
+                obs.count("link.bytes", t.nbytes, track=self.name)
         self._reschedule()

@@ -46,6 +46,12 @@ def test_transport_validation():
         t.one_way_time(-1)
 
 
+@pytest.mark.parametrize("size", [float("nan"), float("inf")])
+def test_one_way_time_rejects_nan_and_infinite_sizes(size):
+    with pytest.raises(ValueError):
+        Transport("t", latency=1e-6, bandwidth=1e9).one_way_time(size)
+
+
 def test_eager_knee_behaviour():
     t = Transport(
         "knee", latency=1e-6, bandwidth=1e9,

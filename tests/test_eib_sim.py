@@ -43,6 +43,12 @@ def test_negative_size_rejected():
         EIBSim(sim).transfer(-1)
 
 
+@pytest.mark.parametrize("size", [float("nan"), float("inf")])
+def test_nan_and_infinite_sizes_rejected(size):
+    with pytest.raises(ValueError):
+        EIBSim(Simulator()).transfer(size)
+
+
 def test_four_transfers_ride_distinct_rings():
     """Round-robin assignment: four concurrent transfers each get a
     full ring and finish together."""

@@ -115,6 +115,12 @@ def test_dma_command_count_respects_16kb_limit():
     assert MFC_DMA.commands_for(10 * MFC_MAX_TRANSFER) == 10
 
 
+@pytest.mark.parametrize("size", [-1, float("nan"), float("inf")])
+def test_dma_command_count_rejects_invalid_sizes(size):
+    with pytest.raises(ValueError):
+        MFC_DMA.commands_for(size)
+
+
 def test_dma_transfer_time_components():
     size = 64 * KIB
     t = MFC_DMA.transfer_time(size, pipelined=True)

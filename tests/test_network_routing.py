@@ -13,7 +13,9 @@ from repro.network.routing import (
     hop_count,
     hop_vector,
     route,
+    route_uplinks,
 )
+from repro.network.cu_switch import NODES_PER_LOWER_XBAR
 from repro.network.topology import RoadrunnerTopology
 from repro.units import US
 from repro.validation import paper_data
@@ -127,6 +129,46 @@ def _topo_cached():
 
 
 # --- smaller systems --------------------------------------------------------------
+
+def _path_uplinks(topo, src, dst, spread):
+    """The lower-to-inter-CU edges of route()'s path, as sorted pairs."""
+    path = route(topo, src, dst, spread=spread)
+    return [
+        tuple(sorted((u, v)))
+        for u, v in zip(path, path[1:])
+        if u.level + v.level in ("LF", "FL", "LT", "TL")
+    ]
+
+
+@pytest.mark.parametrize("spread", [False, True])
+@pytest.mark.parametrize("cu_count", [2, 13])
+def test_route_uplinks_closed_form_matches_route(cu_count, spread):
+    """Every pair of a 2-CU fabric, and one node per lower crossbar on
+    13 CUs (so routes cross between the F and T sides too), offset so
+    spread routing picks every uplink index."""
+    topo = RoadrunnerTopology(cu_count=cu_count)
+    if cu_count == 2:
+        nodes = range(topo.node_count)
+    else:
+        nodes = [
+            cu * topo.nodes_per_cu + NODES_PER_LOWER_XBAR * xbar + xbar % 4
+            for cu in range(cu_count)
+            for xbar in range(23)
+        ]
+    for src in nodes:
+        for dst in nodes:
+            got = route_uplinks(topo, src, dst, spread=spread)
+            assert list(got) == _path_uplinks(topo, src, dst, spread)
+
+
+def test_route_uplinks_returns_shared_edge_objects():
+    topo = RoadrunnerTopology(cu_count=13)
+    first = route_uplinks(topo, 0, 12 * 180 + 5)
+    again = route_uplinks(topo, 1, 12 * 180 + 9)
+    assert len(first) == 2 and first[0] is again[0] and first[1] is again[1]
+    assert first[0][0].level == "F" and first[1][1].level == "T"
+    assert route_uplinks(topo, 0, 100) == ()
+
 
 def test_single_cu_hops_capped_at_3():
     topo = RoadrunnerTopology(cu_count=1)

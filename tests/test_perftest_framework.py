@@ -343,3 +343,22 @@ def test_run_measured_test_publishes_section_to_bench(tmp_path):
     enforce_speedup_floors(section["workloads"], {"only": 2.0})
     with pytest.raises(AssertionError):
         enforce_speedup_floors(section["workloads"], {"only": 3.5})
+
+
+def test_every_declared_section_is_committed():
+    """``BENCH_perf.json`` must not go stale silently: every registered
+    suite test that declares a section finds it in the committed file."""
+    from benchmarks.framework.runner import SUITE_MODULES, discover
+
+    committed = load_bench()
+    missing = sorted(
+        cls.section
+        for cls in discover().values()
+        if cls.__module__ in SUITE_MODULES
+        and cls.section is not None
+        and cls.section not in committed
+    )
+    assert not missing, (
+        f"BENCH_perf.json lacks section(s) {missing}: record them with "
+        "python -m repro perftest <name> --refresh-baselines"
+    )

@@ -219,6 +219,17 @@ def test_negative_transfer_rejected():
         link.transfer(-1.0)
 
 
+@pytest.mark.parametrize("size", [float("nan"), float("inf")])
+def test_nan_and_infinite_transfers_rejected(size):
+    """Regression: NaN passed a ``size < 0`` guard, and the link then
+    spun forever on zero-delay timers at t=0."""
+    sim = Simulator()
+    link = BandwidthLink(sim, bandwidth=2e9)
+    with pytest.raises(ValueError):
+        link.transfer(size)
+    assert link.active_transfers == 0
+
+
 def test_invalid_bandwidth_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):

@@ -1,12 +1,19 @@
 """Tests for the contention-aware DES fabric."""
 
+import json
+import os
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from repro.comm.mpi import Location, SimMPI
+from repro.comm.mpi import Location, SimMPI, UniformFabric
+from repro.comm.transport import Transport
 from repro.network.latency import IBLatencyModel
 from repro.network.simfabric import ContendedFabric
 from repro.network.topology import RoadrunnerTopology
-from repro.sim import Simulator
+from repro.obs import AggregatingSink, ObsRecorder, deterministic_summary
+from repro.sim import BandwidthLink, Simulator
 from repro.units import MB, US
 
 
@@ -123,6 +130,31 @@ def test_nic_byte_accounting(sim, topo):
     assert fabric.nic_bytes(1) == (0.0, size)
 
 
+@pytest.mark.parametrize("size", [float("nan"), float("inf")])
+def test_fabric_rejects_nan_and_infinite_sizes(sim, topo, size):
+    """Regression: a NaN size reached the links unchecked, and a NaN
+    send then never finished (zero-delay timers spinning at t=0)."""
+    fabric = ContendedFabric(sim, topology=topo, model_uplinks=True)
+    with pytest.raises(ValueError):
+        fabric.transfer(Location(node=0), Location(node=1), size)
+    with pytest.raises(ValueError):
+        fabric.one_way_time(Location(node=0), Location(node=1), size)
+
+
+@pytest.mark.parametrize("contended", [True, False])
+def test_send_rejects_nan_size(sim, topo, contended):
+    """A NaN send fails at its first step on either fabric; over the
+    analytic one it used to arrive after the latency alone and leave
+    ``sent_bytes`` reading NaN."""
+    fabric = (ContendedFabric(sim, topology=topo) if contended
+              else UniformFabric(Transport("ib", latency=2e-6, bandwidth=2e9)))
+    comm = SimMPI(sim, fabric, [Location(node=0), Location(node=1)])
+    send = comm.rank(0).send(1, float("nan"))
+    with pytest.raises(ValueError):
+        next(send)
+    assert comm.sent_bytes == [0, 0]
+
+
 def test_hops_exposed(sim, topo):
     fabric = ContendedFabric(sim, topology=topo)
     assert fabric.hops(Location(node=0), Location(node=1)) == 1
@@ -200,3 +232,110 @@ def test_uplinks_not_modeled_by_default(sim, topo):
     fabric = ContendedFabric(sim, topology=topo)
     assert fabric._route_uplinks(0, 100) == [] or True  # attribute exists
     assert not fabric.model_uplinks
+
+
+# ---------------------------------------------------------------------------
+# Seeded permutation exchanges
+# ---------------------------------------------------------------------------
+
+KIB = 1024
+
+#: deterministic summary of a :func:`seeded_exchange` over 60 nodes of
+#: 2 CUs, recorded from the process-per-transfer fabric this one replaced
+SUMMARY_FIXTURE = Path(__file__).parent / "fixtures" / "contended_summary.json"
+
+
+def seeded_exchange(seed, cu_count, rounds, sizes, *, nodes=None,
+                    model_uplinks=True, spread=False, obs=None):
+    """Run a seeded permutation exchange, one rank per entry of ``nodes``
+    (default: one per node of the topology).
+
+    Every round each rank sends one message, sized by a draw from
+    ``sizes``, to a random partner and then receives from the rank that
+    drew it.  Returns ``(sim, comm, fabric, plan)`` after the run, where
+    ``plan`` holds ``(dests, srcs, sizes)`` lists per round.
+    """
+    topo = RoadrunnerTopology(cu_count=cu_count)
+    if nodes is None:
+        nodes = range(topo.node_count)
+    n = len(nodes)
+    rng = np.random.default_rng(seed)
+    plan = []
+    for _ in range(rounds):
+        dests = rng.permutation(n)
+        srcs = np.empty_like(dests)
+        srcs[dests] = np.arange(n)
+        plan.append((dests.tolist(), srcs.tolist(),
+                     rng.choice(sizes, n).tolist()))
+    sim = Simulator()
+    if obs is not None:
+        sim.attach_observer(obs)
+    fabric = ContendedFabric(sim, topology=topo, model_uplinks=model_uplinks,
+                             spread_routing=spread, obs=obs)
+    comm = SimMPI(sim, fabric, [Location(node=i) for i in nodes], obs=obs)
+
+    def body(rank):
+        i = rank.index
+        for tag, (dests, srcs, msg_sizes) in enumerate(plan):
+            yield from rank.send(dests[i], msg_sizes[i], tag=tag)
+            yield from rank.recv(source=srcs[i], tag=tag)
+
+    for i in range(n):
+        sim.process(body(comm.rank(i)), name=f"rank{i}")
+    sim.run()
+    return sim, comm, fabric, plan
+
+
+def test_recorded_summary_is_unchanged():
+    """The 2-CU exchange's summary (span self-times, link occupancy and
+    bytes, counters) equals the recorded one bit for bit.  The engine
+    section counts bookkeeping dispatches, which the fabric design sets,
+    so it is left out."""
+    obs = ObsRecorder(sink=AggregatingSink(), flush_threshold=250)
+    sim, _comm, _fabric, _plan = seeded_exchange(
+        7, 2, 4, [0, 8 * KIB, 64 * KIB, 1024 * KIB], nodes=range(0, 360, 6),
+        obs=obs)
+    summary = deterministic_summary(obs, sim.now)
+    del summary["engine"]
+    summary = json.loads(json.dumps(summary, sort_keys=True))
+    if os.environ.get("REPRO_REGEN_GOLDEN"):
+        SUMMARY_FIXTURE.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
+        pytest.skip(f"regenerated {SUMMARY_FIXTURE}")
+    assert summary == json.loads(SUMMARY_FIXTURE.read_text())
+
+
+def test_one_flow_record_per_message(monkeypatch):
+    """The fabric's cost per message, seen through the seams an external
+    tracer wraps (the class attributes): one fabric transfer per message,
+    one link transfer per link a non-trivial message crosses (2 within a
+    CU, 4 between CUs), and no condition event or helper process."""
+    calls = {"fabric": 0, "link": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ContendedFabric, "transfer",
+                        counted("fabric", ContendedFabric.transfer))
+    monkeypatch.setattr(BandwidthLink, "transfer",
+                        counted("link", BandwidthLink.transfer))
+    # Two ranks share node 0; the rest spread over both CUs.
+    nodes = [0, 0, 1, 9, 100, 179, 180, 181, 200, 359]
+    obs = ObsRecorder(categories=())
+    _sim, comm, fabric, plan = seeded_exchange(
+        3, 2, 4, [0, 8 * KIB, 64 * KIB], nodes=nodes, obs=obs)
+
+    expected_links = 0
+    for dests, _srcs, sizes in plan:
+        for i, (dest, size) in enumerate(zip(dests, sizes)):
+            src_node, dst_node = nodes[i], nodes[dest]
+            if size and src_node != dst_node:
+                same_cu = src_node // 180 == dst_node // 180
+                expected_links += 2 if same_cu else 4
+    assert calls["fabric"] == sum(comm.sent_counts) == len(nodes) * len(plan)
+    assert calls["link"] == expected_links > 0
+    assert "AllOf" not in obs.events_by_class
+    assert "fabric-transfer" not in obs.resumes_by_process
+    assert sum(fabric.nic_bytes(0)) > 0
