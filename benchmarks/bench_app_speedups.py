@@ -4,13 +4,13 @@ derived from the SPE pipeline tables."""
 import pytest
 
 from benchmarks.conftest import emit
-from repro.apps.speedup import all_speedups
-from repro.core.report import format_table
+from repro.core.artifacts import ARTIFACTS
 from repro.validation import paper_data
 
 
 def test_app_speedups(benchmark):
-    speedups = benchmark(all_speedups)
+    apps = ARTIFACTS["apps"]
+    speedups = benchmark(apps.data)
 
     assert speedups["VPIC"] == pytest.approx(paper_data.APP_SPEEDUP_VPIC, rel=0.02)
     assert speedups["SPaSM"] == pytest.approx(paper_data.APP_SPEEDUP_SPASM, rel=0.05)
@@ -21,16 +21,4 @@ def test_app_speedups(benchmark):
         paper_data.APP_SPEEDUP_SWEEP3D, rel=0.05
     )
 
-    paper = {
-        "VPIC": "no significant improvement",
-        "SPaSM": "1.5x",
-        "Milagro": "1.5x",
-        "Sweep3D": "~1.9x (almost 2x)",
-    }
-    emit(
-        format_table(
-            ["application", "reproduced", "paper"],
-            [(k, f"{v:.2f}x", paper[k]) for k, v in speedups.items()],
-            title="§IV-A (reproduced): PowerXCell 8i speedup over Cell BE",
-        )
-    )
+    emit(apps.render(speedups))

@@ -6,7 +6,7 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.comm.cml import INTERNODE_CELL_PATH
-from repro.core.energy import EnergyStudy
+from repro.core.artifacts import ARTIFACTS
 from repro.core.report import format_table
 from repro.sweep3d.cellport import grind_time
 from repro.hardware.cell import POWERXCELL_8I
@@ -93,26 +93,11 @@ def test_extension_strong_scaling(benchmark):
 
 def test_extension_energy(benchmark):
     """Accelerators win on energy, not just time (idle Cells burn)."""
-    study = EnergyStudy()
-    counts = [1, 64, 1024, 3060]
-
-    def run():
-        return {n: study.energy_advantage(n) for n in counts}
-
-    advantages = benchmark(run)
+    energy = ARTIFACTS["energy"]
+    advantages = benchmark(energy.data)
+    assert list(advantages) == ["1", "64", "1024", "3060"]
     for n, adv in advantages.items():
         assert adv["energy_measured"] > 1.0, n
         assert adv["energy_measured"] < adv["time_measured"]
 
-    emit(
-        format_table(
-            ["nodes", "time advantage", "energy advantage",
-             "time (best)", "energy (best)"],
-            [
-                (n, f"{a['time_measured']:.2f}x", f"{a['energy_measured']:.2f}x",
-                 f"{a['time_best']:.2f}x", f"{a['energy_best']:.2f}x")
-                for n, a in advantages.items()
-            ],
-            title="Extension: Sweep3D energy-to-solution, accelerated vs not",
-        )
-    )
+    emit(energy.render(advantages))

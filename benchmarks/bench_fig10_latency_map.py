@@ -3,40 +3,23 @@
 import pytest
 
 from benchmarks.conftest import emit
-from repro.core.report import format_table
-from repro.network.latency import IBLatencyModel
-from repro.units import to_us
+from repro.core.artifacts import ARTIFACTS
 from repro.validation import paper_data
 
 
-def test_fig10_latency_map(benchmark, topology):
-    model = IBLatencyModel()
-    series = benchmark(lambda: model.latency_map(topology, src=0))
+def test_fig10_latency_map(benchmark):
+    fig10 = ARTIFACTS["fig10"]
+    data = benchmark(fig10.data)
+    series = data["latency_us_by_node"]
 
     assert len(series) == 3060
     # The staircase levels of the figure.
-    assert to_us(series[1]) == pytest.approx(paper_data.MPI_MIN_LATENCY_US, rel=0.02)
-    assert to_us(series[100]) == pytest.approx(
-        paper_data.MPI_SAME_CU_LATENCY_US, rel=0.03
-    )
-    assert to_us(series[250]) == pytest.approx(paper_data.MPI_5HOP_LATENCY_US, rel=0.04)
-    assert 3.7 <= to_us(series[2300]) < paper_data.MPI_7HOP_LATENCY_US
+    assert series[1] == pytest.approx(paper_data.MPI_MIN_LATENCY_US, rel=0.02)
+    assert series[100] == pytest.approx(paper_data.MPI_SAME_CU_LATENCY_US, rel=0.03)
+    assert series[250] == pytest.approx(paper_data.MPI_5HOP_LATENCY_US, rel=0.04)
+    assert 3.7 <= series[2300] < paper_data.MPI_7HOP_LATENCY_US
     # Periodic dips: the first crossbar of every near-side CU is 3 hops.
     for cu in range(1, 12):
         assert series[cu * 180] < series[cu * 180 + 20]
 
-    levels = sorted({round(to_us(v), 2) for v in series[1:]})
-    rows = [
-        ("same crossbar (1 hop)", f"{to_us(series[1]):.2f} us", "2.5 us"),
-        ("same CU (3 hops)", f"{to_us(series[100]):.2f} us", "~3 us"),
-        ("CUs 2-12 (5 hops)", f"{to_us(series[250]):.2f} us", "~3.5 us"),
-        ("CUs 13-17 (7 hops)", f"{to_us(series[2300]):.2f} us", "just under 4 us"),
-        ("distinct levels", len(levels), 4),
-    ]
-    emit(
-        format_table(
-            ["region", "reproduced", "paper"],
-            rows,
-            title="Fig 10 (reproduced): zero-byte latency staircase from rank 0",
-        )
-    )
+    emit(fig10.render(data))

@@ -4,66 +4,30 @@ the dual-core Opteron, quad-core Opteron, Tigerton, and PowerXCell 8i."""
 import pytest
 
 from benchmarks.conftest import emit
-from repro.core.report import format_table
-from repro.hardware.cell import POWERXCELL_8I
+from repro.core.artifacts import ARTIFACTS
 from repro.hardware.opteron import OPTERON_2210_HE, OPTERON_QUAD_2356, TIGERTON_X7350
-from repro.sweep3d.cellport import grind_time
-from repro.sweep3d.x86 import x86_grind_time
-from repro.units import to_ms
 from repro.validation import paper_data
-
-#: Per-core problem of the figure (5x5x400) and the socket problem
-#: (10x20x400 = 80,000 cells split across the socket's cores).
-CORE_CELLS = 5 * 5 * 400
-SOCKET_CELLS = 10 * 20 * 400
-MMI, OCTANTS = 6, 8
-
-
-def _fig12():
-    rows = {}
-    for proc in (OPTERON_2210_HE, OPTERON_QUAD_2356, TIGERTON_X7350):
-        g = x86_grind_time(proc)
-        rows[proc.name] = (
-            CORE_CELLS * MMI * OCTANTS * g,
-            SOCKET_CELLS / proc.core_count * MMI * OCTANTS * g,
-        )
-    g = grind_time(POWERXCELL_8I)
-    rows["PowerXCell 8i"] = (
-        CORE_CELLS * MMI * OCTANTS * g,
-        SOCKET_CELLS / 8 * MMI * OCTANTS * g,
-    )
-    return rows
 
 
 def test_fig12_single_node(benchmark):
-    rows = benchmark(_fig12)
+    fig12 = ARTIFACTS["fig12"]
+    rows = benchmark(fig12.data)
 
-    pxc_core, pxc_socket = rows["PowerXCell 8i"]
+    pxc = rows["PowerXCell 8i"]
     # One SPE is comparable to one x86 core.
-    for name, (core, _socket) in rows.items():
-        assert 0.65 < core / pxc_core < 1.55, name
+    for name, row in rows.items():
+        assert 0.65 < row["single_core_s"] / pxc["single_core_s"] < 1.55, name
     # The full socket is ~2x the quad-cores and ~5x the dual-core Opteron.
-    assert rows[OPTERON_QUAD_2356.name][1] / pxc_socket == pytest.approx(
+    socket = {name: row["single_socket_s"] / pxc["single_socket_s"]
+              for name, row in rows.items()}
+    assert socket[OPTERON_QUAD_2356.name] == pytest.approx(
         paper_data.FIG12_SOCKET_VS_QUADCORE_FACTOR, rel=0.2
     )
-    assert rows[TIGERTON_X7350.name][1] / pxc_socket == pytest.approx(
+    assert socket[TIGERTON_X7350.name] == pytest.approx(
         paper_data.FIG12_SOCKET_VS_QUADCORE_FACTOR, rel=0.2
     )
-    assert rows[OPTERON_2210_HE.name][1] / pxc_socket == pytest.approx(
+    assert socket[OPTERON_2210_HE.name] == pytest.approx(
         paper_data.FIG12_SOCKET_VS_DUALCORE_FACTOR, rel=0.15
     )
 
-    emit(
-        format_table(
-            ["processor", "single core 5x5x400", "single socket 10x20x400"],
-            [
-                (name, f"{to_ms(core):.1f} ms", f"{to_ms(socket):.1f} ms")
-                for name, (core, socket) in rows.items()
-            ],
-            title=(
-                "Fig 12 (reproduced): Sweep3D iteration time "
-                "(relations: 1 SPE ~ 1 x86 core; socket ~ 2x quad-core, "
-                "~5x dual-core Opteron)"
-            ),
-        )
-    )
+    emit(fig12.render(rows))

@@ -5,7 +5,8 @@ import time
 
 from benchmarks.conftest import emit
 from repro.comm.cml import INTERNODE_CELL_PATH, INTRANODE_CELL_PATH
-from repro.core.report import format_series, format_table
+from repro.core.artifacts import ARTIFACTS
+from repro.core.report import format_table
 from repro.hardware.cell import POWERXCELL_8I
 from repro.sweep3d.cellport import grind_time
 from repro.sweep3d.decomposition import Decomposition2D
@@ -13,10 +14,6 @@ from repro.sweep3d.input import SweepInput
 from repro.sweep3d.parallel import ParallelSweep
 from repro.sweep3d.perfmodel import SweepMachineParams, WavefrontModel
 from repro.sweep3d.placement import cell_fabric, spe_locations
-from repro.sweep3d.scaling import ScalingStudy
-from repro.validation import paper_data
-
-COUNTS = list(paper_data.SCALING_NODE_COUNTS)
 
 #: Reduced per-rank probe grid for the multi-node DES cross-check: the
 #: physics fidelity of the full DES is already pinned at 32 ranks by
@@ -33,12 +30,9 @@ DES_POINTS = [(1, (8, 4)), (4, (16, 8)), (16, (32, 16))]
 
 
 def test_fig13_weak_scaling(benchmark):
-    study = ScalingStudy()
-    series = benchmark(lambda: study.fig13_series(COUNTS))
-
-    opteron = [p.iteration_time for p in series["opteron"]]
-    measured = [p.iteration_time for p in series["cell_measured"]]
-    best = [p.iteration_time for p in series["cell_best"]]
+    fig13 = ARTIFACTS["fig13"]
+    data = benchmark(fig13.data)
+    opteron, measured, best = data["opteron"], data["cell_measured"], data["cell_best"]
 
     # Shapes the paper shows: all rise with scale; Cell < Opteron
     # everywhere; best <= measured; measured close to best at small
@@ -53,19 +47,7 @@ def test_fig13_weak_scaling(benchmark):
     # figure's 0.6-0.8 s band.
     assert 0.5 < opteron[-1] < 0.8
 
-    emit(
-        format_series(
-            "nodes",
-            COUNTS,
-            {
-                "Opteron only (s)": opteron,
-                "Cell measured (s)": measured,
-                "Cell best (s)": best,
-            },
-            fmt="{:.3f}",
-            title="Fig 13 (reproduced): Sweep3D iteration time, weak scaling",
-        )
-    )
+    emit(fig13.render(data))
 
 
 def test_fig13_des_crosscheck_at_scale():

@@ -4,16 +4,13 @@ Sweep3D, measured and best-achievable."""
 import pytest
 
 from benchmarks.conftest import emit
-from repro.core.report import format_series
-from repro.sweep3d.scaling import ScalingStudy
+from repro.core.artifacts import ARTIFACTS
 from repro.validation import paper_data
-
-COUNTS = list(paper_data.SCALING_NODE_COUNTS)
 
 
 def test_fig14_improvement(benchmark):
-    study = ScalingStudy()
-    improvements = benchmark(lambda: study.fig14_improvements(COUNTS))
+    fig14 = ARTIFACTS["fig14"]
+    improvements = benchmark(fig14.data)
 
     measured = improvements["measured"]
     best = improvements["best"]
@@ -30,15 +27,4 @@ def test_fig14_improvement(benchmark):
     assert measured[-1] < 0.5 * measured[0]
     assert best[-1] < 0.5 * best[0]
 
-    emit(
-        format_series(
-            "nodes",
-            COUNTS,
-            {"improvement (measured)": measured, "improvement (best)": best},
-            fmt="{:.2f}",
-            title=(
-                "Fig 14 (reproduced): accelerated vs non-accelerated Sweep3D "
-                "(paper: ~2x measured, up to ~4x best at full scale)"
-            ),
-        )
-    )
+    emit(fig14.render(improvements))

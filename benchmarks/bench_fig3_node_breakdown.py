@@ -3,18 +3,15 @@
 import pytest
 
 from benchmarks.conftest import emit
-from repro.core.report import format_table
-from repro.hardware.node import TRIBLADE
+from repro.core.artifacts import ARTIFACTS
 from repro.units import GIB, MIB, to_gflops
 from repro.validation import paper_data
 
 
-def _breakdowns():
-    return TRIBLADE.flop_breakdown_dp(), TRIBLADE.memory_breakdown()
-
-
 def test_fig3_node_breakdown(benchmark):
-    flops, memory = benchmark(_breakdowns)
+    fig3 = ARTIFACTS["fig3"]
+    data = benchmark(fig3.data)
+    flops, memory = data["flops_dp"], data["memory_bytes"]
 
     assert to_gflops(flops["SPEs"]) == pytest.approx(paper_data.NODE_SPE_DP_GFLOPS)
     assert to_gflops(flops["PPEs"]) == pytest.approx(paper_data.NODE_PPE_DP_GFLOPS)
@@ -32,26 +29,4 @@ def test_fig3_node_breakdown(benchmark):
         paper_data.NODE_OPTERON_ONCHIP_MB
     )
 
-    total = sum(flops.values())
-    emit(
-        format_table(
-            ["component", "DP Gflop/s", "share"],
-            [
-                (k, f"{to_gflops(v):.1f}", f"{v / total:.1%}")
-                for k, v in flops.items()
-            ],
-            title="Fig 3a (reproduced): node peak processing rate",
-        )
-    )
-    emit(
-        format_table(
-            ["memory", "capacity"],
-            [
-                ("Cell off-chip", f"{memory['Cell off-chip'] / GIB:.0f} GiB"),
-                ("Opteron off-chip", f"{memory['Opteron off-chip'] / GIB:.0f} GiB"),
-                ("Cell on-chip", f"{memory['Cell on-chip'] / MIB:.2f} MiB"),
-                ("Opteron on-chip", f"{memory['Opteron on-chip'] / MIB:.2f} MiB"),
-            ],
-            title="Fig 3b (reproduced): node memory capacity",
-        )
-    )
+    emit(fig3.render(data))

@@ -1,43 +1,21 @@
 """Fig 4: measured latency of each SPE execution group, CBE vs PXC8i."""
 
 from benchmarks.conftest import emit
-from repro.core.report import format_table
-from repro.hardware.spe_pipeline import (
-    CELL_BE_TABLE,
-    INSTRUCTION_GROUPS,
-    POWERXCELL_8I_TABLE,
-    InstructionGroup,
-    SPEPipeline,
-)
+from repro.core.artifacts import ARTIFACTS
 from repro.validation import paper_data
 
 
-def _measure():
-    out = {}
-    for table in (CELL_BE_TABLE, POWERXCELL_8I_TABLE):
-        pipe = SPEPipeline(table)
-        out[table.name] = {
-            g: pipe.measure_latency(g) for g in INSTRUCTION_GROUPS
-        }
-    return out
-
-
 def test_fig4_instruction_latency(benchmark):
-    measured = benchmark(_measure)
+    fig4 = ARTIFACTS["fig4"]
+    measured = benchmark(fig4.data)
 
     cbe = measured["Cell BE"]
     pxc = measured["PowerXCell 8i"]
     # Only FPD differs; 13 -> 9 cycles.
-    assert cbe[InstructionGroup.FPD] == paper_data.FPD_LATENCY_CELLBE
-    assert pxc[InstructionGroup.FPD] == paper_data.FPD_LATENCY_PXC8I
-    for g in INSTRUCTION_GROUPS:
-        if g is not InstructionGroup.FPD:
-            assert cbe[g] == pxc[g]
+    assert cbe["FPD"]["latency"] == paper_data.FPD_LATENCY_CELLBE
+    assert pxc["FPD"]["latency"] == paper_data.FPD_LATENCY_PXC8I
+    for g in cbe:
+        if g != "FPD":
+            assert cbe[g]["latency"] == pxc[g]["latency"]
 
-    emit(
-        format_table(
-            ["group", "Cell BE (cycles)", "PowerXCell 8i (cycles)"],
-            [(g.value, f"{cbe[g]:.0f}", f"{pxc[g]:.0f}") for g in INSTRUCTION_GROUPS],
-            title="Fig 4 (reproduced): instruction latency by execution group",
-        )
-    )
+    emit(fig4.render(measured))

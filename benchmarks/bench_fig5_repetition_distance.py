@@ -3,39 +3,24 @@
 import pytest
 
 from benchmarks.conftest import emit
-from repro.core.report import format_table
-from repro.hardware.spe_pipeline import (
-    CELL_BE_TABLE,
-    INSTRUCTION_GROUPS,
-    POWERXCELL_8I_TABLE,
-    InstructionGroup,
-    SPEPipeline,
-)
+from repro.core.artifacts import ARTIFACTS
+from repro.hardware.spe_pipeline import CELL_BE_TABLE, POWERXCELL_8I_TABLE
 from repro.units import GFLOPS
 from repro.validation import paper_data
 
 
-def _measure():
-    out = {}
-    for table in (CELL_BE_TABLE, POWERXCELL_8I_TABLE):
-        pipe = SPEPipeline(table)
-        out[table.name] = {
-            g: pipe.measure_repetition(g) for g in INSTRUCTION_GROUPS
-        }
-    return out
-
-
 def test_fig5_repetition_distance(benchmark):
-    measured = benchmark(_measure)
+    fig5 = ARTIFACTS["fig5"]
+    measured = benchmark(fig5.data)
 
     cbe = measured["Cell BE"]
     pxc = measured["PowerXCell 8i"]
     # Only the Cell BE's FPD unit is not fully pipelined.
-    for g in INSTRUCTION_GROUPS:
-        assert pxc[g] == paper_data.FPD_REPETITION_PXC8I == 1
-        if g is not InstructionGroup.FPD:
-            assert cbe[g] == 1
-    assert cbe[InstructionGroup.FPD] == 7
+    for g in cbe:
+        assert pxc[g]["repetition"] == paper_data.FPD_REPETITION_PXC8I == 1
+        if g != "FPD":
+            assert cbe[g]["repetition"] == 1
+    assert cbe["FPD"]["repetition"] == 7
 
     # The un-stalled FPD unit yields exactly the published peak rates.
     pxc_peak = 8 * POWERXCELL_8I_TABLE.dp_flops_per_cycle * 3.2e9
@@ -45,10 +30,4 @@ def test_fig5_repetition_distance(benchmark):
         paper_data.CELLBE_SPE_PEAK_DP_GFLOPS * GFLOPS, rel=0.01
     )
 
-    emit(
-        format_table(
-            ["group", "Cell BE (cycles)", "PowerXCell 8i (cycles)"],
-            [(g.value, f"{cbe[g]:.0f}", f"{pxc[g]:.0f}") for g in INSTRUCTION_GROUPS],
-            title="Fig 5 (reproduced): repetition distance by execution group",
-        )
-    )
+    emit(fig5.render(measured))

@@ -4,28 +4,18 @@ message along the Cell-Opteron-Opteron-Cell path."""
 import pytest
 
 from benchmarks.conftest import emit
-from repro.comm.cml import INTERNODE_CELL_PATH
-from repro.core.report import format_table
-from repro.units import to_us
+from repro.core.artifacts import ARTIFACTS
 from repro.validation import paper_data
 
 
 def test_fig6_latency_breakdown(benchmark):
-    breakdown = benchmark(INTERNODE_CELL_PATH.latency_breakdown)
+    fig6 = ARTIFACTS["fig6"]
+    data = benchmark(fig6.data)
 
-    legs_us = [to_us(latency) for _, latency in breakdown]
+    legs_us = [leg["latency_us"] for leg in data["legs_us"]]
     assert legs_us == pytest.approx([0.12, 3.19, 2.16, 3.19, 0.12])
-    total = to_us(INTERNODE_CELL_PATH.zero_byte_latency)
-    assert total == pytest.approx(
+    assert data["total_us"] == pytest.approx(
         paper_data.CELL_TO_CELL_INTERNODE_LATENCY_US, abs=0.01
     )
 
-    rows = [(name, f"{to_us(lat):.2f} us") for name, lat in breakdown]
-    rows.append(("TOTAL", f"{total:.2f} us"))
-    emit(
-        format_table(
-            ["leg", "latency"],
-            rows,
-            title="Fig 6 (reproduced; paper: 0.12/3.19/2.16/3.19/0.12 = 8.78 us)",
-        )
-    )
+    emit(fig6.render(data))

@@ -8,65 +8,37 @@ The figure's *intranode* case is the PPE-Opteron DaCS/PCIe hop; the
 import pytest
 
 from benchmarks.conftest import emit
-from repro.comm.cml import INTERNODE_CELL_PATH
-from repro.comm.dacs import DACS_MEASURED
-from repro.core.report import format_series
-from repro.units import to_mb_s
+from repro.core.artifacts import ARTIFACTS
 from repro.validation import paper_data
-
-SIZES = [1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1_000_000]
-
-
-def _curves():
-    return {
-        "intranode 2x uni": [
-            2 * DACS_MEASURED.effective_bandwidth(s) for s in SIZES
-        ],
-        "intranode bidir": [
-            DACS_MEASURED.bidirectional_sum_bandwidth(s) for s in SIZES
-        ],
-        "internode 2x uni": [
-            2 * INTERNODE_CELL_PATH.effective_bandwidth(s) for s in SIZES
-        ],
-        "internode bidir": [
-            INTERNODE_CELL_PATH.bidirectional_sum_bandwidth(s) for s in SIZES
-        ],
-    }
 
 
 def test_fig7_cell_bandwidth(benchmark):
-    curves = benchmark(_curves)
+    fig7 = ARTIFACTS["fig7"]
+    data = benchmark(fig7.data)
+    assert data["sizes_bytes"][-1] == 1_000_000
 
     # Published 1 MB endpoints.
-    assert to_mb_s(curves["intranode 2x uni"][-1]) == pytest.approx(
+    assert data["intranode_2x_uni_mb_s"][-1] == pytest.approx(
         paper_data.INTRANODE_2X_UNIDIR_MB_S, rel=0.02
     )
-    assert to_mb_s(curves["intranode bidir"][-1]) == pytest.approx(
+    assert data["intranode_bidir_mb_s"][-1] == pytest.approx(
         paper_data.INTRANODE_BIDIR_MB_S, rel=0.02
     )
-    assert to_mb_s(curves["internode 2x uni"][-1]) == pytest.approx(
+    assert data["internode_2x_uni_mb_s"][-1] == pytest.approx(
         paper_data.INTERNODE_2X_UNIDIR_MB_S, rel=0.03
     )
-    assert to_mb_s(curves["internode bidir"][-1]) == pytest.approx(
+    assert data["internode_bidir_mb_s"][-1] == pytest.approx(
         paper_data.INTERNODE_BIDIR_MB_S, rel=0.03
     )
     # The bidirectional fractions of the paper.
-    assert curves["intranode bidir"][-1] / curves["intranode 2x uni"][-1] == (
+    assert data["intranode_bidir_mb_s"][-1] / data["intranode_2x_uni_mb_s"][-1] == (
         pytest.approx(paper_data.INTRANODE_BIDIR_FRACTION, abs=0.01)
     )
-    assert curves["internode bidir"][-1] / curves["internode 2x uni"][-1] == (
+    assert data["internode_bidir_mb_s"][-1] / data["internode_2x_uni_mb_s"][-1] == (
         pytest.approx(paper_data.INTERNODE_BIDIR_FRACTION, abs=0.01)
     )
     # All curves rise monotonically with message size.
-    for name, series in curves.items():
+    for name, series in data.items():
         assert all(b >= a for a, b in zip(series, series[1:])), name
 
-    emit(
-        format_series(
-            "size (B)",
-            SIZES,
-            {name: [to_mb_s(v) for v in series] for name, series in curves.items()},
-            fmt="{:.2f}",
-            title="Fig 7 (reproduced): Cell-to-Cell bandwidth (MB/s)",
-        )
-    )
+    emit(fig7.render(data))

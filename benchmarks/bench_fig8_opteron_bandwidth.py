@@ -4,49 +4,23 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.comm.ib import ib_between_cores
-from repro.core.report import format_series
+from repro.core.artifacts import ARTIFACTS
 from repro.units import to_mb_s
 from repro.validation import paper_data
 
-SIZES = [1, 10, 100, 1000, 10_000, 100_000, 1_000_000, 10_000_000]
-
-
-def _curves():
-    return {
-        "cores 1<->3": [
-            ib_between_cores(1, 3).effective_bandwidth(s) for s in SIZES
-        ],
-        "cores 0<->2": [
-            ib_between_cores(0, 2).effective_bandwidth(s) for s in SIZES
-        ],
-        "core 0<->1": [
-            ib_between_cores(0, 1).effective_bandwidth(s) for s in SIZES
-        ],
-    }
-
 
 def test_fig8_opteron_bandwidth(benchmark):
-    curves = benchmark(_curves)
+    fig8 = ARTIFACTS["fig8"]
+    data = benchmark(fig8.data)
+    near, far = data["cores_1_3_mb_s"], data["cores_0_2_mb_s"]
 
-    assert to_mb_s(curves["cores 1<->3"][-1]) == pytest.approx(
-        paper_data.OPTERON_NEAR_HCA_MB_S, rel=0.01
-    )
-    assert to_mb_s(curves["cores 0<->2"][-1]) == pytest.approx(
-        paper_data.OPTERON_FAR_HCA_MB_S, rel=0.01
-    )
+    assert near[-1] == pytest.approx(paper_data.OPTERON_NEAR_HCA_MB_S, rel=0.01)
+    assert far[-1] == pytest.approx(paper_data.OPTERON_FAR_HCA_MB_S, rel=0.01)
     # A mixed pair is limited by its slower endpoint.
-    assert curves["core 0<->1"][-1] == curves["cores 0<->2"][-1]
+    largest = data["sizes_bytes"][-1]
+    assert to_mb_s(ib_between_cores(0, 1).effective_bandwidth(largest)) == far[-1]
     # Near pair beats far pair at every size.
-    for near, far in zip(curves["cores 1<->3"], curves["cores 0<->2"]):
-        assert near >= far
+    for n, f in zip(near, far):
+        assert n >= f
 
-    emit(
-        format_series(
-            "size (B)",
-            SIZES,
-            {k: [to_mb_s(v) for v in series] for k, series in curves.items()},
-            fmt="{:.1f}",
-            title="Fig 8 (reproduced): Opteron-Opteron bandwidth (MB/s); "
-            "paper: 1,478 vs 1,087 at large sizes",
-        )
-    )
+    emit(fig8.render(data))

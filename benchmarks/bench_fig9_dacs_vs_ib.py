@@ -4,27 +4,18 @@ ratio across message sizes."""
 import pytest
 
 from benchmarks.conftest import emit
-from repro.comm.dacs import DACS_MEASURED
-from repro.comm.ib import IB_DEFAULT
-from repro.core.report import format_series
-from repro.units import KIB, to_mb_s
+from repro.core.artifacts import ARTIFACTS
+from repro.units import KIB
 from repro.validation import paper_data
-
-SIZES = [1, 10, 100, 1000, 2048, 8192, 16384, 65536, 262144, 1_000_000]
-
-
-def _curves():
-    dacs = [DACS_MEASURED.effective_bandwidth(s) for s in SIZES]
-    ib = [IB_DEFAULT.effective_bandwidth(s) for s in SIZES]
-    return dacs, ib
 
 
 def test_fig9_dacs_vs_ib(benchmark):
-    dacs, ib = benchmark(_curves)
-    ratio = [i / d if d else float("inf") for i, d in zip(ib, dacs)]
+    fig9 = ARTIFACTS["fig9"]
+    data = benchmark(fig9.data)
+    sizes, ratio = data["sizes_bytes"], data["ratio_ib_over_dacs"]
 
     # Paper: DaCS under half of IB in the small-message range...
-    for size, r in zip(SIZES, ratio):
+    for size, r in zip(sizes, ratio):
         if 2 * KIB <= size <= 20 * KIB:
             assert r > 1 / paper_data.DACS_SMALL_MSG_RATIO_MAX, size
     # ... and the ratio approaches 1 for large messages.
@@ -32,16 +23,4 @@ def test_fig9_dacs_vs_ib(benchmark):
     # IB is never meaningfully slower than the early DaCS stack.
     assert all(r >= 0.95 for r in ratio)
 
-    emit(
-        format_series(
-            "size (B)",
-            SIZES,
-            {
-                "DaCS (MB/s)": [to_mb_s(v) for v in dacs],
-                "InfiniBand (MB/s)": [to_mb_s(v) for v in ib],
-                "relative (IB/DaCS)": ratio,
-            },
-            fmt="{:.2f}",
-            title="Fig 9 (reproduced): InfiniBand vs DaCS PCIe performance",
-        )
-    )
+    emit(fig9.render(data))

@@ -4,42 +4,23 @@ the Opteron-only 'approximately position 50' counterfactual."""
 import pytest
 
 from benchmarks.conftest import emit
-from repro.core.report import format_table
-from repro.linpack.power import GREEN500_CELL_ONLY_MODEL
+from repro.core.artifacts import ARTIFACTS
 from repro.validation import paper_data
 
 
-def test_linpack_headline(benchmark, machine):
-    run = benchmark(machine.linpack)
+def test_linpack_headline(benchmark):
+    linpack = ARTIFACTS["linpack"]
+    data = benchmark(linpack.data)
 
-    assert run.rmax_flops / 1e15 == pytest.approx(
+    assert data["rmax_pflops"] == pytest.approx(
         paper_data.LINPACK_SUSTAINED_PFLOPS, rel=0.01
     )
-    green = machine.green500_mflops_per_watt()
-    assert green == pytest.approx(paper_data.GREEN500_MFLOPS_PER_WATT, rel=0.01)
-    cell_only = GREEN500_CELL_ONLY_MODEL.mflops_per_watt()
-    assert cell_only == pytest.approx(
+    assert data["green500_mflops_per_watt"] == pytest.approx(
+        paper_data.GREEN500_MFLOPS_PER_WATT, rel=0.01
+    )
+    assert data["green500_cell_only_mflops_per_watt"] == pytest.approx(
         paper_data.GREEN500_CELL_ONLY_MFLOPS_PER_WATT, rel=0.01
     )
-    opteron = machine.linpack_opteron_only()
-    position = machine.opteron_only_top500_position()
-    assert 35 <= position <= 60
+    assert 35 <= data["opteron_only_top500_position"] <= 60
 
-    emit(
-        format_table(
-            ["claim", "reproduced", "paper"],
-            [
-                ("peak DP", f"{machine.peak_dp_pflops:.2f} Pflop/s", "1.38 Pflop/s"),
-                ("LINPACK Rmax", f"{run.rmax_flops / 1e15:.3f} Pflop/s", "1.026 Pflop/s"),
-                ("HPL efficiency", f"{run.efficiency:.1%}", "74.6% (implied)"),
-                ("Green500", f"{green:.0f} Mflop/s/W", "437 Mflop/s/W"),
-                ("Cell-only systems", f"{cell_only:.0f} Mflop/s/W", "488 Mflop/s/W"),
-                (
-                    "Opteron-only Top 500",
-                    f"position {position} ({opteron.rmax_flops / 1e12:.1f} Tflop/s)",
-                    "approximately position 50",
-                ),
-            ],
-            title="Headline claims (reproduced)",
-        )
-    )
+    emit(linpack.render(data))

@@ -3,32 +3,16 @@
 import pytest
 
 from benchmarks.conftest import emit
-from repro.core.report import format_table
-from repro.network.routing import average_hops, hop_census
+from repro.core.artifacts import ARTIFACTS
 from repro.validation import paper_data
 
 
-def test_table1_hop_census(benchmark, topology):
-    census = benchmark(lambda: hop_census(topology, src=0))
+def test_table1_hop_census(benchmark):
+    table1 = ARTIFACTS["table1"]
+    data = benchmark(table1.data)
 
     expected = {0: 1, 1: 7, 3: 172 + 88, 5: 1892 + 40, 7: 860}
-    assert dict(census) == expected
+    assert data["destinations_by_hops"] == {str(h): n for h, n in expected.items()}
+    assert data["average_hops"] == pytest.approx(paper_data.HOP_AVERAGE, abs=0.005)
 
-    average = average_hops(topology, src=0)
-    assert average == pytest.approx(paper_data.HOP_AVERAGE, abs=0.005)
-
-    rows = [
-        ("Self", 1, 0),
-        ("Within same crossbar", census[1], 1),
-        ("Within same CU + CUs 2-12 same crossbar", census[3], 3),
-        ("CUs 2-12 diff. crossbar + CUs 13-17 same", census[5], 5),
-        ("CUs 13-17 different crossbar", census[7], 7),
-        ("Total", sum(census.values()), f"{average:.2f} (average)"),
-    ]
-    emit(
-        format_table(
-            ["Destination node", "No. of destinations", "Hop count"],
-            rows,
-            title="Table I (reproduced): distances from node 0",
-        )
-    )
+    emit(table1.render(data))

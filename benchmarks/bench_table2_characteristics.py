@@ -3,12 +3,13 @@
 import pytest
 
 from benchmarks.conftest import emit
-from repro.core.report import format_table
+from repro.core.artifacts import ARTIFACTS
 from repro.validation import paper_data
 
 
-def test_table2_characteristics(benchmark, machine):
-    chars = benchmark(machine.characteristics)
+def test_table2_characteristics(benchmark):
+    table2 = ARTIFACTS["table2"]
+    chars = benchmark(table2.data)
 
     assert chars["cu_count"] == paper_data.CU_COUNT
     assert chars["node_count"] == paper_data.NODE_COUNT
@@ -28,18 +29,4 @@ def test_table2_characteristics(benchmark, machine):
         paper_data.NODE_OPTERON_PEAK_DP_GFLOPS
     )
 
-    emit(
-        format_table(
-            ["characteristic", "reproduced", "paper"],
-            [
-                ["CU count", chars["cu_count"], 17],
-                ["node count", chars["node_count"], 3060],
-                ["peak DP (Pflop/s)", f"{chars['peak_dp_pflops']:.2f}", 1.38],
-                ["peak SP (Pflop/s)", f"{chars['peak_sp_pflops']:.2f}", 2.91],
-                ["CU peak DP (Tflop/s)", f"{chars['cu_peak_dp_tflops']:.1f}", 80.9],
-                ["node Cell DP (Gflop/s)", chars["node_cell_peak_dp_gflops"], 435.2],
-                ["node Opteron DP (Gflop/s)", chars["node_opteron_peak_dp_gflops"], 14.4],
-            ],
-            title="Table II (reproduced)",
-        )
-    )
+    emit(table2.render(chars))

@@ -3,36 +3,20 @@
 import pytest
 
 from benchmarks.conftest import emit
-from repro.core.report import format_table
-from repro.hardware.memory import MEMORY_SYSTEMS
-from repro.units import MIB, NS, to_gb_s
+from repro.core.artifacts import ARTIFACTS
 from repro.validation import paper_data
 
 
-def _table3():
-    rows = {}
-    for name, system in MEMORY_SYSTEMS.items():
-        rows[name] = (
-            to_gb_s(system.stream_triad_bandwidth()),
-            system.memtime_latency(256 * MIB) / NS,
-        )
-    return rows
-
-
 def test_table3_memory(benchmark):
-    rows = benchmark(_table3)
+    table3 = ARTIFACTS["table3"]
+    rows = benchmark(table3.data)
 
-    for name, (triad, latency) in rows.items():
-        assert triad == pytest.approx(paper_data.STREAM_TRIAD_GB_S[name], rel=1e-6)
-        assert latency == pytest.approx(paper_data.MEMTIME_LATENCY_NS[name])
-
-    emit(
-        format_table(
-            ["processor", "STREAM TRIAD (GB/s)", "latency (ns)"],
-            [
-                (name, f"{triad:.2f}", f"{lat:.1f}")
-                for name, (triad, lat) in rows.items()
-            ],
-            title="Table III (reproduced)",
+    for name, row in rows.items():
+        assert row["stream_triad_gb_s"] == pytest.approx(
+            paper_data.STREAM_TRIAD_GB_S[name], rel=1e-6
         )
-    )
+        assert row["memtime_latency_ns"] == pytest.approx(
+            paper_data.MEMTIME_LATENCY_NS[name]
+        )
+
+    emit(table3.render(rows))

@@ -3,42 +3,23 @@
 import pytest
 
 from benchmarks.conftest import emit
-from repro.core.report import format_table
-from repro.hardware.cell import CELL_BE, POWERXCELL_8I
-from repro.sweep3d.cellport import grind_time
-from repro.sweep3d.input import SweepInput
-from repro.sweep3d.masterworker import MasterWorkerModel
+from repro.core.artifacts import ARTIFACTS
 from repro.validation import paper_data
 
 
-def _table4():
-    inp = SweepInput.paper_table4()
-    return {
-        "previous_cbe": MasterWorkerModel().iteration_time(inp),
-        "ours_cbe": inp.angle_work * grind_time(CELL_BE),
-        "ours_pxc": inp.angle_work * grind_time(POWERXCELL_8I),
-    }
-
-
 def test_table4_cell_implementations(benchmark):
-    times = benchmark(_table4)
+    table4 = ARTIFACTS["table4"]
+    times = benchmark(table4.data)
 
-    assert times["previous_cbe"] == pytest.approx(
+    assert times["previous_cbe_s"] == pytest.approx(
         paper_data.TABLE4_PREVIOUS_CBE_S, rel=0.05
     )
-    assert times["ours_cbe"] == pytest.approx(paper_data.TABLE4_OURS_CBE_S, rel=0.02)
-    assert times["ours_pxc"] == pytest.approx(paper_data.TABLE4_OURS_PXC8I_S, rel=0.02)
-    assert times["ours_cbe"] / times["ours_pxc"] == pytest.approx(
+    assert times["ours_cbe_s"] == pytest.approx(paper_data.TABLE4_OURS_CBE_S, rel=0.02)
+    assert times["ours_pxc8i_s"] == pytest.approx(
+        paper_data.TABLE4_OURS_PXC8I_S, rel=0.02
+    )
+    assert times["ours_cbe_s"] / times["ours_pxc8i_s"] == pytest.approx(
         paper_data.TABLE4_CBE_TO_PXC8I_FACTOR, rel=0.05
     )
 
-    emit(
-        format_table(
-            ["", "previous Sweep3D", "our Sweep3D"],
-            [
-                ("CBE", f"{times['previous_cbe']:.2f} s ", f"{times['ours_cbe']:.2f} s"),
-                ("PowerXCell 8i", "N/A", f"{times['ours_pxc']:.2f} s"),
-            ],
-            title="Table IV (reproduced; paper: 1.3 / 0.37 / 0.19 s)",
-        )
-    )
+    emit(table4.render(times))

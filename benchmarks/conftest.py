@@ -1,15 +1,16 @@
 """Shared fixtures for the benchmark harness.
 
-Every module in this directory regenerates one table or figure of the
-paper: it times the model computation with pytest-benchmark, checks the
-output against the published values in
-:mod:`repro.validation.paper_data`, and prints the reproduced rows
-(visible with ``pytest benchmarks/ --benchmark-only -s``).
+Each paper bench in this directory times one registered artifact's
+``data()`` (:mod:`repro.core.artifacts`) with pytest-benchmark, checks
+that data against the published values in
+:mod:`repro.validation.paper_data`, and prints the artifact's text
+(visible with ``pytest benchmarks/ --benchmark-only -s``).  The
+ablation, extension and DES benches check models the registry does not
+hold.
 """
 
 import pytest
 
-from repro.core.machine import RoadrunnerMachine
 from repro.network.topology import RoadrunnerTopology
 
 
@@ -32,12 +33,6 @@ def perf_full(request):
     if not request.config.getoption("--perf-full"):
         pytest.skip("measured perf tier: pass --perf-full to run")
     return True
-
-
-@pytest.fixture(scope="session")
-def machine():
-    """The full 17-CU machine model, shared across benchmarks."""
-    return RoadrunnerMachine()
 
 
 @pytest.fixture(scope="session")

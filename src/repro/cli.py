@@ -18,7 +18,7 @@ import argparse
 import sys
 from typing import Callable
 
-from repro.core.artifacts import ARTIFACTS, available, produce
+from repro.core.artifacts import ARTIFACTS, available, lookup
 
 __all__ = ["main", "SUBCOMMANDS", "register_subcommand"]
 
@@ -69,14 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="emit machine-readable JSON instead of formatted text",
-    )
-    parser.add_argument(
-        "--correlated",
-        action="store_true",
-        help=(
-            "render the resilience artifact under correlated power-domain "
-            "failures (shorthand for 'resilience-correlated')"
-        ),
     )
     return parser
 
@@ -182,6 +174,16 @@ register_subcommand(
 )
 
 
+def _close_stdout() -> None:
+    """Quietly close a stdout whose reader (a pager, ``head``) has gone."""
+    import os
+
+    try:
+        sys.stdout.close()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     if argv is None:
@@ -191,77 +193,57 @@ def main(argv: list[str] | None = None) -> int:
         try:
             return runner(list(argv[1:]))
         except BrokenPipeError:
-            import os
-
-            try:
-                sys.stdout.close()
-            except BrokenPipeError:
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _close_stdout()
             return 0
     args = _build_parser().parse_args(argv)
     requested = list(args.artifacts)
-    if args.correlated:
-        requested = [
-            "resilience-correlated" if n == "resilience" else n
-            for n in requested
-        ]
-
-    if args.json:
-        import json
-
-        from repro.core.data import DATA_PRODUCERS, produce_data
-
-        if "all" in requested:
-            requested = [n for n in DATA_PRODUCERS if n != "fig5"]
-        unknown = [n for n in requested if n not in DATA_PRODUCERS]
-        if unknown:
+    known = {*ARTIFACTS, "all", "validate"} | (set() if args.json else {"list"})
+    unknown = [n for n in requested if n not in known]
+    if unknown:
+        if args.json:
             print(f"no JSON producer for: {', '.join(unknown)}", file=sys.stderr)
-            return 2
-        payload = {name: produce_data(name) for name in requested}
-        if len(requested) == 1:
-            payload = payload[requested[0]]
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
+        else:
+            print(
+                f"unknown artifact(s): {', '.join(unknown)}; "
+                f"try 'python -m repro list'",
+                file=sys.stderr,
+            )
+        return 2
 
     if "list" in requested:
         width = max(len(name) for name, _ in available())
-        for name, desc in available():
+        for name, desc in [*available(), ("validate", lookup("validate").description)]:
             print(f"{name.ljust(width)}  {desc}")
-        print(f"{'validate'.ljust(width)}  run every claim check (PASS/FAIL table)")
         return 0
-
-    if "validate" in requested:
-        from repro.validation.report import render_report, run_checks
-
-        results = run_checks()
-        print(render_report(results))
-        return 0 if all(r.passed for r in results) else 1
 
     if "all" in requested:
         # fig4 and fig5 share a producer; emit it once.
         requested = [n for n in ARTIFACTS if n != "fig5"]
+        if args.json or "validate" in args.artifacts:
+            # --json all has always carried the claim report.
+            requested.append("validate")
 
-    unknown = [n for n in requested if n not in ARTIFACTS]
-    if unknown:
-        print(
-            f"unknown artifact(s): {', '.join(unknown)}; "
-            f"try 'python -m repro list'",
-            file=sys.stderr,
-        )
-        return 2
-
+    failed = False
+    payload = {}
     try:
         for i, name in enumerate(requested):
+            artifact = lookup(name)
+            data = artifact.data()
+            if name == "validate":
+                failed = data["passed"] < data["total"]
+            if args.json:
+                payload[name] = data
+                continue
             if i:
                 print()
-            print(produce(name))
+            print(artifact.render(data))
+        if args.json:
+            import json
+
+            if len(requested) == 1:
+                payload = payload[name]
+            print(json.dumps(payload, indent=2, sort_keys=True))
     except BrokenPipeError:
         # Downstream pager/head closed the pipe: not an error.
-        import os
-
-        try:
-            sys.stdout.close()
-        except BrokenPipeError:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
-    return 0
+        _close_stdout()
+    return 1 if failed else 0

@@ -98,11 +98,10 @@ def characterize(include_latency_map: bool = False) -> dict[str, Any]:
     return report
 
 
-def render_characterization(report: dict[str, Any] | None = None) -> str:
-    """The campaign as readable text."""
+def render_characterization(report: dict[str, Any]) -> str:
+    """A :func:`characterize` report as readable text."""
     from repro.core.report import format_table
 
-    report = report if report is not None else characterize()
     parts = []
     parts.append(
         format_table(

@@ -23,9 +23,9 @@ package adds the failure axis the paper's measurements assume away:
     :class:`CheckpointModel` — the Young/Daly optimal-interval
     checkpoint/restart cost model, applied to the full-machine sweep
     by :func:`sweep_failure_study` (``python -m repro resilience``;
-    ``--correlated`` prices power-domain burst failures, and
-    ``CheckpointModel.from_pfs`` derives the write cost from the
-    Panasas model).
+    ``python -m repro resilience-correlated`` prices power-domain burst
+    failures, and ``CheckpointModel.from_pfs`` derives the write cost
+    from the Panasas model).
 :mod:`repro.resilience.recovery`
     :func:`run_with_recovery` — the end-to-end loop: a distributed
     sweep survives injected faults by re-placing around the health

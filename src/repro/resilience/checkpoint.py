@@ -186,7 +186,7 @@ def sweep_failure_study(
     write half of system memory through the 204 I/O nodes (pass a
     scalar to override); ``burst_size > 1`` prices correlated power-
     domain failures (see :meth:`CheckpointModel.from_node_mtbf`) — the
-    ``--correlated`` variant of the CLI artifact.
+    ``python -m repro resilience-correlated`` artifact.
 
     Returns a JSON-friendly dict (the ``python -m repro resilience``
     artifact): per-MTBF rows plus the underlying sweep numbers.

@@ -1,20 +1,88 @@
-"""A one-shot validation report: every paper claim vs the models.
+"""The paper's checked claims, declared against the artifacts' data.
 
-``python -m repro validate`` runs each check and prints a PASS/FAIL
-table; :func:`run_checks` returns the raw records for programmatic use.
-Checks mirror the benchmark harness but are cheap enough to run
-together (the heavyweight series reuse the analytic models).
+Each row of :data:`CLAIMS` names a published number, the registered
+artifact (:mod:`repro.core.artifacts`) whose data reproduces it, the
+key path to that value, and the relative tolerance.
+:func:`run_checks` computes each artifact's data once and checks every
+row against it; ``python -m repro validate`` prints the PASS/FAIL
+table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any
 
+from repro.core.artifacts import ARTIFACTS, Artifact
 from repro.validation import paper_data
 from repro.validation.compare import relative_error
 
-__all__ = ["CheckResult", "run_checks", "render_report"]
+__all__ = ["CLAIMS", "CheckResult", "VALIDATION", "render_report", "report_data",
+           "run_checks"]
+
+#: (section, claim, artifact, key path into its data, paper value,
+#: relative tolerance), in report order.  Fig 14's last point is the
+#: full machine's 3,060 nodes.
+CLAIMS: list[tuple[str, str, str, tuple[Any, ...], float, float]] = [
+    ("Table II", "peak DP (Pflop/s)", "table2", ("peak_dp_pflops",),
+     paper_data.PEAK_DP_PFLOPS, 0.01),
+    ("Table II", "peak SP (Pflop/s)", "table2", ("peak_sp_pflops",),
+     paper_data.PEAK_SP_PFLOPS, 0.01),
+    ("Table II", "CU peak DP (Tflop/s)", "table2", ("cu_peak_dp_tflops",),
+     paper_data.CU_PEAK_DP_TFLOPS, 0.005),
+    ("§II", "PXC8i chip DP (Gflop/s)", "table2", ("pxc8i_chip_peak_dp_gflops",),
+     paper_data.PXC8I_PEAK_DP_GFLOPS, 0.005),
+    ("§II", "CBE->PXC8i DP factor", "table2", ("spe_dp_factor",),
+     paper_data.DP_IMPROVEMENT_FACTOR, 0.01),
+    ("headline", "LINPACK Rmax (Pflop/s)", "linpack", ("rmax_pflops",),
+     paper_data.LINPACK_SUSTAINED_PFLOPS, 0.01),
+    ("headline", "Green500 (Mflop/s/W)", "linpack", ("green500_mflops_per_watt",),
+     paper_data.GREEN500_MFLOPS_PER_WATT, 0.01),
+    ("headline", "Cell-only Green500 (Mflop/s/W)", "linpack",
+     ("green500_cell_only_mflops_per_watt",),
+     paper_data.GREEN500_CELL_ONLY_MFLOPS_PER_WATT, 0.01),
+    ("headline", "Opteron-only Top500 position", "linpack",
+     ("opteron_only_top500_position",),
+     paper_data.OPTERON_ONLY_TOP500_POSITION, 0.25),
+    *[
+        ("Table I", f"destinations at {hops} hops", "table1",
+         ("destinations_by_hops", str(hops)), count, 0.0)
+        for hops, count in ((1, 7), (3, 260), (5, 1932), (7, 860))
+    ],
+    ("Table I", "average hops", "table1", ("average_hops",),
+     paper_data.HOP_AVERAGE, 0.001),
+    *[
+        claim
+        for name in paper_data.STREAM_TRIAD_GB_S
+        for claim in (
+            ("Table III", f"{name} TRIAD (GB/s)", "table3",
+             (name, "stream_triad_gb_s"), paper_data.STREAM_TRIAD_GB_S[name], 0.001),
+            ("Table III", f"{name} latency (ns)", "table3",
+             (name, "memtime_latency_ns"), paper_data.MEMTIME_LATENCY_NS[name], 0.001),
+        )
+    ],
+    ("Fig 6", "Cell-to-Cell zero-byte latency (us)", "fig6", ("total_us",),
+     paper_data.CELL_TO_CELL_INTERNODE_LATENCY_US, 0.005),
+    ("Table IV", "previous CBE (s)", "table4", ("previous_cbe_s",),
+     paper_data.TABLE4_PREVIOUS_CBE_S, 0.05),
+    ("Table IV", "ours CBE (s)", "table4", ("ours_cbe_s",),
+     paper_data.TABLE4_OURS_CBE_S, 0.02),
+    ("Table IV", "ours PXC8i (s)", "table4", ("ours_pxc8i_s",),
+     paper_data.TABLE4_OURS_PXC8I_S, 0.02),
+    *[
+        ("§IV-A", f"{app} speedup", "apps", (app,), expected, 0.05)
+        for app, expected in (
+            ("VPIC", paper_data.APP_SPEEDUP_VPIC),
+            ("SPaSM", paper_data.APP_SPEEDUP_SPASM),
+            ("Milagro", paper_data.APP_SPEEDUP_MILAGRO),
+            ("Sweep3D", paper_data.APP_SPEEDUP_SWEEP3D),
+        )
+    ],
+    ("Fig 14", "measured improvement at 3,060 nodes", "fig14", ("measured", -1),
+     paper_data.FIG14_MEASURED_IMPROVEMENT_LARGE, 0.2),
+    ("Fig 14", "best improvement at 3,060 nodes", "fig14", ("best", -1),
+     paper_data.FIG14_BEST_IMPROVEMENT_LARGE, 0.25),
+]
 
 
 @dataclass(frozen=True)
@@ -33,148 +101,61 @@ class CheckResult:
         return self.rel_error <= self.tolerance
 
 
-def _check(
-    results: list[CheckResult],
-    section: str,
-    claim: str,
-    paper_value: float,
-    reproduced: float,
-    tolerance: float,
-    unit: str = "",
-) -> None:
-    results.append(
-        CheckResult(
-            section=section,
-            claim=claim,
-            paper_value=f"{paper_value:g}{unit}",
-            reproduced=f"{reproduced:.4g}{unit}",
-            rel_error=relative_error(reproduced, paper_value),
-            tolerance=tolerance,
-        )
-    )
-
-
 def run_checks() -> list[CheckResult]:
     """Evaluate every claim; returns one record per check."""
-    from repro.apps.speedup import all_speedups
-    from repro.core.machine import RoadrunnerMachine
-    from repro.hardware.cell import CELL_BE, POWERXCELL_8I
-    from repro.hardware.memory import MEMORY_SYSTEMS
-    from repro.sweep3d.cellport import grind_time
-    from repro.sweep3d.input import SweepInput
-    from repro.sweep3d.masterworker import MasterWorkerModel
-    from repro.sweep3d.scaling import ScalingStudy
-    from repro.units import GFLOPS, MIB, NS, to_gb_s, to_us
-    from repro.comm.cml import INTERNODE_CELL_PATH
-    from repro.linpack.power import GREEN500_CELL_ONLY_MODEL
-
-    results: list[CheckResult] = []
-    machine = RoadrunnerMachine()
-
-    # -- §I / §II / Table II ------------------------------------------------
-    _check(results, "Table II", "peak DP (Pflop/s)",
-           paper_data.PEAK_DP_PFLOPS, machine.peak_dp_pflops, 0.01)
-    _check(results, "Table II", "peak SP (Pflop/s)",
-           paper_data.PEAK_SP_PFLOPS, machine.peak_sp_pflops, 0.01)
-    _check(results, "Table II", "CU peak DP (Tflop/s)",
-           paper_data.CU_PEAK_DP_TFLOPS, machine.cu_peak_dp_tflops, 0.005)
-    _check(results, "§II", "PXC8i chip DP (Gflop/s)",
-           paper_data.PXC8I_PEAK_DP_GFLOPS,
-           POWERXCELL_8I.spec.peak_dp_flops / GFLOPS, 0.005)
-    _check(results, "§II", "CBE->PXC8i DP factor",
-           paper_data.DP_IMPROVEMENT_FACTOR,
-           POWERXCELL_8I.spe_peak_dp_flops / CELL_BE.spe_peak_dp_flops, 0.01)
-
-    # -- headline LINPACK ----------------------------------------------------
-    run = machine.linpack()
-    _check(results, "headline", "LINPACK Rmax (Pflop/s)",
-           paper_data.LINPACK_SUSTAINED_PFLOPS, run.rmax_flops / 1e15, 0.01)
-    _check(results, "headline", "Green500 (Mflop/s/W)",
-           paper_data.GREEN500_MFLOPS_PER_WATT,
-           machine.green500_mflops_per_watt(), 0.01)
-    _check(results, "headline", "Cell-only Green500 (Mflop/s/W)",
-           paper_data.GREEN500_CELL_ONLY_MFLOPS_PER_WATT,
-           GREEN500_CELL_ONLY_MODEL.mflops_per_watt(), 0.01)
-    _check(results, "headline", "Opteron-only Top500 position",
-           paper_data.OPTERON_ONLY_TOP500_POSITION,
-           machine.opteron_only_top500_position(), 0.25)
-
-    # -- Table I ----------------------------------------------------------------
-    census = machine.hop_census()
-    for hops, expected in ((1, 7), (3, 260), (5, 1932), (7, 860)):
-        _check(results, "Table I", f"destinations at {hops} hops",
-               expected, census[hops], 0.0)
-    _check(results, "Table I", "average hops",
-           paper_data.HOP_AVERAGE, machine.average_hop_count(), 0.001)
-
-    # -- Table III ------------------------------------------------------------------
-    for name, system in MEMORY_SYSTEMS.items():
-        _check(results, "Table III", f"{name} TRIAD (GB/s)",
-               paper_data.STREAM_TRIAD_GB_S[name],
-               to_gb_s(system.stream_triad_bandwidth()), 0.001)
-        _check(results, "Table III", f"{name} latency (ns)",
-               paper_data.MEMTIME_LATENCY_NS[name],
-               system.memtime_latency(256 * MIB) / NS, 0.001)
-
-    # -- Fig 6 -----------------------------------------------------------------------
-    _check(results, "Fig 6", "Cell-to-Cell zero-byte latency (us)",
-           paper_data.CELL_TO_CELL_INTERNODE_LATENCY_US,
-           to_us(INTERNODE_CELL_PATH.zero_byte_latency), 0.005)
-
-    # -- Table IV ---------------------------------------------------------------------
-    inp = SweepInput.paper_table4()
-    _check(results, "Table IV", "previous CBE (s)",
-           paper_data.TABLE4_PREVIOUS_CBE_S,
-           MasterWorkerModel().iteration_time(inp), 0.05)
-    _check(results, "Table IV", "ours CBE (s)",
-           paper_data.TABLE4_OURS_CBE_S,
-           inp.angle_work * grind_time(CELL_BE), 0.02)
-    _check(results, "Table IV", "ours PXC8i (s)",
-           paper_data.TABLE4_OURS_PXC8I_S,
-           inp.angle_work * grind_time(POWERXCELL_8I), 0.02)
-
-    # -- §IV-A ------------------------------------------------------------------------
-    speedups = all_speedups()
-    for app, expected in (
-        ("VPIC", paper_data.APP_SPEEDUP_VPIC),
-        ("SPaSM", paper_data.APP_SPEEDUP_SPASM),
-        ("Milagro", paper_data.APP_SPEEDUP_MILAGRO),
-        ("Sweep3D", paper_data.APP_SPEEDUP_SWEEP3D),
-    ):
-        _check(results, "§IV-A", f"{app} speedup", expected, speedups[app], 0.05)
-
-    # -- Figs 13-14 ----------------------------------------------------------------------
-    study = ScalingStudy()
-    imp = study.fig14_improvements([3060])
-    _check(results, "Fig 14", "measured improvement at 3,060 nodes",
-           paper_data.FIG14_MEASURED_IMPROVEMENT_LARGE,
-           imp["measured"][0], 0.2)
-    _check(results, "Fig 14", "best improvement at 3,060 nodes",
-           paper_data.FIG14_BEST_IMPROVEMENT_LARGE, imp["best"][0], 0.25)
-
+    data: dict[str, Any] = {}
+    results = []
+    for section, claim, artifact, key, paper, tolerance in CLAIMS:
+        if artifact not in data:
+            data[artifact] = ARTIFACTS[artifact].data()
+        value = data[artifact]
+        for k in key:
+            value = value[k]
+        results.append(CheckResult(section, claim, f"{paper:g}", f"{value:.4g}",
+                                   relative_error(value, paper), tolerance))
     return results
 
 
-def render_report(results: list[CheckResult] | None = None) -> str:
-    """The PASS/FAIL table as text."""
+def report_data(results: list[CheckResult] | None = None) -> dict[str, Any]:
+    """The checks as JSON-serializable data (``--json validate``)."""
+    results = results if results is not None else run_checks()
+    return {
+        "checks": [
+            {
+                "section": r.section,
+                "claim": r.claim,
+                "paper": r.paper_value,
+                "reproduced": r.reproduced,
+                "rel_error": r.rel_error,
+                "passed": r.passed,
+            }
+            for r in results
+        ],
+        "passed": sum(r.passed for r in results),
+        "total": len(results),
+    }
+
+
+def _render(report: dict[str, Any]) -> str:
     from repro.core.report import format_table
 
-    results = results if results is not None else run_checks()
     rows = [
-        (
-            r.section,
-            r.claim,
-            r.paper_value,
-            r.reproduced,
-            f"{r.rel_error:.1%}",
-            "PASS" if r.passed else "FAIL",
-        )
-        for r in results
+        (c["section"], c["claim"], c["paper"], c["reproduced"],
+         f"{c['rel_error']:.1%}", "PASS" if c["passed"] else "FAIL")
+        for c in report["checks"]
     ]
-    passed = sum(r.passed for r in results)
     table = format_table(
         ["section", "claim", "paper", "reproduced", "error", "status"],
         rows,
         title="Validation: paper vs reproduced",
     )
-    return f"{table}\n\n{passed}/{len(results)} checks pass"
+    return f"{table}\n\n{report['passed']}/{report['total']} checks pass"
+
+
+def render_report(results: list[CheckResult] | None = None) -> str:
+    """The PASS/FAIL table as text."""
+    return _render(report_data(results))
+
+
+#: ``python -m repro validate``: the claim report as an artifact.
+VALIDATION = Artifact("run every claim check (PASS/FAIL table)", report_data, _render)

@@ -64,3 +64,17 @@ def test_artifact_contents_spotchecks():
     assert "1479" in produce("fig8")  # cores 1<->3 at 10 MB
     assert "1.026" in produce("linpack")
     assert "1.95x" in produce("apps")
+
+
+def test_cli_validate_beside_an_artifact_prints_both(capsys):
+    assert main(["table4", "validate"]) == 0
+    out = capsys.readouterr().out
+    assert 0 <= out.index("Table IV: Sweep3D") < out.index("Validation: paper vs")
+    assert "30/30 checks pass" in out
+
+
+def test_cli_unknown_name_beside_validate_exits_2(capsys):
+    assert main(["nonsense", "validate"]) == 2
+    captured = capsys.readouterr()
+    assert "unknown artifact(s): nonsense" in captured.err
+    assert captured.out == ""

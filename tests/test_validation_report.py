@@ -1,8 +1,11 @@
 """Tests for the one-shot validation report and compare helpers."""
 
+import dataclasses
+
 import pytest
 
 from repro.cli import main
+from repro.core.artifacts import ARTIFACTS
 from repro.validation.compare import monotonic, relative_error, shape_matches, within
 from repro.validation.report import CheckResult, render_report, run_checks
 
@@ -65,3 +68,34 @@ def test_shape_matches():
     assert not shape_matches([1.0, 3.0], [1.0, 2.0], rel_tol=0.1)
     with pytest.raises(ValueError):
         shape_matches([1.0], [1.0, 2.0], rel_tol=0.1)
+
+
+# --- claims read the artifacts' data -----------------------------------------------
+
+def _with_doubled_pxc8i_time(monkeypatch):
+    original = ARTIFACTS["table4"]
+
+    def doubled():
+        data = original.data()
+        return {**data, "ours_pxc8i_s": 2 * data["ours_pxc8i_s"]}
+
+    monkeypatch.setitem(ARTIFACTS, "table4",
+                        dataclasses.replace(original, data=doubled))
+
+
+def test_claims_read_the_registered_artifact(monkeypatch):
+    """A claim's reproduced value is its artifact's data, not a model
+    call of the check's own."""
+    _with_doubled_pxc8i_time(monkeypatch)
+    failed = [r.claim for r in run_checks() if not r.passed]
+    assert failed == ["ours PXC8i (s)"]
+
+
+def test_cli_validate_exits_1_on_a_failed_claim(monkeypatch, capsys):
+    _with_doubled_pxc8i_time(monkeypatch)
+    assert main(["validate"]) == 1
+    assert "29/30 checks pass" in capsys.readouterr().out
+
+
+def test_fig14_claims_read_the_full_machine_point():
+    assert ARTIFACTS["fig14"].data()["nodes"][-1] == 3060
