@@ -17,21 +17,22 @@ produces the identical report an uninterrupted one would have.
   writes);
 * :mod:`~repro.campaign.scenarios` — registered tenants
   (``sweep``, ``sweep3060``, ``placement-penalty``);
-* :mod:`~repro.campaign.workers` — the supervised process pool:
-  per-job leases, individual timeout expiry, crash blame by lease +
-  exit code, seeded backoff retries, deterministic result order;
+* :mod:`~repro.campaign.workers` — the process pool: long-lived
+  workers with one pipe each, so a dead worker is blamed for exactly
+  the job it held; per-job timeouts, seeded backoff retries,
+  deterministic result order;
 * :mod:`~repro.campaign.journal` — the append-only :class:`Journal`
   of job-state transitions and its reader;
 * :mod:`~repro.campaign.service` — :class:`CampaignService`:
   cache-first execution, completion-time persistence,
-  :meth:`~CampaignService.resume`, per-scenario circuit breaker,
-  streamed :class:`ProgressEvent`\\ s with obs counter snapshots,
+  :meth:`~CampaignService.resume`, streamed
+  :class:`ProgressEvent`\\ s with obs counter snapshots,
   :class:`CampaignReport` aggregation;
 * :mod:`~repro.campaign.chaos` — the real-fault injection harness
   (worker/driver ``SIGKILL``, disk-full, cache corruption) behind
   ``tests/test_chaos.py``;
 * :mod:`~repro.campaign.cli` — ``python -m repro campaign``
-  (``--journal`` / ``--resume`` / ``--breaker``).
+  (``--journal`` / ``--resume``).
 
 See ``docs/CAMPAIGN.md`` for the job model, cache-key rules, progress
 stream format, the durability model, and tenancy examples.
@@ -53,7 +54,6 @@ from repro.campaign.jobs import (
 from repro.campaign.journal import Journal, JournalState, read_journal
 from repro.campaign.scenarios import SCENARIOS, Scenario, job_config, run_job
 from repro.campaign.service import (
-    BREAKER_ERROR_PREFIX,
     CampaignReport,
     CampaignService,
     JobOutcome,
@@ -86,7 +86,6 @@ __all__ = [
     "read_journal",
     "ChaosPlan",
     "draw_plan",
-    "BREAKER_ERROR_PREFIX",
     "ProgressEvent",
     "JobOutcome",
     "CampaignReport",

@@ -18,11 +18,14 @@ Durability: ``--journal PATH`` (requires ``--cache-dir``) write-ahead
 logs every job-state transition; if the campaign process dies,
 ``--resume PATH`` finishes it — done jobs are restored from the cache,
 never recomputed, and the final report matches an uninterrupted run
-byte for byte.  ``--breaker K`` arms the per-scenario circuit breaker::
+byte for byte.  With ``--workers N`` (N >= 2), ``--timeout S`` fails a
+job after S host seconds and ``--max-retries K`` bounds the retries of
+a job whose worker died.  Bad pool arguments exit 2 before any job
+runs::
 
-    python -m repro campaign sweep --seeds 100 --workers 4 \
+    python -m repro campaign sweep --seeds 100 --workers 4 --timeout 60 \\
         --cache-dir .campaign-cache --journal sweep.journal
-    python -m repro campaign --resume sweep.journal
+    python -m repro campaign --resume sweep.journal --report report.json
 """
 
 from __future__ import annotations
@@ -31,9 +34,10 @@ import argparse
 import json
 import sys
 import time
-from typing import Any
+from typing import Any, Callable
 
 from repro.campaign.jobs import DONE
+from repro.campaign.journal import read_journal
 from repro.campaign.scenarios import SCENARIOS, public_scenarios
 from repro.campaign.service import CampaignService, ProgressEvent, grid
 
@@ -77,7 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", metavar="PATH",
                         help="artifact cache directory (default: no cache)")
     parser.add_argument("--timeout", type=float, default=None,
-                        help="per-job timeout in host seconds")
+                        help="per-job timeout in host seconds "
+                             "(needs --workers >= 2)")
     parser.add_argument("--max-retries", type=int, default=1,
                         help="extra attempts after a worker crash (default 1)")
     parser.add_argument("--journal", metavar="PATH",
@@ -86,9 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--resume", metavar="PATH",
                         help="resume a journaled campaign that died "
                              "(exclusive with a scenario)")
-    parser.add_argument("--breaker", type=int, default=None, metavar="K",
-                        help="trip a scenario's circuit breaker after K "
-                             "consecutive failures (default: off)")
     parser.add_argument("--set", dest="overrides", action="append",
                         default=[], metavar="KEY=VALUE",
                         help="override a scenario config key (repeatable)")
@@ -135,48 +137,21 @@ def main(argv: list[str] | None = None) -> int:
             range(args.first_seed, args.first_seed + args.seeds),
             _parse_set(args.overrides),
         )
+        service = CampaignService(
+            args.cache_dir, workers=args.workers, timeout=args.timeout,
+            max_retries=args.max_retries,
+        )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-
-    t0 = time.monotonic()
-
-    def console(event: ProgressEvent) -> None:
-        if event.event == "queued":
-            return  # one line per outcome keeps 100-seed runs readable
-        extra = ""
-        if event.event == "failed":
-            extra = f"  {event.detail.get('error', '')}"
-        print(f"  [{event.index + 1}/{len(specs)}] "
-              f"{event.event:<10} {event.digest[:12]}  seed {event.seed}"
-              f"{extra}")
-
-    def jsonl(event: ProgressEvent) -> None:
-        print(json.dumps(event.to_dict(), sort_keys=True))
-
-    progress = jsonl if args.jsonl else (None if args.quiet else console)
-    if not args.jsonl:
-        print(f"campaign: {args.scenario} x {len(specs)} seed(s), "
+    banner = (f"campaign: {args.scenario} x {len(specs)} seed(s), "
               f"{args.workers} worker(s)"
               + (f", cache {args.cache_dir}" if args.cache_dir else ""))
-    service = CampaignService(
-        args.cache_dir, workers=args.workers, timeout=args.timeout,
-        max_retries=args.max_retries, breaker_threshold=args.breaker,
+    return _run_and_report(
+        args, len(specs), banner,
+        lambda progress: service.run(specs, progress=progress,
+                                     journal=args.journal),
     )
-    report = service.run(specs, progress=progress, journal=args.journal)
-    elapsed = time.monotonic() - t0
-
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-    if not args.jsonl:
-        print(f"done in {elapsed:.2f} s: {report.submitted} job(s), "
-              f"{report.cached_hits} cached, {report.executed} executed, "
-              f"{report.failed} failed")
-        _print_aggregate(report)
-        if args.report:
-            print(f"report written to {args.report}")
-    return 1 if report.failed else 0
 
 
 def _resume(args) -> int:
@@ -185,18 +160,34 @@ def _resume(args) -> int:
         print("--resume is exclusive with a scenario argument",
               file=sys.stderr)
         return 2
-    from repro.campaign.journal import read_journal
-
     try:
         state = read_journal(args.resume)
     except (OSError, ValueError) as exc:
         print(f"cannot resume: {exc}", file=sys.stderr)
         return 2
-    total = len(state.specs)
+    summary = state.summary()
+    banner = (f"resuming campaign from {args.resume}: {len(state.specs)} "
+              f"job(s) ({summary['done']} done, {summary['failed']} failed, "
+              f"{summary['running']} in flight, "
+              f"{summary['pending']} pending)")
+    return _run_and_report(
+        args, len(state.specs), banner,
+        lambda progress: CampaignService.resume(args.resume,
+                                                progress=progress),
+    )
+
+
+def _printer(args, total: int) -> Callable[[ProgressEvent], None] | None:
+    """The progress callback: JSON-lines, one console line per outcome,
+    or nothing (``--quiet``)."""
+    if args.jsonl:
+        return lambda event: print(json.dumps(event.to_dict(), sort_keys=True))
+    if args.quiet:
+        return None
 
     def console(event: ProgressEvent) -> None:
         if event.event == "queued":
-            return
+            return  # one line per outcome keeps 100-seed runs readable
         extra = ""
         if event.event == "failed":
             extra = f"  {event.detail.get('error', '')}"
@@ -204,18 +195,18 @@ def _resume(args) -> int:
               f"{event.event:<10} {event.digest[:12]}  seed {event.seed}"
               f"{extra}")
 
-    def jsonl(event: ProgressEvent) -> None:
-        print(json.dumps(event.to_dict(), sort_keys=True))
+    return console
 
-    progress = jsonl if args.jsonl else (None if args.quiet else console)
-    summary = state.summary()
+
+def _run_and_report(args, total: int, banner: str,
+                    run: Callable[[Any], Any]) -> int:
+    """The one finish path: stream progress while ``run(progress)``
+    executes the campaign, then write and summarize its report."""
+    progress = _printer(args, total)
     if not args.jsonl:
-        print(f"resuming campaign from {args.resume}: {total} job(s) "
-              f"({summary['done']} done, {summary['failed']} failed, "
-              f"{summary['running']} in flight, "
-              f"{summary['pending']} pending)")
+        print(banner)
     t0 = time.monotonic()
-    report = CampaignService.resume(args.resume, progress=progress)
+    report = run(progress)
     elapsed = time.monotonic() - t0
     if args.report:
         with open(args.report, "w") as fh:

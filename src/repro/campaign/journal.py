@@ -23,15 +23,14 @@ the journal is byte-deterministic for a deterministic campaign.
 Durability model
 ----------------
 Appends reach the OS on every record (``flush``); ``fsync`` is issued
-on *terminal* records only (the default, ``fsync="terminal"``).
-Losing a ``started`` record merely re-queues the job on resume; losing
-a terminal record costs one recomputation, never correctness — the
-store, not the journal, is the artifact of record.  ``fsync="always"``
-hardens every append; ``fsync="never"`` is for tests.  The reader
-tolerates a torn final line (a crash mid-append), and
-:meth:`Journal.rotate` compacts a resumed journal atomically
-(same-directory temp file, fsync file and directory, ``os.replace``)
-so repeated crash/resume cycles keep the journal bounded.
+on *terminal* records only.  Losing a ``started`` record merely
+re-queues the job on resume; losing a terminal record costs one
+recomputation, never correctness — the store, not the journal, is the
+artifact of record.  The reader tolerates a torn final line (a crash
+mid-append) and reports the byte length of the prefix it trusts;
+:meth:`Journal.reopen` truncates the file to that length and appends,
+so a resumed journal keeps every attempt of every run — the record a
+post-mortem wants.
 
 Chaos hooks: every append consults
 :func:`repro.campaign.chaos.check_write` (injected disk-full) and,
@@ -45,7 +44,6 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -66,15 +64,6 @@ __all__ = ["JOURNAL_FORMAT", "Journal", "JournalState", "read_journal"]
 JOURNAL_FORMAT = 1
 
 
-def _fsync_dir(path: pathlib.Path) -> None:
-    """fsync a directory so a just-renamed/created entry is durable."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 @dataclass
 class JobState:
     """Reconstructed state of one job (last journal record wins)."""
@@ -84,7 +73,6 @@ class JobState:
     cached: bool = False            # terminal state came from a cache hit
     artifact_sha256: str | None = None
     error: str | None = None
-    breaker: bool = False           # failed by an open circuit breaker
 
 
 @dataclass
@@ -96,6 +84,7 @@ class JournalState:
     options: dict[str, Any]
     jobs: dict[int, JobState] = field(default_factory=dict)
     records: int = 0                # well-formed records read (incl. header)
+    length: int = 0                 # bytes of the trusted prefix
     complete: bool = False          # an end record landed
 
     def job(self, index: int) -> JobState:
@@ -113,14 +102,10 @@ def read_journal(path: str | os.PathLike) -> JournalState:
 
     Raises ``ValueError`` on a missing/alien header; a torn final line
     (crash mid-append) is silently dropped — every complete record
-    before it still counts.
+    before it still counts, and :attr:`JournalState.length` ends there.
     """
-    text = pathlib.Path(path).read_text()
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    else:
-        lines.pop()  # no trailing newline: the final append was torn
+    lines = pathlib.Path(path).read_bytes().split(b"\n")
+    lines.pop()  # "" after the final newline, or a torn final append
     if not lines:
         raise ValueError(f"journal {path!s} has no header record")
     try:
@@ -147,6 +132,7 @@ def read_journal(path: str | os.PathLike) -> JournalState:
         store_root=header.get("store"),
         options=dict(header.get("options", {})),
         records=1,
+        length=len(lines[0]) + 1,
     )
     for line in lines[1:]:
         try:
@@ -154,6 +140,7 @@ def read_journal(path: str | os.PathLike) -> JournalState:
         except ValueError:
             break  # torn mid-file record: nothing after it is trusted
         state.records += 1
+        state.length += len(line) + 1
         kind = rec.get("type")
         if kind == "end":
             state.complete = True
@@ -172,19 +159,14 @@ def read_journal(path: str | os.PathLike) -> JournalState:
             job.cached = bool(rec.get("cached", False))
             job.artifact_sha256 = rec.get("artifact_sha256")
             job.error = rec.get("error")
-            job.breaker = bool(rec.get("breaker", False))
     return state
 
 
 class Journal:
     """Append-only writer for one campaign's state transitions."""
 
-    def __init__(self, path: str | os.PathLike, *,
-                 fsync: str = "terminal"):
-        if fsync not in ("always", "terminal", "never"):
-            raise ValueError("fsync must be 'always', 'terminal', or 'never'")
+    def __init__(self, path: str | os.PathLike):
         self.path = pathlib.Path(path)
-        self.fsync = fsync
         self.records = 0
         self._fh = None
 
@@ -198,11 +180,10 @@ class Journal:
         *,
         store_root: str | None,
         options: Mapping[str, Any] | None = None,
-        fsync: str = "terminal",
     ) -> "Journal":
         """Start a fresh journal (truncating any prior file) and write
         its header record."""
-        journal = cls(path, fsync=fsync)
+        journal = cls(path)
         journal.path.parent.mkdir(parents=True, exist_ok=True)
         journal._fh = open(journal.path, "w")
         journal._append(
@@ -218,86 +199,31 @@ class Journal:
         return journal
 
     @classmethod
-    def rotate(
-        cls,
-        path: str | os.PathLike,
-        state: JournalState,
-        *,
-        fsync: str = "terminal",
-    ) -> "Journal":
-        """Atomically compact a journal for resume and reopen it for
-        appending.
-
-        The compacted journal holds the header plus one terminal state
-        record per already-decided job (``running`` records are dropped
-        — those jobs are being re-queued).  Written to a same-directory
-        temp file, fsync'd, then ``os.replace``\\ d over the original,
-        so a crash mid-rotation leaves the old journal intact.
-        """
-        target = pathlib.Path(path)
-        fd, tmp = tempfile.mkstemp(
-            dir=target.parent, prefix=f".{target.name}-", suffix=".tmp"
-        )
-        records = 0
-        try:
-            with os.fdopen(fd, "w") as fh:
-                header = {
-                    "type": "campaign",
-                    "format": JOURNAL_FORMAT,
-                    "specs": [s.to_dict() for s in state.specs],
-                    "store": state.store_root,
-                    "options": dict(state.options),
-                }
-                fh.write(canonical_json(header) + "\n")
-                records = 1
-                for index in sorted(state.jobs):
-                    job = state.jobs[index]
-                    if job.state not in TERMINAL_STATES:
-                        continue
-                    rec = {
-                        "type": "state",
-                        "index": index,
-                        "state": job.state,
-                        "attempts": job.attempts,
-                        "cached": job.cached,
-                        "artifact_sha256": job.artifact_sha256,
-                        "error": job.error,
-                    }
-                    if job.breaker:
-                        rec["breaker"] = True
-                    fh.write(canonical_json(rec) + "\n")
-                    records += 1
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, target)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        _fsync_dir(target.parent)
-        journal = cls(target, fsync=fsync)
-        journal._fh = open(target, "a")
-        journal.records = records
+    def reopen(cls, path: str | os.PathLike,
+               state: JournalState) -> "Journal":
+        """Reopen a journal for resume: cut it to the prefix
+        :func:`read_journal` trusted (dropping a torn tail) and append
+        after it."""
+        journal = cls(path)
+        os.truncate(journal.path, state.length)
+        journal._fh = open(journal.path, "a")
+        journal.records = state.records
         return journal
 
     def close(self) -> None:
-        if self._fh is not None:
-            try:
-                self._fh.close()
-            finally:
-                self._fh = None
+        fh, self._fh = self._fh, None
+        if fh is not None:
+            fh.close()
 
     # -- record writers ------------------------------------------------------
 
     def _append(self, record: dict[str, Any], *, terminal: bool) -> None:
         """One journal append: chaos write check, canonical JSON line,
-        flush (+ fsync per policy), then the kill-boundary hook."""
+        flush (+ fsync if terminal), then the kill-boundary hook."""
         chaos.check_write("journal")
         self._fh.write(canonical_json(record) + "\n")
         self._fh.flush()
-        if self.fsync == "always" or (terminal and self.fsync == "terminal"):
+        if terminal:
             os.fsync(self._fh.fileno())
         self.records += 1
         chaos.maybe_kill_campaign(self.records)
@@ -326,15 +252,13 @@ class Journal:
             terminal=True,
         )
 
-    def record_failed(self, index: int, attempts: int, error: str | None,
-                      *, breaker: bool = False) -> None:
-        rec: dict[str, Any] = {
-            "type": "state", "index": index, "state": FAILED,
-            "attempts": attempts, "error": error,
-        }
-        if breaker:
-            rec["breaker"] = True
-        self._append(rec, terminal=True)
+    def record_failed(self, index: int, attempts: int,
+                      error: str | None) -> None:
+        self._append(
+            {"type": "state", "index": index, "state": FAILED,
+             "attempts": attempts, "error": error},
+            terminal=True,
+        )
 
     def record_end(self, summary: Mapping[str, int]) -> None:
         self._append({"type": "end", "summary": dict(summary)},

@@ -177,7 +177,7 @@ _SELFTEST_DEFAULTS = {
     "mode": "ok",       # ok | fail | fail-seeds | crash-once | sleep | count
     "marker": "",       # crash-once/count: sentinel/tally file path
     "sleep_s": 0.0,     # sleep/count: host seconds to stall (timeout testing)
-    "fail_seeds": (),   # fail-seeds: seeds that raise (breaker testing)
+    "fail_seeds": (),   # fail-seeds: seeds that raise (failed-job testing)
     "value": 0,
 }
 

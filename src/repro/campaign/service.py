@@ -26,16 +26,9 @@ journal so even ``store_stats`` matches, and re-queued in-flight jobs
 bypass the cache probe (their artifact may have landed before the
 crash; serving it would misreport them as cache hits).
 
-Degradation
------------
-``breaker_threshold=K`` arms a per-scenario circuit breaker: after
-``K`` consecutive executed failures of one scenario, its remaining
-jobs are failed at submission with a structured
-``circuit breaker open`` reason instead of burning pool time — the
-campaign still completes and reports.  Disk-full on a store or journal
-write is absorbed (counted, never fatal): the report is built in
-memory and the journal simply under-records, costing at most a
-recompute on resume.
+Disk-full on a store or journal write is absorbed (counted, never
+fatal): the report is built in memory and the journal simply
+under-records, costing at most a recompute on resume.
 
 Progress streaming
 ------------------
@@ -44,8 +37,8 @@ Every state change emits a :class:`ProgressEvent` (``queued`` /
 ``failed``) carrying the job's digest, scenario, and seed, plus a
 snapshot of the service's own obs counters (``campaign.*`` — queued,
 cached_hit, executed, failed, crash_attempts, timeouts, restored,
-resumed, breaker_trips, breaker_skipped, journal/store write errors,
-and folded ``campaign.chaos.*`` fault-ledger totals) via
+resumed, journal/store write errors, and folded ``campaign.chaos.*``
+fault-ledger totals) via
 :func:`repro.obs.export.counter_snapshot`, so a consumer can render a
 live gauge without holding any other state.  The final counter totals
 are on :attr:`CampaignReport.counters`.
@@ -53,7 +46,7 @@ are on :attr:`CampaignReport.counters`.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.campaign import chaos
@@ -68,14 +61,10 @@ from repro.campaign.jobs import (
 from repro.campaign.journal import Journal, read_journal
 from repro.campaign.scenarios import job_config
 from repro.campaign.store import ArtifactStore
-from repro.campaign.workers import run_specs
-from repro.resilience.policy import RetryPolicy
+from repro.campaign.workers import check_pool_args, run_specs
 
 __all__ = ["ProgressEvent", "JobOutcome", "CampaignReport",
-           "CampaignService", "grid", "BREAKER_ERROR_PREFIX"]
-
-#: error-string prefix marking a job failed by an open circuit breaker
-BREAKER_ERROR_PREFIX = "circuit breaker open"
+           "CampaignService", "grid"]
 
 
 @dataclass(frozen=True)
@@ -198,14 +187,10 @@ class CampaignService:
         caching — every job executes.
     workers, timeout, max_retries:
         Pool knobs, passed through to
-        :func:`repro.campaign.workers.run_specs`.
-    retry:
-        Crash-retry backoff schedule
-        (:class:`~repro.resilience.policy.RetryPolicy`); ``None`` uses
-        the pool default.
-    breaker_threshold:
-        Consecutive executed failures of one scenario that trip its
-        circuit breaker; ``None`` (the default) disables the breaker.
+        :func:`repro.campaign.workers.run_specs`.  Checked here, so a
+        bad value fails before any job runs or any cache is read:
+        ``workers >= 1``, ``max_retries >= 0``, and ``timeout`` (host
+        seconds) positive and only with ``workers >= 2``.
     """
 
     def __init__(
@@ -215,19 +200,14 @@ class CampaignService:
         workers: int = 1,
         timeout: float | None = None,
         max_retries: int = 1,
-        retry: RetryPolicy | None = None,
-        breaker_threshold: int | None = None,
     ):
+        check_pool_args(workers, timeout, max_retries)
         if isinstance(store, (str, bytes)) or hasattr(store, "__fspath__"):
             store = ArtifactStore(store)
-        if breaker_threshold is not None and breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
         self.store = store
         self.workers = workers
         self.timeout = timeout
         self.max_retries = max_retries
-        self.retry = retry
-        self.breaker_threshold = breaker_threshold
 
     # -- public entry points -------------------------------------------------
 
@@ -237,7 +217,6 @@ class CampaignService:
         progress: Callable[[ProgressEvent], None] | None = None,
         *,
         journal: str | None = None,
-        journal_fsync: str = "terminal",
     ) -> CampaignReport:
         """Execute a campaign; see the module docstring for the flow.
 
@@ -252,9 +231,11 @@ class CampaignService:
                     "journaling requires an artifact store: the journal "
                     "records artifact hashes, the store holds the bytes"
                 )
+            # the header options are what `resume` rebuilds the pool from
             jr = Journal.create(
                 journal, specs, store_root=str(self.store.root),
-                options=self._options(), fsync=journal_fsync,
+                options={"workers": self.workers, "timeout": self.timeout,
+                         "max_retries": self.max_retries},
             )
         return self._run(specs, progress, journal=jr)
 
@@ -263,8 +244,6 @@ class CampaignService:
         cls,
         journal: str,
         progress: Callable[[ProgressEvent], None] | None = None,
-        *,
-        journal_fsync: str = "terminal",
     ) -> CampaignReport:
         """Finish a journaled campaign after a crash.
 
@@ -272,8 +251,9 @@ class CampaignService:
         pool knobs), restores every job whose terminal record landed
         (artifacts come back from the store — never recomputed),
         re-queues in-flight jobs with their recorded attempt number,
-        compacts the journal in place, and runs the remainder.  The
-        returned report is byte-identical to an uninterrupted run's.
+        reopens the journal at the end of its trusted prefix, and runs
+        the remainder.  The returned report is byte-identical to an
+        uninterrupted run's.
         """
         from repro.obs.recorder import ObsRecorder
 
@@ -281,14 +261,11 @@ class CampaignService:
         if state.store_root is None:
             raise ValueError(f"journal {journal!r} records no store root")
         opts = state.options
-        retry_opts = opts.get("retry")
         service = cls(
             store=state.store_root,
             workers=int(opts.get("workers", 1)),
             timeout=opts.get("timeout"),
             max_retries=int(opts.get("max_retries", 1)),
-            retry=RetryPolicy(**retry_opts) if retry_opts else None,
-            breaker_threshold=opts.get("breaker_threshold"),
         )
         store = service.store
         rec = ObsRecorder()
@@ -314,16 +291,13 @@ class CampaignService:
                 rec.count("campaign.restored")
                 if js.cached:
                     store.hits += 1
-                    restored[i] = JobOutcome(
-                        spec, spec.digest, DONE, cached=True, artifact=artifact,
-                        artifact_sha256=js.artifact_sha256,
-                    )
                 else:
                     store.misses += 1
-                    restored[i] = JobOutcome(
-                        spec, spec.digest, DONE, attempts=js.attempts,
-                        artifact=artifact, artifact_sha256=js.artifact_sha256,
-                    )
+                restored[i] = JobOutcome(
+                    spec, spec.digest, DONE, cached=js.cached,
+                    attempts=js.attempts, artifact=artifact,
+                    artifact_sha256=js.artifact_sha256,
+                )
             elif js.state == FAILED:
                 rec.count("campaign.restored")
                 store.misses += 1
@@ -340,23 +314,13 @@ class CampaignService:
                 bypass.add(i)
                 initial[i] = max(1, js.attempts)
                 store.misses += 1
-        jr = Journal.rotate(journal, state, fsync=journal_fsync)
+        jr = Journal.reopen(journal, state)
         return service._run(
             state.specs, progress, journal=jr, restored=restored,
             bypass=bypass, initial_attempts=initial, rec=rec,
         )
 
     # -- internals -----------------------------------------------------------
-
-    def _options(self) -> dict[str, Any]:
-        """The journal-header options block ``resume`` rebuilds from."""
-        return {
-            "workers": self.workers,
-            "timeout": self.timeout,
-            "max_retries": self.max_retries,
-            "breaker_threshold": self.breaker_threshold,
-            "retry": asdict(self.retry) if self.retry is not None else None,
-        }
 
     def _run(
         self,
@@ -430,7 +394,7 @@ class CampaignService:
 
         if to_run:
             self._run_pool(specs, to_run, outcomes, digests, rec,
-                           emit, jwrite, journal, restored, initial_attempts)
+                           emit, jwrite, initial_attempts)
 
         final = [o for o in outcomes if o is not None]
         report = CampaignReport(
@@ -459,50 +423,15 @@ class CampaignService:
         return report
 
     def _run_pool(self, specs, to_run, outcomes, digests, rec,
-                  emit, jwrite, journal, restored, initial_attempts) -> None:
-        """Fan the cache misses over the worker pool, wiring in the
-        breaker gate, completion-time persistence, and the journal."""
-        # Per-scenario consecutive-failure counts; replaying restored
-        # outcomes (submission order) re-arms a breaker that was open
-        # at the crash.
-        breaker_counts: dict[str, int] = {}
-        breaker_open: set[str] = set()
-
-        def note_outcome(scenario: str, failed: bool, skipped: bool) -> None:
-            if self.breaker_threshold is None or skipped:
-                return
-            if not failed:
-                breaker_counts[scenario] = 0
-                return
-            count = breaker_counts.get(scenario, 0) + 1
-            breaker_counts[scenario] = count
-            if count >= self.breaker_threshold and scenario not in breaker_open:
-                breaker_open.add(scenario)
-                rec.count("campaign.breaker_trips")
-
-        for i in sorted(restored):
-            out = restored[i]
-            skipped = bool(out.error and
-                           out.error.startswith(BREAKER_ERROR_PREFIX))
-            note_outcome(out.spec.scenario, out.state == FAILED, skipped)
-
-        def gate(spec: JobSpec) -> str | None:
-            if spec.scenario in breaker_open:
-                rec.count("campaign.breaker_skipped")
-                return (
-                    f"{BREAKER_ERROR_PREFIX}: scenario "
-                    f"{spec.scenario!r} reached "
-                    f"{self.breaker_threshold} consecutive failures"
-                )
-            return None
-
+                  emit, jwrite, initial_attempts) -> None:
+        """Fan the cache misses over the worker pool, wiring in
+        completion-time persistence and the journal."""
         def on_result(pool_index: int, result) -> None:
             # Fires at resolution time (completion order): persist the
             # artifact and journal the terminal state as soon as they
             # exist — a crash after this point never recomputes the job.
             index = to_run[pool_index]
             spec = result.spec
-            skipped = bool(result.detail.get("skipped"))
             if result.state == DONE:
                 sha = content_digest(result.artifact)
                 if self.store is not None:
@@ -523,8 +452,7 @@ class CampaignService:
                 if result.detail.get("timeout"):
                     rec.count("campaign.timeouts")
                 jwrite("record_failed", index, result.attempts,
-                       result.error, breaker=skipped)
-            note_outcome(spec.scenario, result.state == FAILED, skipped)
+                       result.error)
 
         def relay(event: str, pool_index: int, spec: JobSpec,
                   detail: dict) -> None:
@@ -545,8 +473,6 @@ class CampaignService:
             [specs[i] for i in to_run],
             workers=self.workers, timeout=self.timeout,
             max_retries=self.max_retries, progress=relay,
-            retry=self.retry,
-            gate=gate if self.breaker_threshold is not None else None,
             on_result=on_result,
             initial_attempts=[
                 initial_attempts.get(i, 1) for i in to_run

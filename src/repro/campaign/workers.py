@@ -1,95 +1,62 @@
-"""The campaign worker pool: supervised fan-out of job specs over OS
-processes.
+"""The campaign worker pool: long-lived worker processes, one pipe each.
 
 Every DES run is single-threaded and a pure function of its spec, so
-the pool is the whole parallelization story: ``workers=1`` executes
-inline in the calling process (zero overhead, byte-identical to the
-historical serial loops), ``workers=N`` fans the queue over a
-``concurrent.futures.ProcessPoolExecutor`` with a sliding submission
-window of at most ``N`` jobs in flight — a submitted job is a
-*started* job, so its lease clock is honest.
+the pool is the whole parallelization story.  ``workers=1`` runs inline
+in the calling process.  ``workers=N`` starts up to ``N`` workers, each
+with its own pipe and at most one job, so the supervisor always knows
+which job each worker holds.  It waits on every pipe and process
+sentinel (:func:`multiprocessing.connection.wait`), with the nearest
+job deadline or retry backoff as its timeout.
 
-Supervision model
------------------
-* **Leases.**  Each in-flight job holds a :class:`Lease` (attempt
-  number, start time, expiry deadline).  The worker *claims* the lease
-  on disk when it picks the job up (a small JSON file carrying its
-  pid) and releases it on completion; the supervisor checks expiry
-  every time it wakes.
-* **Per-job timeout, no pool rebuild.**  A job whose lease expires is
-  failed individually and its future *abandoned* — concurrent jobs
-  keep running and their completed work is kept.  The wedged worker
-  quietly rejoins the window when its task eventually ends; only if
-  every worker is wedged is the pool rebuilt to restore capacity.
-* **Crash blame by lease + exit code.**  A worker that dies (SIGKILL,
-  ``os._exit``, OOM) breaks the pool; the executor SIGTERMs the other
-  workers.  The supervisor reads the leftover lease claims and each
-  worker's exit code: leases whose worker died of anything *other*
-  than the executor's SIGTERM are blamed (crash count incremented);
-  the rest are victims and re-queued without a strike.
-* **Seeded backoff.**  Blamed jobs wait out a
-  :class:`~repro.resilience.policy.RetryPolicy` delay (exponential,
-  jittered, deterministic per seed) before resubmission, up to
-  ``max_retries`` extra attempts, then fail.  Jobs that merely *raise*
-  fail immediately — a deterministic exception would just raise again.
-* **Admission gate.**  ``gate(spec)`` runs at submission time; a
-  non-``None`` reason fails the job without executing it (the
-  service's circuit breaker plugs in here).
-* **No orphans.**  Each worker arms ``PR_SET_PDEATHSIG`` (with a
-  ppid-polling watchdog thread as the portable fallback) so that if
-  the *supervisor* dies — SIGKILL, OOM, a chaos driver-kill — its
-  workers die with it instead of blocking forever on the call queue
-  and holding inherited pipes open.
+* A worker that dies (SIGKILL, ``os._exit``, OOM) is blamed for
+  exactly the job it held and replaced.  The job retries after a
+  seeded :data:`RETRY_BACKOFF` delay, up to ``max_retries`` extra
+  attempts.  A job that *raises* fails at once: a deterministic
+  exception would raise again.
+* A job past its ``timeout`` fails; only its worker is killed and
+  replaced.
+* Between jobs a worker blocks on its pipe and exits at EOF, so a dead
+  supervisor leaves no orphans.  For that EOF to come, a forked worker
+  closes the supervisor-side pipe ends it inherited: its own and its
+  elder siblings'.
 
-Guarantees
-----------
-Results come back indexed by submission position regardless of
-completion order, and progress *outcome* events (``finished`` /
-``failed``) are emitted in submission order too — a 4-worker run and a
-1-worker run of the same specs produce the identical result list.  The
-``on_result`` callback, by contrast, fires immediately at resolution
-(completion order): it is the durability hook the campaign service
-uses to cache artifacts and journal terminal states as soon as they
-exist.
+Results and outcome events (``finished`` / ``failed``) come in
+submission order at any worker count.  ``on_result`` fires at
+resolution, in completion order: the service's hook for caching
+artifacts and journaling terminal states as soon as they exist.
 """
 
 from __future__ import annotations
 
 import collections
-import concurrent.futures
 import heapq
-import json
-import os
-import pathlib
-import shutil
-import signal
-import tempfile
+import math
+import multiprocessing
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Any, Callable, Sequence
 
+from repro.campaign import chaos
 from repro.campaign.jobs import DONE, FAILED, JobSpec
+from repro.campaign.scenarios import run_job
 from repro.resilience.policy import RetryPolicy
 
-__all__ = ["JobResult", "Lease", "DEFAULT_RETRY", "run_specs"]
+__all__ = ["JobResult", "RETRY_BACKOFF", "check_pool_args", "run_specs"]
 
 #: progress callback signature: (event, index, spec, detail)
 ProgressFn = Callable[[str, int, JobSpec, dict], None]
 #: completion-order result hook: (index, result) at resolution time
 ResultFn = Callable[[int, "JobResult"], None]
-#: admission gate: spec -> None (run it) or a structured skip reason
-GateFn = Callable[[JobSpec], "str | None"]
 
-#: default crash-retry backoff: short, capped, jittered, seeded
-DEFAULT_RETRY = RetryPolicy(
-    base_delay=0.05, backoff=2.0, max_delay=2.0, jitter=0.25, seed=0
-)
+#: crash-retry backoff: short, capped, jittered, seeded
+RETRY_BACKOFF = RetryPolicy(base_delay=0.05, backoff=2.0, max_delay=2.0,
+                            jitter=0.25, seed=0)
 
 
 @dataclass
 class JobResult:
-    """Outcome of one executed spec (never a cache hit — the service
-    short-circuits those before the pool sees them)."""
+    """Outcome of one executed spec (cache hits never reach the pool)."""
 
     spec: JobSpec
     state: str                      # DONE or FAILED
@@ -99,453 +66,214 @@ class JobResult:
     detail: dict = field(default_factory=dict)
 
 
-@dataclass
-class Lease:
-    """The supervisor's claim record for one in-flight job."""
-
-    index: int
-    attempt: int                    # 1-based attempt number
-    started: float                  # monotonic submission time
-    deadline: float | None          # started + timeout, or None
-
-    def expired(self, now: float) -> bool:
-        return self.deadline is not None and now >= self.deadline
-
-
-def _worker_init(parent_pid: int) -> None:
-    """Pool-worker initializer: die when the supervisor dies.
-
-    A SIGKILLed supervisor (chaos driver-kill, OOM) cannot shut its
-    pool down; orphaned workers would block forever reading the call
-    queue — and keep any inherited pipes (CI log capture!) open.  On
-    Linux, ``prctl(PR_SET_PDEATHSIG, SIGKILL)`` makes the kernel
-    deliver the kill; elsewhere a daemon thread polls ``getppid()``.
-    """
-    armed = False
-    try:
-        import ctypes
-
-        libc = ctypes.CDLL(None, use_errno=True)
-        PR_SET_PDEATHSIG = 1
-        armed = libc.prctl(PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0) == 0
-    except Exception:  # noqa: BLE001 — fall through to the watchdog
-        armed = False
-    if os.getppid() != parent_pid:
-        # the supervisor died in the gap before prctl armed
-        os._exit(1)
-    if not armed:
-        import threading
-
-        def _watch() -> None:
-            while True:
-                if os.getppid() != parent_pid:
-                    os._exit(1)
-                time.sleep(0.5)
-
-        threading.Thread(target=_watch, daemon=True).start()
+def check_pool_args(workers: int, timeout: float | None,
+                    max_retries: int) -> None:
+    """Raise ``ValueError`` for pool arguments the pool cannot honour."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+    if timeout is not None and not (timeout > 0 and math.isfinite(timeout)):
+        raise ValueError(
+            f"timeout must be a positive number of seconds, got {timeout}")
+    if timeout is not None and workers == 1:
+        raise ValueError("timeout needs workers >= 2: the inline path "
+                         "(workers=1) has no supervisor to enforce it")
 
 
-def _execute(
-    payload: dict,
-    index: int = 0,
-    attempt: int = 1,
-    lease_dir: str | None = None,
-    inject: bool = True,
-) -> dict:
-    """Worker-side entry point (module-level, hence picklable).
-
-    Claims the job's lease on disk before running and releases it
-    after, so the supervisor can attribute a worker death to the exact
-    job it was executing.  Chaos worker-kill hooks fire here, in the
-    worker's own address space.
-    """
-    from repro.campaign.jobs import JobSpec as _JobSpec
-
-    spec = _JobSpec.from_dict(payload)
-    digest = spec.digest
-    lease_path = None
-    if lease_dir is not None:
-        lease_path = pathlib.Path(lease_dir) / f"{index:05d}.json"
-        lease_path.write_text(json.dumps({
-            "index": index, "attempt": attempt,
-            "pid": os.getpid(), "digest": digest[:12],
-        }))
+def _attempt(spec: JobSpec, attempt: int, inject: bool) -> tuple[bool, Any]:
+    """Run one attempt: ``(True, artifact)`` or ``(False, error)``.
+    ``inject`` (pool workers only) arms the chaos worker-kill hooks;
+    inline they would kill the campaign itself."""
     try:
         if inject:
-            from repro.campaign import chaos
-
-            chaos.maybe_kill_worker(digest, attempt, "before")
-        from repro.campaign.scenarios import run_job
-
+            chaos.maybe_kill_worker(spec.digest, attempt, "before")
         artifact = run_job(spec)
         if inject:
-            chaos.maybe_kill_worker(digest, attempt, "after")
-        return artifact
-    finally:
-        if lease_path is not None:
-            try:
-                lease_path.unlink()
-            except OSError:
-                pass
+            chaos.maybe_kill_worker(spec.digest, attempt, "after")
+        return True, artifact
+    except Exception as exc:  # noqa: BLE001 — job errors become results
+        return False, f"{type(exc).__name__}: {exc}"
 
 
-def _progress(fn: ProgressFn | None, event: str, index: int,
-              spec: JobSpec, detail: dict) -> None:
-    if fn is not None:
-        fn(event, index, spec, detail)
+def _serve(conn, inherited) -> None:
+    """Worker process body: one ``(spec, attempt)`` in, one reply out,
+    until the supervisor's end of the pipe closes."""
+    for end in inherited:
+        end.close()
+    while True:
+        try:
+            spec, attempt = conn.recv()
+            conn.send(_attempt(spec, attempt, inject=True))
+        except (EOFError, OSError):
+            return
 
 
-def run_specs(
-    specs: Sequence[JobSpec],
-    *,
-    workers: int = 1,
-    timeout: float | None = None,
-    max_retries: int = 1,
-    progress: ProgressFn | None = None,
-    retry: RetryPolicy | None = None,
-    gate: GateFn | None = None,
-    on_result: ResultFn | None = None,
-    initial_attempts: Sequence[int] | None = None,
-) -> list[JobResult]:
-    """Execute every spec; returns one :class:`JobResult` per spec, in
-    submission order.
+class _Worker:
+    """The supervisor's handle on one worker: process, pipe, and the
+    job it holds (``index is None`` when idle)."""
 
-    ``max_retries`` bounds *extra* attempts after a worker crash;
-    ``retry`` supplies the backoff schedule between them (defaults to
-    :data:`DEFAULT_RETRY`).  ``initial_attempts`` seeds per-job crash
-    counts — the resume path passes the attempt numbers recovered from
-    the journal, so a resumed job keeps its remaining budget.  See the
-    module docstring for ``timeout``, ``gate``, and ``on_result``.
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if max_retries < 0:
-        raise ValueError("max_retries must be >= 0")
+    def __init__(self, elders: Sequence["_Worker"]):
+        self.conn, child = multiprocessing.Pipe()
+        inherited = [self.conn, *(w.conn for w in elders)]
+        self.proc = multiprocessing.Process(target=_serve,
+                                            args=(child, inherited))
+        self.proc.start()
+        child.close()
+        self.index: int | None = None
+        self.attempt = 0
+        self.deadline: float | None = None
+
+    def stop(self) -> None:
+        """Kill the worker if it holds a job, else let it exit at EOF."""
+        if self.index is not None:
+            self.proc.kill()
+        self.conn.close()
+        self.proc.join(5.0)
+        if self.proc.exitcode is None:   # it ignored the EOF
+            self.proc.kill()
+            self.proc.join()
+
+
+def run_specs(specs: Sequence[JobSpec], *, workers: int = 1,
+              timeout: float | None = None, max_retries: int = 1,
+              progress: ProgressFn | None = None,
+              on_result: ResultFn | None = None,
+              initial_attempts: Sequence[int] | None = None,
+              ) -> list[JobResult]:
+    """Execute every spec; one :class:`JobResult` per spec, in
+    submission order.  ``max_retries`` bounds *extra* attempts after a
+    worker crash.  ``initial_attempts`` seeds per-job attempt numbers:
+    resume passes those recovered from the journal, so a resumed job
+    keeps its remaining budget."""
+    check_pool_args(workers, timeout, max_retries)
     if initial_attempts is not None and len(initial_attempts) != len(specs):
         raise ValueError("initial_attempts must match specs length")
-    if not specs:
-        return []
-    retry = retry if retry is not None else DEFAULT_RETRY
-    runner = _Run(specs, workers, timeout, max_retries, progress, retry,
-                  gate, on_result, initial_attempts)
-    if workers == 1:
-        return runner.run_inline()
-    return runner.run_pooled()
+    run = _Run(specs, workers, timeout, max_retries, progress, on_result,
+               initial_attempts)
+    return run.pooled() if workers > 1 and specs else run.inline()
 
 
 class _Run:
     """One `run_specs` invocation's mutable state."""
 
     def __init__(self, specs, workers, timeout, max_retries, progress,
-                 retry, gate, on_result, initial_attempts):
-        self.specs = specs
-        self.workers = workers
-        self.timeout = timeout
+                 on_result, initial_attempts):
+        self.specs, self.workers, self.timeout = specs, workers, timeout
         self.max_retries = max_retries
-        self.progress = progress
-        self.retry = retry
-        self.gate = gate
-        self.on_result = on_result
-        n = len(specs)
+        self.progress = progress or (lambda *event: None)
+        self.on_result = on_result or (lambda *result: None)
         #: crash strikes per job (attempt number = crashes + 1)
-        self.crashes = (
-            [max(0, int(a) - 1) for a in initial_attempts]
-            if initial_attempts is not None else [0] * n
-        )
-        self.results: list[JobResult | None] = [None] * n
-        # outcome events buffered so they emit in submission order
-        self._pending_events: dict[int, tuple[str, dict]] = {}
-        self._emitted = 0
+        self.crashes = [max(0, int(a) - 1) for a in
+                        (initial_attempts or [1] * len(specs))]
+        self.results: list[JobResult | None] = [None] * len(specs)
+        self._emitted = 0     # outcome events emitted, in submission order
 
-    # -- shared settle/emit machinery ----------------------------------------
-
-    def _settle(self, index: int, result: JobResult) -> None:
-        """Record a terminal result: `on_result` fires immediately (in
-        completion order); the outcome event is buffered until every
-        earlier job has settled (submission order)."""
-        self.results[index] = result
-        if self.on_result is not None:
-            self.on_result(index, result)
-        if result.state == DONE:
-            event, detail = "finished", {"attempts": result.attempts}
+    def _settle(self, index: int, attempts: int, ok: bool, value: Any,
+                **detail: Any) -> None:
+        """Record job ``index``'s artifact (``ok``) or error.  `on_result`
+        fires now; the outcome event waits for every earlier job."""
+        spec = self.specs[index]
+        if ok:
+            result = JobResult(spec, DONE, artifact=value, attempts=attempts)
         else:
-            event = "failed"
-            detail = {"error": result.error, "attempts": result.attempts}
-        detail.update(result.detail)
-        self._pending_events[index] = (event, detail)
-        while (self._emitted < len(self.specs)
+            result = JobResult(spec, FAILED, error=value, attempts=attempts,
+                               detail=detail)
+        self.results[index] = result
+        self.on_result(index, result)
+        while (self._emitted < len(self.results)
                and self.results[self._emitted] is not None):
-            ev, det = self._pending_events.pop(self._emitted)
-            _progress(self.progress, ev, self._emitted,
-                      self.specs[self._emitted], det)
+            r = self.results[self._emitted]
+            info = {"attempts": r.attempts, **r.detail}
+            if r.state == FAILED:
+                info["error"] = r.error
+            self.progress("finished" if r.state == DONE else "failed",
+                          self._emitted, r.spec, info)
             self._emitted += 1
 
-    def _gate_reason(self, index: int) -> str | None:
-        return self.gate(self.specs[index]) if self.gate is not None else None
-
-    def _settle_skipped(self, index: int, reason: str) -> None:
-        self._settle(index, JobResult(
-            self.specs[index], FAILED, error=reason,
-            attempts=self.crashes[index], detail={"skipped": True},
-        ))
-
-    # -- inline execution (workers=1) ----------------------------------------
-
-    def run_inline(self) -> list[JobResult]:
-        """Serial in-process execution.  ``timeout`` is not enforced
-        (there is no concurrent supervisor to measure it) and a worker
-        *crash* is a campaign crash — which the journal survives."""
+    def inline(self) -> list[JobResult]:
+        """Serial in-process execution; a crash here is a campaign
+        crash, which the journal survives."""
         for i, spec in enumerate(self.specs):
-            reason = self._gate_reason(i)
-            if reason is not None:
-                self._settle_skipped(i, reason)
-                continue
             attempt = self.crashes[i] + 1
-            _progress(self.progress, "started", i, spec,
-                      {"attempt": attempt})
-            try:
-                artifact = _execute(spec.to_dict(), i, attempt, None,
-                                    inject=False)
-            except Exception as exc:  # noqa: BLE001 — job errors become results
-                self._settle(i, JobResult(
-                    spec, FAILED, attempts=attempt,
-                    error=f"{type(exc).__name__}: {exc}",
-                ))
-                continue
-            self._settle(i, JobResult(
-                spec, DONE, artifact=artifact, attempts=attempt,
-            ))
-        return [r for r in self.results if r is not None]
+            self.progress("started", i, spec, {"attempt": attempt})
+            self._settle(i, attempt, *_attempt(spec, attempt, inject=False))
+        return self.results
 
-    # -- pooled execution ----------------------------------------------------
-
-    def run_pooled(self) -> list[JobResult]:
-        self.ready: collections.deque[int] = collections.deque(
-            i for i in range(len(self.specs)) if self.results[i] is None
-        )
+    def pooled(self) -> list[JobResult]:
+        self.ready = collections.deque(range(len(self.specs)))
         self.delayed: list[tuple[float, int]] = []   # (not_before, index)
-        self.inflight: dict[concurrent.futures.Future, Lease] = {}
-        self.abandoned: set[concurrent.futures.Future] = set()
-        self.stuck = 0
-        self.broken = False
-        self.lease_dir = tempfile.mkdtemp(prefix="repro-campaign-leases-")
-        self.executor = concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_worker_init, initargs=(os.getpid(),),
-        )
-        self._procs: dict[int, Any] = {}   # pid -> Process, this pool
+        self.pool: list[_Worker] = []
         try:
-            while self.ready or self.delayed or self.inflight:
-                self._step()
+            while (self.ready or self.delayed
+                   or any(w.index is not None for w in self.pool)):
+                now = time.monotonic()
+                while self.delayed and self.delayed[0][0] <= now:
+                    self.ready.append(heapq.heappop(self.delayed)[1])
+                idle = [w for w in self.pool if w.index is None]
+                while self.ready and (idle or len(self.pool) < self.workers):
+                    if not idle:
+                        self.pool.append(_Worker(self.pool))
+                        idle.append(self.pool[-1])
+                    self._hand(idle.pop(), self.ready.popleft(), now)
+                self._wait(now)
         finally:
-            # On a clean drain the workers are idle, so waiting is
-            # instant and keeps the atexit hook from poking an
-            # already-closed pipe; with abandoned (wedged) futures,
-            # don't block on the join.
-            self.executor.shutdown(
-                wait=not self.abandoned and not self.inflight,
-                cancel_futures=True,
-            )
-            shutil.rmtree(self.lease_dir, ignore_errors=True)
-        return [r for r in self.results if r is not None]
+            for w in self.pool:
+                w.stop()
+        return self.results
 
-    def _step(self) -> None:
-        now = time.monotonic()
-        self._submit_ready(now)
-        self._procs.update(getattr(self.executor, "_processes", None) or {})
-        if not self.inflight:
-            if self.broken:
-                self._handle_broken_pool()
-                return
-            if self.stuck >= self.workers:
-                self._rebuild()      # every worker wedged: reclaim capacity
-                return
-            if self.delayed and not self.ready:
-                # nothing running, nothing submittable: sleep out the
-                # earliest retry backoff
-                time.sleep(max(0.0, self.delayed[0][0] - time.monotonic()))
-            return
-        done = self._wait(now)
-        now = time.monotonic()
-        broke = False
-        for fut in done:
-            if fut in self.abandoned:
-                # a wedged worker finally finished its abandoned job;
-                # its slot rejoins the submission window
-                self.abandoned.discard(fut)
-                self.stuck -= 1
-                continue
-            lease = self.inflight.get(fut)
-            if lease is None:
-                continue
-            exc = fut.exception()
-            if isinstance(exc, concurrent.futures.process.BrokenProcessPool):
-                broke = True
-                continue        # handled wholesale below
-            del self.inflight[fut]
-            if exc is None:
-                self._settle(lease.index, JobResult(
-                    self.specs[lease.index], DONE, artifact=fut.result(),
-                    attempts=lease.attempt,
-                ))
-            else:
-                self._settle(lease.index, JobResult(
-                    self.specs[lease.index], FAILED, attempts=lease.attempt,
-                    error=f"{type(exc).__name__}: {exc}",
-                ))
-        if broke or self.broken:
-            self._handle_broken_pool()
-            return
-        self._expire_leases(now)
+    def _hand(self, w: _Worker, index: int, now: float) -> None:
+        """Give job ``index`` to idle worker ``w``."""
+        w.index, w.attempt = index, self.crashes[index] + 1
+        self.progress("started", index, self.specs[index],
+                      {"attempt": w.attempt})
+        w.deadline = None if self.timeout is None else now + self.timeout
+        try:
+            w.conn.send((self.specs[index], w.attempt))
+        except OSError:
+            pass  # it died idle: the next wait blames the job it now holds
 
-    def _submit_ready(self, now: float) -> None:
-        while self.delayed and self.delayed[0][0] <= now:
-            _, index = heapq.heappop(self.delayed)
-            self.ready.append(index)
-        capacity = self.workers - self.stuck
-        while self.ready and len(self.inflight) < capacity:
-            index = self.ready.popleft()
-            reason = self._gate_reason(index)
-            if reason is not None:
-                self._settle_skipped(index, reason)
-                continue
-            attempt = self.crashes[index] + 1
-            try:
-                fut = self.executor.submit(
-                    _execute, self.specs[index].to_dict(), index, attempt,
-                    self.lease_dir,
-                )
-            except concurrent.futures.process.BrokenProcessPool:
-                # A worker death was noticed at submit time; put the
-                # job back and let the crash handler sort out blame.
-                self.ready.appendleft(index)
-                self.broken = True
-                return
-            self.inflight[fut] = Lease(
-                index, attempt, now,
-                now + self.timeout if self.timeout is not None else None,
-            )
-            _progress(self.progress, "started", index, self.specs[index],
-                      {"attempt": attempt})
-
-    def _wait(self, now: float) -> set:
-        """Block until something completes, a lease expires, or a
-        delayed retry matures."""
-        horizon = None
-        for lease in self.inflight.values():
-            if lease.deadline is not None:
-                horizon = (lease.deadline if horizon is None
-                           else min(horizon, lease.deadline))
+    def _wait(self, now: float) -> None:
+        """Block until a worker replies or dies, a deadline passes, or a
+        retry backoff matures; then settle what happened."""
+        horizon = [w.deadline for w in self.pool if w.deadline is not None]
         if self.delayed:
-            maturity = self.delayed[0][0]
-            horizon = maturity if horizon is None else min(horizon, maturity)
-        wait_s = None if horizon is None else max(0.0, horizon - now)
-        done, _not_done = concurrent.futures.wait(
-            set(self.inflight) | self.abandoned, timeout=wait_s,
-            return_when=concurrent.futures.FIRST_COMPLETED,
-        )
-        return done
-
-    def _expire_leases(self, now: float) -> None:
-        for fut, lease in list(self.inflight.items()):
-            if lease.expired(now) and not fut.done():
-                del self.inflight[fut]
-                fut.cancel()                # no-op if already running
-                self.abandoned.add(fut)     # the worker stays wedged on it
-                self.stuck += 1
-                self._settle(lease.index, JobResult(
-                    self.specs[lease.index], FAILED, attempts=lease.attempt,
-                    error=f"timeout: no result within {self.timeout}s",
-                    detail={"timeout": True},
-                ))
-
-    # -- crash handling ------------------------------------------------------
-
-    def _leftover_leases(self) -> dict[int, int]:
-        """index -> pid for every on-disk lease claim not yet released."""
-        claims: dict[int, int] = {}
-        for path in pathlib.Path(self.lease_dir).glob("*.json"):
-            try:
-                data = json.loads(path.read_text())
-                claims[int(data["index"])] = int(data["pid"])
-            except (OSError, ValueError, KeyError):
-                continue
-        return claims
-
-    def _worker_exitcodes(self) -> dict[int, int | None]:
-        codes: dict[int, int | None] = {}
-        for pid, proc in list(self._procs.items()):
-            try:
-                proc.join(timeout=2.0)
-                codes[pid] = proc.exitcode
-            except Exception:  # noqa: BLE001 — best-effort forensics
-                codes[pid] = None
-        return codes
-
-    def _handle_broken_pool(self) -> None:
-        """A worker died and the executor tore the pool down (victims
-        get SIGTERM).  Salvage completed results, blame the leases
-        whose worker died of anything but that SIGTERM, requeue the
-        victims, and rebuild."""
-        concurrent.futures.wait(set(self.inflight), timeout=10.0)
-        claims = self._leftover_leases()
-        codes = self._worker_exitcodes()
-        inflight_indexes = {l.index for l in self.inflight.values()}
-        blamed = {
-            index for index, pid in claims.items()
-            if index in inflight_indexes
-            and codes.get(pid) not in (None, 0, -signal.SIGTERM)
-        }
-        if not blamed and claims:
-            # Exit codes unavailable (exotic platform): single
-            # conservative strike on the earliest claimed job.
-            candidates = sorted(i for i in claims if i in inflight_indexes)
-            if candidates:
-                blamed = {candidates[0]}
+            horizon.append(self.delayed[0][0])
+        fired = set(wait(
+            [h for w in self.pool for h in (w.conn, w.proc.sentinel)],
+            max(0.0, min(horizon) - now) if horizon else None,
+        ))
         now = time.monotonic()
-        for fut, lease in sorted(self.inflight.items(),
-                                 key=lambda kv: kv[1].index):
-            index = lease.index
-            if fut.done() and not fut.cancelled() and fut.exception() is None:
-                # finished before the pool broke: keep the work
-                self._settle(index, JobResult(
-                    self.specs[index], DONE, artifact=fut.result(),
-                    attempts=lease.attempt,
-                ))
-            elif index in blamed:
-                self.crashes[index] += 1
-                if self.crashes[index] > self.max_retries:
-                    self._settle(index, JobResult(
-                        self.specs[index], FAILED,
-                        attempts=self.crashes[index],
-                        error=(
-                            "worker process died "
-                            f"({self.crashes[index]} attempt(s), "
-                            "retries exhausted)"
-                        ),
-                        detail={"crash": True},
-                    ))
-                else:
-                    delay = self.retry.delay(self.crashes[index] - 1)
-                    heapq.heappush(self.delayed, (now + delay, index))
-            else:
-                # victim of a neighbor's crash: resubmit, no strike
-                self.ready.append(index)
-        self.inflight.clear()
-        self._rebuild()
+        for w in list(self.pool):
+            died = w.proc.sentinel in fired
+            if w.conn in fired or died:
+                try:
+                    reply = w.conn.recv() if w.conn.poll() else None
+                except (EOFError, OSError):
+                    reply = None
+                if reply is not None:
+                    index, w.index, w.deadline = w.index, None, None
+                    self._settle(index, w.attempt, *reply)
+                if reply is None or died:
+                    self.pool.remove(w)
+                    w.stop()
+                    if w.index is not None:
+                        self._crashed(w.index, now)
+            elif w.deadline is not None and now >= w.deadline:
+                self.pool.remove(w)
+                w.stop()
+                self._settle(w.index, w.attempt, False,
+                             f"timeout: no result within {self.timeout}s",
+                             timeout=True)
 
-    def _rebuild(self) -> None:
-        self.executor.shutdown(wait=False, cancel_futures=True)
-        self.executor = concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_worker_init, initargs=(os.getpid(),),
-        )
-        self._procs = {}
-        self.abandoned.clear()
-        self.stuck = 0
-        self.broken = False
-        for path in pathlib.Path(self.lease_dir).glob("*.json"):
-            try:
-                path.unlink()
-            except OSError:
-                pass
+    def _crashed(self, index: int, now: float) -> None:
+        """The worker holding job ``index`` died: retry it or fail it."""
+        self.crashes[index] += 1
+        strikes = self.crashes[index]
+        if strikes > self.max_retries:
+            self._settle(index, strikes, False,
+                         f"worker process died ({strikes} attempt(s), "
+                         "retries exhausted)", crash=True)
+        else:
+            heapq.heappush(self.delayed,
+                           (now + RETRY_BACKOFF.delay(strikes - 1), index))

@@ -180,8 +180,9 @@ class _Mailbox:
         self.pending: list[Message] = []
         self.waiters: list[tuple[int, int, Event]] = []
 
-    # ``_matches`` is inlined in the two scans below: one call per
-    # scanned entry is measurable at 96k deliveries per iteration.
+    # The source/tag match is spelled out in both scans below rather
+    # than called: one call per scanned entry is measurable at 96k
+    # deliveries per iteration.
     def deliver(self, msg: Message) -> None:
         waiters = self.waiters
         if waiters:
@@ -260,12 +261,6 @@ class _Cohort:
         free = comm._free_cohorts
         if len(free) < 64:
             free.append(self)
-
-
-def _matches(msg: Message, source: int, tag: int) -> bool:
-    return (source == ANY_SOURCE or msg.source == source) and (
-        tag == ANY_TAG or msg.tag == tag
-    )
 
 
 class SimMPI:

@@ -197,28 +197,6 @@ class FaultInjector:
                 t += repair_after + self.rng.expovariate(rate)
         return placed
 
-    def schedule_link_faults(
-        self,
-        links: Iterable[tuple],
-        mtbf: float,
-        horizon: float,
-        repair_after: float | None = None,
-    ) -> int:
-        """Exponential failure times over a set of ``(u, v)`` links."""
-        if mtbf <= 0:
-            raise ValueError("mtbf must be positive")
-        placed = 0
-        rate = 1.0 / mtbf
-        for u, v in links:
-            t = self.rng.expovariate(rate)
-            while t < horizon:
-                self.fail_link_at(t, u, v, repair_after=repair_after)
-                placed += 1
-                if repair_after is None:
-                    break
-                t += repair_after + self.rng.expovariate(rate)
-        return placed
-
     # -- the fault processes ----------------------------------------------
     def _node_fault(self, fault: Fault):
         sim = self.sim

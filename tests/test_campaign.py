@@ -11,9 +11,13 @@ The load-bearing contracts, in test order:
 * **The service** — a warm-cache rerun of an identical campaign
   performs *zero* simulations (every job streams ``cached-hit``).
 * **The pool** — crashes retry (bounded), deterministic job
-  exceptions fail fast, timeouts don't wedge the campaign.
+  exceptions fail fast, timeouts don't wedge the campaign, and
+  arguments the pool cannot honour are rejected before anything runs.
+* **The journal** — resume cuts a torn tail, restores cache hits as
+  cache hits, and reproduces the uninterrupted report.
 * **The CLI** — ``python -m repro --help`` lists the subcommand table;
-  the ``campaign`` subcommand runs end to end and streams JSON-lines.
+  the ``campaign`` subcommand runs end to end, streams JSON-lines,
+  exits 2 on bad pool flags, and ``--resume`` reproduces the report.
 """
 
 import json
@@ -271,6 +275,22 @@ def test_inline_and_pool_agree_on_results():
     assert [r.state for r in inline] == [r.state for r in pooled]
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"workers": 0}, "workers must be >= 1"),
+    ({"workers": 2, "max_retries": -1}, "max_retries must be >= 0"),
+    ({"workers": 2, "timeout": -1.0}, "timeout must be a positive"),
+    ({"workers": 2, "timeout": 0.0}, "timeout must be a positive"),
+    ({"workers": 1, "timeout": 5.0}, "timeout needs workers >= 2"),
+], ids=["no-workers", "negative-retries", "negative-timeout", "zero-timeout",
+        "inline-timeout"])
+def test_pool_arguments_are_checked_up_front(tmp_path, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        CampaignService(tmp_path / "cache", **kwargs)
+    assert not (tmp_path / "cache").exists()     # rejected before any I/O
+    with pytest.raises(ValueError, match=match):
+        run_specs([_selftest_spec(0)], **kwargs)
+
+
 # -- the journal -------------------------------------------------------------
 
 
@@ -279,7 +299,6 @@ def _journal_fixture(tmp_path, n=3):
     journal = Journal.create(
         tmp_path / "journal", specs,
         store_root=str(tmp_path / "cache"), options={"workers": 1},
-        fsync="never",
     )
     return specs, journal
 
@@ -302,34 +321,62 @@ def test_journal_reader_tolerates_torn_tail(tmp_path):
     assert not state.complete
 
 
-def test_journal_rotation_compacts_and_reopens(tmp_path):
-    specs, journal = _journal_fixture(tmp_path)
-    journal.record_started(0, 1)
-    journal.record_finished(0, 1, "a" * 64)
-    journal.record_started(1, 2)                # in flight: dropped by rotate
-    journal.record_started(2, 1)
-    journal.record_failed(2, 1, "boom")
-    journal.close()
+def test_resume_cuts_a_torn_journal_tail_and_appends(tmp_path):
+    """A crash mid-append leaves a torn last line.  Resume truncates the
+    journal to the prefix the reader trusts, appends after it, and
+    converges on the uninterrupted run's report."""
+    specs = [_selftest_spec(s, mode="ok", value=s) for s in range(3)]
+    ref = CampaignService(tmp_path / "ref").run(specs)
+    journal = tmp_path / "journal"
+    service = CampaignService(tmp_path / "cache")
+    service.run(specs, journal=str(journal))
+    # the crash: job 0 done, job 1's terminal record torn mid-line, and
+    # job 2 never started (so its artifact never reached the store)
+    lines = journal.read_text().splitlines(keepends=True)
+    torn = lines[4][: len(lines[4]) // 2]
+    journal.write_text("".join(lines[:4]) + torn)
+    service.store.path_for(specs[2]).unlink()
+    state = read_journal(journal)
+    assert state.records == 4
+    assert state.length == len("".join(lines[:4]))
+    assert state.job(1).state == "running"
 
-    state = read_journal(tmp_path / "journal")
-    rotated = Journal.rotate(tmp_path / "journal", state, fsync="never")
-    lines = (tmp_path / "journal").read_text().splitlines()
-    assert len(lines) == 3                      # header + 2 terminal records
-    compact = read_journal(tmp_path / "journal")
-    assert [s.digest for s in compact.specs] == [s.digest for s in specs]
-    assert compact.options == {"workers": 1}
-    assert compact.job(0).state == DONE and compact.job(0).attempts == 1
-    assert compact.job(1).state == "pending"    # re-queued, not recorded
-    assert compact.job(2).state == FAILED and compact.job(2).error == "boom"
-
-    # the rotated journal stays appendable
-    rotated.record_started(1, 2)
-    rotated.record_finished(1, 2, "b" * 64)
-    rotated.record_end(read_journal(tmp_path / "journal").summary())
-    rotated.close()
-    final = read_journal(tmp_path / "journal")
+    resumed = CampaignService.resume(str(journal))
+    assert json.dumps(resumed.to_dict(), sort_keys=True) == json.dumps(
+        ref.to_dict(), sort_keys=True)
+    final = read_journal(journal)
     assert final.complete
-    assert final.job(1).state == DONE and final.job(1).attempts == 2
+    # the torn line is gone, the trusted prefix is kept byte for byte
+    text = journal.read_text()
+    assert text.startswith("".join(lines[:4]))
+    assert all(json.loads(line) for line in text.splitlines())
+
+
+def test_resume_restores_cache_hits_from_the_journal(tmp_path):
+    """A journaled run whose first jobs were cache hits: resume must
+    restore them as cache hits (store counters included) and match
+    the uninterrupted run's report exactly."""
+    specs = [_selftest_spec(s, mode="ok", value=s) for s in range(4)]
+    cache = tmp_path / "cache"
+    CampaignService(cache).run(specs[:2])        # warm jobs 0 and 1
+    journal = tmp_path / "journal"
+    ref = CampaignService(cache).run(specs, journal=str(journal))
+    assert ref.cached_hits == 2 and ref.executed == 2
+    state = read_journal(journal)
+    assert [state.job(i).cached for i in range(4)] == [True, True,
+                                                       False, False]
+
+    # the crash: after the two cache hits and job 2's start, before
+    # job 3 ran
+    lines = journal.read_text().splitlines(keepends=True)
+    journal.write_text("".join(lines[:4]))
+    ArtifactStore(cache).path_for(specs[3]).unlink()
+    resumed = CampaignService.resume(str(journal))
+    assert json.dumps(resumed.to_dict(), sort_keys=True) == json.dumps(
+        ref.to_dict(), sort_keys=True)
+    assert resumed.store_stats == ref.store_stats
+    assert resumed.counters["campaign.restored"] == 2
+    assert read_journal(journal).complete
 
 
 def test_journal_rejects_missing_or_alien_header(tmp_path):
@@ -421,6 +468,39 @@ def test_campaign_cli_rejects_unknown_scenario_and_keys(tmp_path):
                     "--set", "not_a_key=1")
     assert proc.returncode == 2
     assert "unknown config key" in proc.stderr
+
+
+@pytest.mark.parametrize("flags, match", [
+    (("--workers", "0"), "workers must be >= 1"),
+    (("--workers", "2", "--max-retries", "-1"), "max_retries must be >= 0"),
+    (("--workers", "2", "--timeout", "-1"), "timeout must be a positive"),
+    (("--timeout", "5"), "timeout needs workers >= 2"),
+], ids=["no-workers", "negative-retries", "negative-timeout",
+        "inline-timeout"])
+def test_campaign_cli_rejects_bad_worker_flags(tmp_path, flags, match):
+    # a warm cache must not hide the error either
+    cache = str(tmp_path / "cache")
+    assert _run_cli("campaign", "sweep", "--seeds", "1", "--cache-dir",
+                    cache).returncode == 0
+    proc = _run_cli("campaign", "sweep", "--seeds", "1", "--cache-dir",
+                    cache, *flags)
+    assert proc.returncode == 2
+    assert match in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_campaign_cli_resume_reproduces_the_report(tmp_path):
+    cache, journal = str(tmp_path / "cache"), str(tmp_path / "journal")
+    first = _run_cli("campaign", "sweep", "--seeds", "3", "--cache-dir",
+                     cache, "--journal", journal, "--report",
+                     str(tmp_path / "a.json"))
+    assert first.returncode == 0, first.stderr
+    again = _run_cli("campaign", "--resume", journal, "--report",
+                     str(tmp_path / "b.json"))
+    assert again.returncode == 0, again.stderr
+    assert "resuming campaign from" in again.stdout
+    assert (tmp_path / "a.json").read_bytes() == (
+        tmp_path / "b.json").read_bytes()
 
 
 def test_profile_still_dispatches_through_the_registry():

@@ -29,11 +29,11 @@ import os
 import pathlib
 import shutil
 import signal
+import time
 
 import pytest
 
 from repro.campaign import (
-    BREAKER_ERROR_PREFIX,
     CampaignService,
     grid,
     read_journal,
@@ -61,14 +61,34 @@ def _cache_bytes(root) -> dict[str, bytes]:
     }
 
 
+def _live_group_members(pgid: int) -> list[int] | None:
+    """Pids of live (non-zombie) processes in group ``pgid``, or
+    ``None`` where there is no ``/proc`` to read."""
+    proc = pathlib.Path("/proc")
+    if not (proc / "self" / "stat").exists():
+        return None
+    live = []
+    for stat in proc.glob("[0-9]*/stat"):
+        try:
+            # fields after "(comm)": state ppid pgrp ...
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # exited while we looked
+        if int(fields[2]) == pgid and fields[0] not in ("Z", "X"):
+            live.append(int(stat.parent.name))
+    return live
+
+
 def _fork_and_wait(child) -> "os.waitpid result status":
     """Run ``child()`` in a forked process; returns the wait status.
 
     The child exits via ``os._exit`` always: 0 if ``child`` returned,
     42 if it raised (the exception is printed for the test log).  The
-    child leads its own process group and the group is SIGKILLed after
-    the wait, so pool workers orphaned by a chaos driver-kill can
-    never outlive the test (they'd hold pytest's capture pipes open).
+    child leads its own process group.  After the wait, every process
+    left in that group (pool workers orphaned by a chaos campaign kill)
+    must exit on its own within 5 s; the group is SIGKILLed after the
+    check either way, so none can outlive the test (they'd hold
+    pytest's capture pipes open).
     """
     pid = os.fork()
     if pid == 0:
@@ -85,10 +105,16 @@ def _fork_and_wait(child) -> "os.waitpid result status":
         finally:
             os._exit(code)
     _, status = os.waitpid(pid, 0)
+    deadline = time.monotonic() + 5.0
+    live = _live_group_members(pid)
+    while live and time.monotonic() < deadline:
+        time.sleep(0.05)
+        live = _live_group_members(pid)
     try:
         os.killpg(pid, signal.SIGKILL)
     except (ProcessLookupError, PermissionError):
         pass
+    assert not live, f"processes {live} outlived the campaign by 5 s"
     return status
 
 
@@ -395,43 +421,40 @@ def test_store_vanishes_wholesale_and_campaign_converges(tmp_path):
     assert _cache_bytes(cache) == ref_bytes
 
 
-# -- circuit breaker degradation ---------------------------------------------
+# -- failed jobs are decided jobs ---------------------------------------------
 
 
-def test_breaker_trips_degrades_and_survives_resume(tmp_path):
-    """After K consecutive failures the scenario's breaker opens:
-    remaining jobs fail fast with a structured reason, the campaign
-    still reports, and a resumed campaign re-arms the open breaker."""
+def test_failed_jobs_survive_resume(tmp_path):
+    """Jobs that raise are journaled as failed: every one runs once and
+    fails with its own error, and a resume of the finished journal
+    restores the report verbatim, errors included — a failed job is
+    never re-run."""
     specs = grid("_selftest", 8,
                  {"mode": "fail-seeds", "fail_seeds": list(range(1, 8))},
-                 code_version="chaos-breaker")
+                 code_version="chaos-failed")
     cache, journal = tmp_path / "cache", tmp_path / "journal"
-    service = CampaignService(cache, workers=1, breaker_threshold=3)
-    report = service.run(specs, journal=str(journal))
+    report = CampaignService(cache, workers=1).run(specs,
+                                                   journal=str(journal))
 
-    states = [o.state for o in report.outcomes]
-    assert states == ["done"] + ["failed"] * 7
-    executed_failures = [o for o in report.outcomes
-                         if o.state == "failed"
-                         and not o.error.startswith(BREAKER_ERROR_PREFIX)]
-    skipped = [o for o in report.outcomes
-               if o.error and o.error.startswith(BREAKER_ERROR_PREFIX)]
-    assert len(executed_failures) == 3          # seeds 1..3 really ran
-    assert len(skipped) == 4                    # seeds 4..7 failed fast
-    assert report.counters["campaign.breaker_trips"] == 1
-    assert report.counters["campaign.breaker_skipped"] == 4
-
-    # the journal marks breaker-skipped jobs distinctly
+    assert [o.state for o in report.outcomes] == ["done"] + ["failed"] * 7
+    assert [o.error for o in report.outcomes[1:]] == [
+        f"ValueError: selftest job failed deliberately (seed {s})"
+        for s in range(1, 8)
+    ]
+    assert all(o.attempts == 1 for o in report.outcomes)
+    assert report.counters["campaign.failed"] == 7
     state = read_journal(journal)
-    assert [state.job(i).breaker for i in range(8)] == (
-        [False] * 4 + [True] * 4
+    assert [state.job(i).state for i in range(8)] == (
+        ["done"] + ["failed"] * 7
     )
 
-    # a resume of the finished journal restores everything verbatim
     resumed = CampaignService.resume(str(journal))
     assert json.dumps(resumed.to_dict(), sort_keys=True) == json.dumps(
         report.to_dict(), sort_keys=True
     )
+    assert resumed.counters["campaign.restored"] == 8
+    assert "campaign.executed" not in resumed.counters
+    assert "campaign.failed" not in resumed.counters
 
 
 # -- the seeded multi-fault suite (nightly scales this up) --------------------

@@ -66,3 +66,29 @@ def test_api_doc_imports_are_valid():
     api = _read("docs/API.md")
     for line in re.findall(r"^from repro[\w.]* import .+$", api, re.MULTILINE):
         exec(line, {})  # raises on a stale import
+
+
+def test_documented_campaign_flags_exist():
+    """Every ``--flag`` in a ``python -m repro campaign`` command shown
+    in the campaign docs, the README or the CLI's own docstring is an
+    option the campaign parser accepts (catches removed flags)."""
+    import re
+
+    from repro.campaign import cli
+
+    known = cli._build_parser()._option_string_actions
+    sources = {
+        "docs/CAMPAIGN.md": _read("docs/CAMPAIGN.md"),
+        "README.md": _read("README.md"),
+        "repro.campaign.cli docstring": cli.__doc__,
+    }
+    commands, stale = 0, []
+    for name, text in sources.items():
+        joined = re.sub(r"\\\n\s*", " ", text)  # backslash continuations
+        for args in re.findall(r"python -m repro campaign([^\n`#]*)", joined):
+            commands += 1
+            stale += [f"{name}: {flag}" for flag in
+                      re.findall(r"(?<!\S)--[a-z][a-z-]*", args)
+                      if flag not in known]
+    assert commands >= 10, f"found only {commands} campaign commands"
+    assert not stale, f"documented flags the campaign CLI rejects: {stale}"
