@@ -2,7 +2,8 @@
 
 The recorded speedups compare against the real pre-PR code on the same
 machine, same Python, same moment — not against a number typed into a
-file.  Without git history a test skips its baseline leg.
+file.  Without git history a test skips its baseline leg; a seed file
+that exists but fails to load is an error, never a silent skip.
 """
 
 from __future__ import annotations
@@ -35,13 +36,9 @@ def seed_commit() -> str | None:
     return commits[0] if commits else None
 
 
-def load_seed_module(relpath: str, module_name: str):
-    """A module from the seed commit, executed against the *current*
-    package tree (its ``repro.*`` imports resolve normally); None when
-    git history is unavailable or the file fails to load."""
-    commit = seed_commit()
-    if commit is None:
-        return None
+def _git_show(commit: str, relpath: str) -> str | None:
+    """The text of ``relpath`` at ``commit``; None when git or the file
+    is unavailable."""
     try:
         out = subprocess.run(
             ["git", "show", f"{commit}:{relpath}"],
@@ -54,6 +51,20 @@ def load_seed_module(relpath: str, module_name: str):
         return None
     if out.returncode != 0 or not out.stdout:
         return None
+    return out.stdout
+
+
+def load_seed_module(relpath: str, module_name: str):
+    """A module from the seed commit, executed against the *current*
+    package tree (its ``repro.*`` imports resolve normally).  None when
+    git history or the seed file is unavailable; any error while
+    executing it raises."""
+    commit = seed_commit()
+    if commit is None:
+        return None
+    source = _git_show(commit, relpath)
+    if source is None:
+        return None
     spec = importlib.util.spec_from_loader(module_name, loader=None)
     module = importlib.util.module_from_spec(spec)
     module.__dict__["__file__"] = f"<git:{commit[:12]}:{relpath}>"
@@ -61,10 +72,10 @@ def load_seed_module(relpath: str, module_name: str):
     # ``sys.modules[cls.__module__]`` while the class body executes.
     sys.modules[module_name] = module
     try:
-        exec(compile(out.stdout, module.__dict__["__file__"], "exec"), module.__dict__)
-    except Exception:
+        exec(compile(source, module.__dict__["__file__"], "exec"), module.__dict__)
+    except BaseException:
         del sys.modules[module_name]
-        return None
+        raise
     return module
 
 

@@ -43,9 +43,8 @@ from benchmarks.framework import (
 from benchmarks.framework.pytest_bridge import install_pytest_tests
 from repro.comm.mpi import UniformFabric
 from repro.comm.transport import Transport
-from repro.obs import AggregatingSink, ObsRecorder, to_summary
+from repro.obs import AggregatingSink, ObsRecorder, span_stream, to_summary
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
 from repro.sweep3d import parallel
 from repro.sweep3d.decomposition import Decomposition2D
 from repro.sweep3d.input import SweepInput
@@ -71,7 +70,7 @@ MAX_PEAK_MB_3060 = 64.0
 MAX_OBS_PEAK_RATIO = 2.0
 
 
-def _run(ranks: int, obs=None, tracer=None, iterations: int = 1):
+def _run(ranks: int, obs=None, iterations: int = 1):
     fabric = UniformFabric(Transport("ib", latency=2e-6, bandwidth=2e9))
     sweep = parallel.ParallelSweep(
         INP,
@@ -79,12 +78,11 @@ def _run(ranks: int, obs=None, tracer=None, iterations: int = 1):
         1e-6,
         fabric,
         obs=obs,
-        **({"tracer": tracer} if tracer is not None else {}),
     )
     return sweep.run(iterations=iterations)
 
 
-def _run_unpooled(ranks: int, tracer=None):
+def _run_unpooled(ranks: int, obs=None):
     """``_run`` with the sweep layer's Simulator rebound to the
     pool-free engine — the honest unpooled baseline, same code,
     recycling disabled.  (Manual rebind/restore: the framework runs
@@ -92,7 +90,7 @@ def _run_unpooled(ranks: int, tracer=None):
     orig = parallel.Simulator
     parallel.Simulator = functools.partial(Simulator, pool_size=0)
     try:
-        return _run(ranks, tracer=tracer)
+        return _run(ranks, obs=obs)
     finally:
         parallel.Simulator = orig
 
@@ -151,15 +149,16 @@ def _assert_summaries_agree(a: dict, b: dict) -> None:
 def _check_pooled_vs_unpooled():
     """Event/timeout/envelope recycling is timeline-invisible: the
     pooled run equals the pool-free run bit for bit."""
-    t_pool, t_plain = Tracer(), Tracer()
-    pooled = _run(SMOKE_RANKS, tracer=t_pool)
-    plain = _run_unpooled(SMOKE_RANKS, tracer=t_plain)
+    mpi = {"mpi.send", "mpi.recv"}
+    rec_pool, rec_plain = ObsRecorder(categories=mpi), ObsRecorder(categories=mpi)
+    pooled = _run(SMOKE_RANKS, obs=rec_pool)
+    plain = _run_unpooled(SMOKE_RANKS, obs=rec_plain)
     assert pooled.iteration_time == plain.iteration_time
     assert pooled.messages == plain.messages
     assert pooled.bytes_sent == plain.bytes_sent
     assert np.array_equal(pooled.phi, plain.phi)
-    assert len(t_pool.records) > 0
-    assert t_pool.records == t_plain.records
+    assert len(rec_pool.spans) > 0
+    assert span_stream(rec_pool) == span_stream(rec_plain)
 
 
 def _check_sink_matches_unbounded():

@@ -12,7 +12,7 @@ so the overhead stays visible in ``BENCH_perf.json``.
 from __future__ import annotations
 
 import gc
-import hashlib
+import sys
 
 from benchmarks.framework import (
     Case,
@@ -25,8 +25,9 @@ from benchmarks.framework import (
 from benchmarks.framework.pytest_bridge import install_pytest_tests
 from repro.comm import mpi as current_mpi
 from repro.comm.transport import Transport
+from repro.obs import ObsRecorder, span_stream
 from repro.resilience.policy import DeliveryPolicy
-from repro.sim import Simulator, Tracer
+from repro.sim import Simulator
 from repro.units import US
 
 RANKS = 8
@@ -38,16 +39,11 @@ def _transport():
                      eager_threshold=1024, rendezvous_latency=1 * US)
 
 
-def _run_ring(mod, tracer=None, delivery=None):
-    """A ring workload with mixed sizes over ``mod``'s SimMPI; returns
-    the final simulated time."""
+def _run_ring(mod, **kwargs):
+    """A ring workload with mixed sizes over ``mod``'s SimMPI (``kwargs``
+    go to its constructor); returns the final simulated time."""
     sim = Simulator()
     fabric = mod.UniformFabric(_transport())
-    kwargs = {}
-    if tracer is not None:
-        kwargs["tracer"] = tracer
-    if delivery is not None:
-        kwargs["delivery"] = delivery
     comm = mod.SimMPI(
         sim, fabric, [mod.Location(node=i) for i in range(RANKS)], **kwargs
     )
@@ -65,12 +61,46 @@ def _run_ring(mod, tracer=None, delivery=None):
     return sim.now
 
 
-def _fingerprint(tracer: Tracer) -> str:
-    h = hashlib.sha256()
+def _load_seed_mpi(module_name: str):
+    """The seed commit's ``comm/mpi.py``; None without git history.  It
+    imports ``repro.sim.trace``, which the tree no longer has, so the
+    seed ``trace.py`` stands in under that name while it executes."""
+    if load_seed_module("src/repro/sim/trace.py", "repro.sim.trace") is None:
+        return None
+    try:
+        return load_seed_module("src/repro/comm/mpi.py", module_name)
+    finally:
+        sys.modules.pop("repro.sim.trace", None)
+
+
+def _mpi_recorder() -> ObsRecorder:
+    return ObsRecorder(categories={"mpi.send", "mpi.recv"})
+
+
+def _seed_facts(tracer) -> dict:
+    """The seed tracer's records per (category, rank), in order."""
+    facts: dict = {}
     for rec in tracer.records:
-        h.update(repr((rec.time, rec.category, rec.source, rec.detail)).encode())
-        h.update(b";")
-    return h.hexdigest()
+        facts.setdefault((rec.category, rec.source), []).append(
+            (rec.time, rec.detail)
+        )
+    return facts
+
+
+def _span_facts(rec: ObsRecorder) -> dict:
+    """The same facts from today's spans: each send's start time with
+    its dest, size and tag; each receive's end time with its source and
+    size.  A rank's sends (and receives) are sequential, so per rank the
+    span order is the seed's record order."""
+    facts: dict = {}
+    for span in rec.spans:
+        attrs = dict(span.attrs)
+        if span.category == "mpi.send":
+            fact = (span.t0, {k: attrs[k] for k in ("dest", "size", "tag")})
+        else:
+            fact = (span.t1, {"source": attrs["source"], "size": attrs["size"]})
+        facts.setdefault((span.category, span.track), []).append(fact)
+    return facts
 
 
 def _leftover_objects(mod, n_messages: int) -> int:
@@ -113,24 +143,22 @@ class ResilienceDisabledContract(PerfTest):
     def sanity(self, case: Case):
         if case.check == "timeline_vs_seed":
             # delivery=None must reproduce the seed commit's event
-            # timeline and trace stream exactly.
-            seed = load_seed_module("src/repro/comm/mpi.py", "_seed_comm_mpi")
+            # timeline and its traced send/receive facts exactly.
+            seed = _load_seed_mpi("_seed_comm_mpi")
             if seed is None:
                 raise SkipCase("seed mpi layer unavailable (no git history)")
-            t_seed, t_now = Tracer(), Tracer()
+            t_seed, rec_now = seed.Tracer(), _mpi_recorder()
             now_seed = _run_ring(seed, tracer=t_seed)
-            now_current = _run_ring(current_mpi, tracer=t_now)
+            now_current = _run_ring(current_mpi, obs=rec_now)
             assert now_current == now_seed
-            assert len(t_now.records) > 0
-            assert _fingerprint(t_now) == _fingerprint(t_seed)
+            assert len(rec_now.spans) == len(t_seed.records) > 0
+            assert _span_facts(rec_now) == _seed_facts(t_seed)
         elif case.check == "allocation_slope":
             # The per-message live-object slope of ``Rank.send`` with no
             # policy must not exceed the seed commit's — the ``delivery``
             # guard costs an attribute load and an ``is`` check, not an
             # allocation.
-            seed = load_seed_module(
-                "src/repro/comm/mpi.py", "_seed_comm_mpi_alloc"
-            )
+            seed = _load_seed_mpi("_seed_comm_mpi_alloc")
             if seed is None:
                 raise SkipCase("seed mpi layer unavailable (no git history)")
             n1, n2 = 256, 512
@@ -144,14 +172,19 @@ class ResilienceDisabledContract(PerfTest):
             assert slope_now <= slope_seed + 0.25, (slope_now, slope_seed)
         else:
             # Installing DeliveryPolicy() (perfect fabric) must not move
-            # one event: same finish time, same trace stream.
-            t_off, t_on = Tracer(), Tracer()
-            now_off = _run_ring(current_mpi, tracer=t_off)
+            # one event: same finish time, same span stream (less the
+            # resilient path's own ``attempts`` attribute, always 1).
+            rec_off, rec_on = _mpi_recorder(), _mpi_recorder()
+            now_off = _run_ring(current_mpi, obs=rec_off)
             now_on = _run_ring(
-                current_mpi, tracer=t_on, delivery=DeliveryPolicy()
+                current_mpi, obs=rec_on, delivery=DeliveryPolicy()
             )
             assert now_on == now_off
-            assert _fingerprint(t_on) == _fingerprint(t_off)
+            stream_on = span_stream(rec_on)
+            for span in stream_on:
+                assert span["attrs"].pop("attempts", 1) == 1
+            assert len(stream_on) > 0
+            assert stream_on == span_stream(rec_off)
         return None
 
 

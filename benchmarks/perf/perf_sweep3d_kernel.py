@@ -21,8 +21,6 @@ and a replay run against the seed baselines and records them under
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from benchmarks.framework import (
@@ -37,7 +35,7 @@ from benchmarks.framework import (
 )
 from benchmarks.framework.pytest_bridge import install_pytest_tests
 from repro.hardware.cell import POWERXCELL_8I
-from repro.sim.trace import Tracer
+from repro.obs import ObsRecorder, span_stream
 from repro.sweep3d.cellport import grind_time
 from repro.sweep3d.decomposition import Decomposition2D
 from repro.sweep3d.fixup import sweep_octant_fixup
@@ -157,39 +155,31 @@ def _check_solver_stack_vs_seed():
 
 
 def _replay_run(replay: bool, iterations: int = 3):
-    tracer = Tracer()
+    rec = ObsRecorder(categories={"mpi.send", "mpi.recv"})
     sweep = ParallelSweep(
         SweepInput(it=3, jt=3, kt=8, mk=2, mmi=2),
         Decomposition2D(4, 2),
         grind_time=grind_time(POWERXCELL_8I),
         fabric=cell_fabric(),
         locations=spe_locations(Decomposition2D(4, 2)),
-        tracer=tracer,
+        obs=rec,
     )
-    return sweep.run(iterations=iterations, replay=replay), tracer
-
-
-def _trace_fingerprint(tracer: Tracer) -> str:
-    h = hashlib.sha256()
-    for rec in tracer.records:
-        h.update(repr((rec.time, rec.category, rec.source, rec.detail)).encode())
-        h.update(b";")
-    return h.hexdigest()
+    return sweep.run(iterations=iterations, replay=replay), rec
 
 
 def _check_replay_vs_full_run():
     """Replay mode is pure bookkeeping: flux, message counts, bytes,
     iteration time and the traced DES timeline all match the full run
     bit for bit."""
-    full, t_full = _replay_run(replay=False)
-    fast, t_fast = _replay_run(replay=True)
+    full, rec_full = _replay_run(replay=False)
+    fast, rec_fast = _replay_run(replay=True)
     assert np.array_equal(full.phi, fast.phi)
     assert full.iteration_time == fast.iteration_time
     assert full.messages == fast.messages
     assert full.bytes_sent == fast.bytes_sent
     assert full.compute_time_per_rank == fast.compute_time_per_rank
-    assert len(t_full.records) > 0
-    assert _trace_fingerprint(t_full) == _trace_fingerprint(t_fast)
+    assert len(rec_full.spans) > 0
+    assert span_stream(rec_full) == span_stream(rec_fast)
 
 
 @perftest

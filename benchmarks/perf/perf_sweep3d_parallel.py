@@ -17,8 +17,6 @@ running over today's kernel — and records both wall-clock times in
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from benchmarks.framework import (
@@ -33,7 +31,7 @@ from benchmarks.framework import (
 )
 from benchmarks.framework.pytest_bridge import install_pytest_tests
 from repro.hardware.cell import POWERXCELL_8I
-from repro.sim.trace import Tracer
+from repro.obs import ObsRecorder, span_stream
 from repro.sweep3d import parallel as current_parallel
 from repro.sweep3d.cellport import grind_time
 from repro.sweep3d.decomposition import Decomposition2D
@@ -51,14 +49,14 @@ SOLVE_INP = SweepInput(it=3, jt=3, kt=8, mk=2, mmi=3)
 SOLVE_DECOMP = Decomposition2D(3, 2)
 
 
-def _run(mod, tracer=None):
+def _run(mod, **kwargs):
     sweep = mod.ParallelSweep(
         INP,
         DECOMP,
         grind_time=grind_time(POWERXCELL_8I),
         fabric=cell_fabric(),
         locations=spe_locations(DECOMP),
-        **({"tracer": tracer} if tracer is not None else {}),
+        **kwargs,
     )
     return sweep.run()
 
@@ -83,14 +81,6 @@ def _load_seed_layer():
     return seed
 
 
-def _trace_fingerprint(tracer: Tracer) -> str:
-    h = hashlib.sha256()
-    for rec in tracer.records:
-        h.update(repr((rec.time, rec.category, rec.source, rec.detail)).encode())
-        h.update(b";")
-    return h.hexdigest()
-
-
 @perftest
 class ParallelSweepDeterminism(PerfTest):
     """Smoke tier: the distributed sweep's determinism contract."""
@@ -102,14 +92,15 @@ class ParallelSweepDeterminism(PerfTest):
 
     def sanity(self, case: Case):
         if case.oracle == "twice":
-            t1, t2 = Tracer(), Tracer()
-            r1 = _run(current_parallel, tracer=t1)
-            r2 = _run(current_parallel, tracer=t2)
+            mpi = {"mpi.send", "mpi.recv"}
+            rec1, rec2 = ObsRecorder(categories=mpi), ObsRecorder(categories=mpi)
+            r1 = _run(current_parallel, obs=rec1)
+            r2 = _run(current_parallel, obs=rec2)
             assert r1.iteration_time == r2.iteration_time
             assert r1.messages == r2.messages
             assert np.array_equal(r1.phi, r2.phi)
-            assert len(t1.records) > 0
-            assert _trace_fingerprint(t1) == _trace_fingerprint(t2)
+            assert len(rec1.spans) > 0
+            assert span_stream(rec1) == span_stream(rec2)
         elif case.oracle == "seed":
             # The level-batched sweep produces bit-identical results to
             # the seed commit's block-by-block sweep layer.

@@ -59,6 +59,7 @@ from repro.network.loadmap import (
 )
 from repro.network.routing import UNREACHABLE, degraded_hop_census
 from repro.network.topology import RoadrunnerTopology
+from repro.obs import ObsRecorder
 from repro.resilience import (
     CheckpointModel,
     DeliveryPolicy,
@@ -68,7 +69,7 @@ from repro.resilience import (
     placement_penalty,
     sweep_failure_study,
 )
-from repro.sim import Simulator, Tracer
+from repro.sim import Simulator
 from repro.sim.engine import Interrupt
 from repro.sweep3d.decomposition import Decomposition2D
 from repro.sweep3d.input import SweepInput
@@ -91,9 +92,9 @@ BANDS_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_campaign.js
 
 
 def run_once(seed: int) -> list:
-    """One seeded faulty run; returns the full trace record list."""
+    """One seeded faulty run; returns every recorded span and event."""
     sim = Simulator()
-    tracer = Tracer()
+    obs = ObsRecorder()
     health = FabricHealth()
     policy = DeliveryPolicy(
         drop_probability=0.05, seed=seed, health=health,
@@ -102,9 +103,9 @@ def run_once(seed: int) -> list:
     fabric = UniformFabric(Transport("ib", latency=2e-6, bandwidth=2e9))
     comm = SimMPI(
         sim, fabric, [Location(node=i) for i in range(RANKS)],
-        tracer=tracer, delivery=policy,
+        delivery=policy, obs=obs,
     )
-    injector = FaultInjector(sim, health=health, seed=seed, tracer=tracer)
+    injector = FaultInjector(sim, health=health, seed=seed, obs=obs)
     injector.schedule_node_faults(range(RANKS), mtbf=NODE_MTBF, horizon=HORIZON)
 
     def body(rank):
@@ -124,7 +125,7 @@ def run_once(seed: int) -> list:
         proc = sim.process(body(comm.rank(r)), name=f"rank{r}")
         injector.watch(r, proc)
     sim.run(until=HORIZON)
-    return tracer.records
+    return obs.spans + obs.events
 
 
 def fault_injection_study() -> None:
@@ -133,7 +134,7 @@ def fault_injection_study() -> None:
     first = run_once(seed=42)
     second = run_once(seed=42)
     faults = sum(1 for r in first if r.category == "fault")
-    retries = sum(1 for r in first if r.category == "retry")
+    retries = sum(1 for r in first if r.category == "mpi.retry")
     sends = sum(1 for r in first if r.category == "mpi.send")
     print(f"trace records: {len(first)} "
           f"(sends {sends}, retries {retries}, faults {faults})")

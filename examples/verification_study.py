@@ -11,7 +11,7 @@ from repro.comm.mpi import UniformFabric
 from repro.comm.transport import Transport
 from repro.core.report import format_table, sparkline
 from repro.hardware.roofline import ROOFLINES, sweep3d_operating_point
-from repro.sim.timeline import Timeline
+from repro.obs import ObsRecorder, format_gantt
 from repro.sweep3d.decomposition import Decomposition2D
 from repro.sweep3d.fixup import sweep_octant_fixup
 from repro.sweep3d.input import SweepInput
@@ -64,10 +64,10 @@ def main() -> None:
     print("== The wavefront, visualized (4x4 ranks, free links) ==")
     inp = SweepInput(it=2, jt=2, kt=8, mk=2, mmi=1)
     dec = Decomposition2D(4, 4)
-    tl = Timeline()
+    obs = ObsRecorder(categories={"sweep.compute"})
     fabric = UniformFabric(Transport("free", 1e-12, 1e18))
-    result = ParallelSweep(inp, dec, 1e-6, fabric, timeline=tl).run()
-    print(tl.render(width=64))
+    result = ParallelSweep(inp, dec, 1e-6, fabric, obs=obs).run()
+    print(format_gantt(obs, width=64))
     print(f"\nmeasured parallel efficiency: {result.parallel_efficiency:.1%} "
           "(the idle stripes are pipeline fill/drain at octant corner "
           "changes)")

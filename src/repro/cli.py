@@ -91,7 +91,9 @@ def _profile_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--trace",
         metavar="PATH",
-        help="also write a Chrome trace_event JSON file (Perfetto-loadable)",
+        help="also write a Chrome trace_event JSON file (Perfetto-loadable); "
+             "keeps every span in memory, so the full-machine scenarios "
+             "cost several times their usual memory",
     )
     parser.add_argument(
         "--json",
@@ -105,6 +107,7 @@ def _profile_main(argv: list[str]) -> int:
     """The ``profile`` subcommand: run a scenario, print its profile."""
     args = _profile_parser().parse_args(argv)
     from repro.obs import (
+        ObsRecorder,
         format_profile,
         profile,
         run_scenario,
@@ -112,7 +115,11 @@ def _profile_main(argv: list[str]) -> int:
         write_chrome_trace,
     )
 
-    rec, sim_time = run_scenario(args.scenario)
+    # A trace needs every span: no streaming sink, which would drop
+    # each flushed batch before the trace is written.
+    rec, sim_time = run_scenario(
+        args.scenario, obs=ObsRecorder() if args.trace else None
+    )
     if args.trace:
         write_chrome_trace(rec, args.trace)
     if args.json:

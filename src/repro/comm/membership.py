@@ -221,18 +221,16 @@ def _shrink_engine(rank: Rank, value, op: Callable[[Any, Any], Any],
         except DeliveryError:
             if state.committed:
                 result = yield from _refetch(rank, state)
-                comm.tracer.record(
-                    rank.sim.now, "shrink", rank.index,
-                    {"seq": seq, "attempt": attempt, "refetch": True},
-                )
+                if comm.obs is not None:
+                    comm.obs.event("mpi.shrink", rank.index, rank.sim.now,
+                                   seq=seq, attempt=attempt, refetch=True)
                 return result, state.group
             if state.attempt == attempt:
                 state.attempt = attempt + 1
             continue
-        comm.tracer.record(
-            rank.sim.now, "shrink", rank.index,
-            {"seq": seq, "attempt": attempt, "group": len(group)},
-        )
+        if comm.obs is not None:
+            comm.obs.event("mpi.shrink", rank.index, rank.sim.now,
+                           seq=seq, attempt=attempt, group=len(group))
         return result, state.group
     raise DeliveryError(
         f"rank {rank.index}: shrink collective gave up after "

@@ -29,7 +29,6 @@ from typing import Any, Callable, NamedTuple
 
 from repro.comm.transport import PipelinePath, Transport
 from repro.sim.engine import AnyOf, Event, Simulator
-from repro.sim.trace import NULL_TRACER, Tracer
 
 __all__ = [
     "ANY_SOURCE",
@@ -274,7 +273,6 @@ class SimMPI:
         sim: Simulator,
         fabric,
         locations: list[Location],
-        tracer: Tracer = NULL_TRACER,
         delivery=None,
         obs=None,
     ):
@@ -283,13 +281,13 @@ class SimMPI:
         self.sim = sim
         self.fabric = fabric
         self.locations = list(locations)
-        self.tracer = tracer
         #: optional DeliveryPolicy (duck-typed: delivered()/retry_delay()/
         #: max_retries); None keeps the historical perfect-fabric path
         self.delivery = delivery
         #: optional :class:`repro.obs.recorder.ObsRecorder` receiving
-        #: send/recv/collective spans and message/byte/retry counters;
-        #: None (the default) keeps recording branches off the hot path
+        #: send/recv/collective spans, retry and shrink events, and
+        #: message/byte/retry counters; None (the default) keeps
+        #: recording branches off the hot path
         if obs is not None:
             from repro.obs.recorder import active
 
@@ -395,10 +393,6 @@ class Rank:
         sent_at = sim.now
         comm.sent_counts[self.index] += 1
         comm.sent_bytes[self.index] += size
-        tracer = comm.tracer
-        if tracer is not NULL_TRACER:
-            tracer.record(sim.now, "mpi.send", self.index,
-                          {"dest": dest, "size": size, "tag": tag})
         if contended:
             # Contended fabric: the bandwidth phase runs through shared
             # link resources; the sender is occupied until its payload
@@ -441,8 +435,10 @@ class Rank:
 
         With a *perfect* policy (no drops, no failed endpoints) this
         path produces the exact event timeline of the policy-free
-        ``send`` — same trace records, same timeouts, no RNG draws —
-        which ``tests/test_resilience.py`` pins.
+        ``send`` — same send spans, same timeouts, no RNG draws —
+        which ``tests/test_resilience.py`` pins.  A send that exhausts
+        its retries still records its ``mpi.send`` span, with
+        ``delivered=False``, before raising.
         """
         comm, sim = self.comm, self.sim
         policy = comm.delivery
@@ -457,8 +453,6 @@ class Rank:
         sent_at = sim.now
         comm.sent_counts[self.index] += 1
         comm.sent_bytes[self.index] += size
-        comm.tracer.record(sim.now, "mpi.send", self.index,
-                           {"dest": dest, "size": size, "tag": tag})
         attempt = 0
         while True:
             if comm._contended:
@@ -501,18 +495,20 @@ class Rank:
                     obs.count("mpi.messages", track=self.index)
                     obs.count("mpi.bytes", size, track=self.index)
                 return msg
+            obs = comm.obs
             if attempt >= policy.max_retries:
+                if obs is not None:
+                    obs.span("mpi.send", self.index, sent_at, sim.now,
+                             dest=dest, size=size, tag=tag,
+                             attempts=attempt + 1, delivered=False)
                 raise DeliveryError(
                     f"rank {self.index} -> rank {dest}: {size}-byte message "
                     f"undeliverable after {attempt + 1} attempts"
                 )
             comm.retry_counts[self.index] += 1
-            comm.tracer.record(
-                sim.now, "retry", self.index,
-                {"dest": dest, "size": size, "tag": tag, "attempt": attempt + 1},
-            )
-            obs = comm.obs
             if obs is not None:
+                obs.event("mpi.retry", self.index, sim.now, dest=dest,
+                          size=size, tag=tag, attempt=attempt + 1)
                 obs.count("mpi.retries", track=self.index)
             yield sim.timeout(policy.retry_delay(attempt))
             attempt += 1
@@ -537,10 +533,6 @@ class Rank:
             msg = yield from self._recv_deadline(source, tag, timeout)
         else:
             msg = yield self.irecv(source=source, tag=tag)
-        tracer = self.comm.tracer
-        if tracer is not NULL_TRACER:
-            tracer.record(self.sim.now, "mpi.recv", self.index,
-                          {"source": msg.source, "size": msg.size})
         if obs is not None:
             obs.span("mpi.recv", self.index, t0, self.sim.now,
                      source=msg.source, tag=tag, size=msg.size)

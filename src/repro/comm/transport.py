@@ -16,33 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import inf
-from typing import Sequence
 
-__all__ = ["Transport", "PipelinePath", "set_transport_observer"]
+__all__ = ["Transport", "PipelinePath"]
 
 #: cap on each instance's memoized size -> time curve points; real
 #: workloads use a handful of message sizes, so this is generous
 _TIME_CACHE_MAX = 4096
-
-#: module-level observability hook: when a recorder is installed via
-#: :func:`set_transport_observer`, every cost-model evaluation counts a
-#: ``transport.cache_hit`` / ``transport.cache_miss`` on the transport's
-#: name track.  Module-level (not per-instance) because transports are
-#: frozen dataclasses shared across fabrics; None keeps the hot path to
-#: one global load and an ``is None`` test.
-_OBSERVER = None
-
-
-def set_transport_observer(obs) -> None:
-    """Install (or with ``None`` remove) the module's cost-model
-    observer.  ``obs`` is normalized like every ``obs=`` argument: a
-    disabled recorder counts as ``None``."""
-    global _OBSERVER
-    if obs is not None:
-        from repro.obs.recorder import active
-
-        obs = active(obs)
-    _OBSERVER = obs
 
 
 @dataclass(frozen=True)
@@ -86,11 +65,7 @@ class Transport:
         cache = self._time_cache
         cached = cache.get(size_bytes)
         if cached is not None:
-            if _OBSERVER is not None:
-                _OBSERVER.count("transport.cache_hit", track=self.name)
             return cached
-        if _OBSERVER is not None:
-            _OBSERVER.count("transport.cache_miss", track=self.name)
         if not 0 <= size_bytes < inf:
             raise ValueError(f"message size must be finite and >= 0, got {size_bytes!r}")
         eager_bw = self.eager_bandwidth or self.bandwidth
@@ -117,10 +92,6 @@ class Transport:
         """Sum of both directions' achieved B/s under full-duplex load
         (the quantity Fig 7 plots as 'bidirectional')."""
         return 2 * self.effective_bandwidth(size_bytes) * self.bidirectional_factor
-
-    def bandwidth_curve(self, sizes: Sequence[int]) -> list[tuple[int, float]]:
-        """(size, achieved B/s) pairs for a sweep of message sizes."""
-        return [(s, self.effective_bandwidth(s)) for s in sizes]
 
     def serialization_time(self, size_bytes: int) -> float:
         """Sender-side occupancy: total time minus the wire latency."""
@@ -186,11 +157,7 @@ class PipelinePath:
         cache = self._time_cache
         cached = cache.get(size_bytes)
         if cached is not None:
-            if _OBSERVER is not None:
-                _OBSERVER.count("transport.cache_hit", track=self.name)
             return cached
-        if _OBSERVER is not None:
-            _OBSERVER.count("transport.cache_miss", track=self.name)
         total = sum(leg.one_way_time(size_bytes) for leg in self.legs)
         if self.relay_copy_bandwidth > 0 and len(self.legs) > 1:
             relays = len(self.legs) - 1
@@ -208,10 +175,6 @@ class PipelinePath:
     def bidirectional_sum_bandwidth(self, size_bytes: int) -> float:
         """Both directions' summed B/s under full-duplex load."""
         return 2 * self.effective_bandwidth(size_bytes) * self.bidirectional_factor
-
-    def bandwidth_curve(self, sizes: Sequence[int]) -> list[tuple[int, float]]:
-        """(size, achieved B/s) pairs for a sweep of message sizes."""
-        return [(s, self.effective_bandwidth(s)) for s in sizes]
 
     def serialization_time(self, size_bytes: int) -> float:
         """Sender-side occupancy (total minus wire latency)."""

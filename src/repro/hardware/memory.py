@@ -91,11 +91,6 @@ class MemorySystem:
         """Latency at each working-set size — the classic memtime plot."""
         return [(s, self.memtime_latency(s)) for s in sizes]
 
-    @property
-    def main_memory_latency(self) -> float:
-        """Latency of the terminal level (seconds)."""
-        return self.levels[-1].load_latency
-
 
 #: The Opteron 2210 HE socket path to its DDR2-667 (paper Fig 1, Table III).
 OPTERON_MEMORY = MemorySystem(

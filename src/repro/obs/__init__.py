@@ -1,7 +1,8 @@
 """Structured observability for the simulator.
 
 ``repro.obs`` records what a simulation *did* — spans (simulated-time
-intervals per rank / link), counters and gauges, and engine statistics —
+intervals per rank / link), instant events (retries, faults,
+checkpoints), counters and gauges, and engine statistics —
 and turns the record into per-rank, per-phase, per-link attributions and
 exportable traces:
 
@@ -11,7 +12,7 @@ exportable traces:
   recv-wait / send / collective / other / idle per rank; busy time and
   utilization per link; host wall-clock per process);
 * :mod:`repro.obs.export` — JSON summaries, Chrome ``trace_event``
-  files (Perfetto-loadable), and the text profile tables;
+  files (Perfetto-loadable), the text profile tables and Gantt charts;
 * :mod:`repro.obs.scenarios` — the canned runs behind
   ``python -m repro profile <scenario>``.
 """
@@ -21,6 +22,7 @@ from repro.obs.export import (
     SUMMARY_SCHEMA,
     counter_snapshot,
     deterministic_summary,
+    format_gantt,
     format_profile,
     phase_fractions,
     span_stream,
@@ -76,6 +78,7 @@ __all__ = [
     "to_chrome_trace",
     "write_chrome_trace",
     "format_profile",
+    "format_gantt",
     "SCENARIOS",
     "run_scenario",
 ]

@@ -1,6 +1,6 @@
 """Exporters for recorded observability data.
 
-Three output formats, all derived from one
+Four output formats, all derived from one
 :class:`~repro.obs.recorder.ObsRecorder`:
 
 * :func:`span_stream` / :func:`to_summary` — plain JSON-able structures
@@ -11,7 +11,9 @@ Three output formats, all derived from one
   and Perfetto (ranks and links render as separate processes; span
   times are exported in microseconds of *simulated* time);
 * :func:`format_profile` — the text breakdown table behind
-  ``python -m repro profile <scenario>``.
+  ``python -m repro profile <scenario>``;
+* :func:`format_gantt` — a text Gantt chart of one span category
+  (by default the sweep's ``sweep.compute`` blocks).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "to_chrome_trace",
     "write_chrome_trace",
     "format_profile",
+    "format_gantt",
 ]
 
 #: the stable top-level keys of a :func:`to_summary` document.  External
@@ -189,7 +192,11 @@ def to_chrome_trace(rec: ObsRecorder) -> dict[str, Any]:
 
     Ranks live under pid 1 ("sim ranks", one thread per rank) and links
     under pid 2 ("links", one thread per link name); every span becomes
-    a complete ("X") event with microsecond sim-time timestamps.
+    a complete ("X") event with microsecond sim-time timestamps, and
+    every recorded event an instant ("i") event under pid 1: an
+    ``mpi.*`` event on its rank's thread, any other on a thread of its
+    own named ``"<category> <track>"`` (a fault's track is a node or
+    link, not a rank).
     """
     events: list[dict[str, Any]] = []
     rank_tids: dict[Any, int] = {}
@@ -237,6 +244,22 @@ def to_chrome_trace(rec: ObsRecorder) -> dict[str, Any]:
                 "args": dict(span.attrs),
             }
         )
+    for event in rec.events:
+        track = event.track
+        if not event.category.startswith("mpi."):
+            track = f"{event.category} {track}"
+        events.append(
+            {
+                "ph": "i",
+                "s": "t",
+                "pid": 1,
+                "tid": _tid(track, False),
+                "name": event.category,
+                "cat": event.category,
+                "ts": event.t0 * _TS_SCALE,
+                "args": dict(event.attrs),
+            }
+        )
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
@@ -254,6 +277,13 @@ def format_profile(prof: SimProfile, title: str | None = None) -> str:
     """The text breakdown table (``python -m repro profile``)."""
     from repro.core.report import format_table
 
+    # Host time is per process; scenarios name their rank processes
+    # ``<name>-rank<i>`` (sweep-, solve-, ring-), so key it by rank.
+    host_by_rank: dict[str, float] = {}
+    for process, seconds in prof.host_time_by_process.items():
+        _head, sep, rank = process.rpartition("-rank")
+        if sep:
+            host_by_rank[rank] = host_by_rank.get(rank, 0.0) + seconds
     lines: list[str] = []
     if title:
         lines.append(title)
@@ -281,7 +311,7 @@ def format_profile(prof: SimProfile, title: str | None = None) -> str:
                     *(_fmt_pct(rp.phases[phase], rp.total) for phase in PHASES),
                     _fmt_pct(rp.other, rp.total),
                     _fmt_pct(rp.idle, rp.total),
-                    f"{prof.host_time_by_process.get(f'sweep-rank{track}', 0.0) * 1e3:.1f}"
+                    f"{host_by_rank.get(str(track), 0.0) * 1e3:.1f}"
                     if prof.host_time_by_process
                     else "-",
                 )
@@ -317,5 +347,45 @@ def format_profile(prof: SimProfile, title: str | None = None) -> str:
                 rows,
                 title="per-link occupancy (busiest first)",
             )
+        )
+    return "\n".join(lines)
+
+
+def format_gantt(rec: ObsRecorder, width: int = 60) -> str:
+    """A text Gantt chart of the ``sweep.compute`` spans.
+
+    One row per track, named ``rank<track>``, in order of first
+    appearance; ``width`` columns of simulated time over the spans'
+    whole extent, ``#`` where the track is inside a span, and the
+    track's busy fraction of that extent.  Reads ``rec.spans`` only, so
+    a recorder with a sink draws just its unflushed tail.
+    """
+    if width < 1:
+        raise ValueError("width must be >= 1")
+    rows: dict[Any, list] = {}
+    for span in rec.spans:
+        if span.category == "sweep.compute":
+            rows.setdefault(span.track, []).append(span)
+    if not rows:
+        return "(empty timeline)"
+    lo = min(span.t0 for spans in rows.values() for span in spans)
+    hi = max(span.t1 for spans in rows.values() for span in spans)
+    total = hi - lo
+    if total <= 0:
+        return "(empty timeline)"
+    names = {track: f"rank{track}" for track in rows}
+    name_w = max(len(name) for name in names.values())
+    lines = []
+    for track, spans in rows.items():
+        row = ["."] * width
+        busy = 0.0
+        for span in spans:
+            a = int((span.t0 - lo) / total * width)
+            b = max(a + 1, int((span.t1 - lo) / total * width))
+            for col in range(a, min(b, width)):
+                row[col] = "#"
+            busy += span.duration
+        lines.append(
+            f"{names[track].ljust(name_w)} |{''.join(row)}| {busy / total:5.1%}"
         )
     return "\n".join(lines)

@@ -9,7 +9,11 @@ simulation run:
   send/recv spans, an octant span contains its compute blocks — and the
   profiler (:mod:`repro.obs.profiler`) attributes each instant to the
   innermost enclosing span's category.
-* **Counters** accumulate (messages, bytes, retries, cache hits);
+* **Events** are instants on a track — facts with no duration (a
+  retry, a fault, a checkpoint, a shrink commit).  They are kept apart
+  from the spans: the profiler, the summary and the span stream never
+  see them, and the Chrome trace shows them as instant markers.
+* **Counters** accumulate (messages, bytes, retries);
   **gauges** hold a last-written value.
 * **Engine statistics** arrive through the
   :class:`~repro.sim.engine.Simulator` observer protocol
@@ -94,14 +98,14 @@ class _SpanScope:
 
 @dataclass
 class ObsRecorder:
-    """Accumulates spans, counters, gauges and engine statistics.
+    """Accumulates spans, events, counters, gauges and engine statistics.
 
-    ``categories``, when given, restricts *span* recording to those
-    categories (counters and gauges are always kept — they are cheap
-    and the profile tables read them).  ``categories=()`` skips span
-    retention entirely — no ``SpanRecord`` is ever built or stored, so
-    a counter-only recorder stays flat-memory no matter how long the
-    run is.
+    ``categories``, when given, restricts *span* and *event* recording
+    to those categories (counters and gauges are always kept — they are
+    cheap and the profile tables read them).  ``categories=()`` skips
+    span retention entirely — no ``SpanRecord`` is ever built or
+    stored, so a counter-only recorder stays flat-memory no matter how
+    long the run is.
 
     Memory contract: without a sink, ``spans`` grows with every span
     recorded — O(total spans), fine for tests and small profiles.  For
@@ -117,6 +121,9 @@ class ObsRecorder:
     categories: frozenset[str] | None = None
     #: completed spans, in recording (simulated-time close) order
     spans: list[SpanRecord] = field(default_factory=list)
+    #: instant events (``t0 == t1``), in recording order; never flushed
+    #: to the sink — they are rare (retries, faults, checkpoints)
+    events: list[SpanRecord] = field(default_factory=list)
     #: streaming span sink; buffered spans are flushed to it in batches
     sink: Any = None
     #: buffered-span count that triggers a flush to ``sink``
@@ -152,6 +159,14 @@ class ObsRecorder:
             batch = self.spans
             self.spans = []
             self.sink.consume(batch)
+
+    def event(self, category: str, track: Any, time: float, **attrs) -> None:
+        """Record one instant event (kept in ``events``, not ``spans``)."""
+        if self.categories is not None and category not in self.categories:
+            return
+        self.events.append(
+            SpanRecord(category, track, time, time, tuple(attrs.items()))
+        )
 
     def measure(self, sim, category: str, track: Any, **attrs) -> _SpanScope:
         """Span context manager over the ``with`` block's sim-time."""
@@ -206,6 +221,7 @@ class ObsRecorder:
     def clear(self) -> None:
         """Drop everything recorded so far (including sink aggregate)."""
         self.spans.clear()
+        self.events.clear()
         if self.sink is not None:
             self.sink.clear()
         self.counters.clear()
@@ -232,6 +248,9 @@ class NullRecorder:
     enabled = False
 
     def span(self, *args, **kwargs) -> None:
+        pass
+
+    def event(self, *args, **kwargs) -> None:
         pass
 
     def measure(self, sim, category, track, **attrs):

@@ -1,10 +1,10 @@
 """Canned, deterministic scenarios for ``python -m repro profile``.
 
 Each scenario builds a small simulation with a recorder attached end to
-end (engine observer, communicator spans, fabric link spans, transport
-cache counters), runs it, and returns the total simulated time.  They
-are fixed-seed and payload-free, so the recorded span stream is
-bit-reproducible — the golden-trace conformance test pins ``sweep4``.
+end (engine observer, communicator spans, fabric link spans), runs it,
+and returns the total simulated time.  They are fixed-seed and
+payload-free, so the recorded span stream is bit-reproducible — the
+golden-trace conformance test pins ``sweep4``.
 """
 
 from __future__ import annotations
@@ -130,10 +130,7 @@ _SINKED = frozenset({"sweep3060", "sweep6120"})
 
 def run_scenario(name: str, obs: ObsRecorder | None = None):
     """Run one scenario under a recorder; returns ``(recorder,
-    sim_time)``.  The transport cost-model observer is installed for the
-    duration of the run and always removed afterwards."""
-    from repro.comm.transport import set_transport_observer
-
+    sim_time)``."""
     try:
         fn = SCENARIOS[name]
     except KeyError:
@@ -148,9 +145,4 @@ def run_scenario(name: str, obs: ObsRecorder | None = None):
         rec = ObsRecorder(sink=AggregatingSink())
     else:
         rec = ObsRecorder()
-    set_transport_observer(rec)
-    try:
-        sim_time = fn(rec)
-    finally:
-        set_transport_observer(None)
-    return rec, sim_time
+    return rec, fn(rec)

@@ -4,10 +4,10 @@ A :class:`FaultInjector` turns MTBF parameters into concrete failure
 times and plays them into a running :class:`~repro.sim.engine.Simulator`:
 at each failure instant it flips the shared
 :class:`~repro.resilience.health.FabricHealth` ledger, records a
-``"fault"`` trace record, and — for node faults — delivers an
-:class:`~repro.sim.engine.Interrupt` to every process registered as
-living on the victim via ``Process.interrupt``, exactly the machinery
-the engine already exposes for cross-process signalling.
+``"fault"`` event on an attached recorder, and — for node faults —
+delivers an :class:`~repro.sim.engine.Interrupt` to every process
+registered as living on the victim via ``Process.interrupt``, exactly
+the machinery the engine already exposes for cross-process signalling.
 
 Determinism
 -----------
@@ -37,9 +37,9 @@ import random
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable
 
+from repro.obs.recorder import active
 from repro.resilience.health import FabricHealth
 from repro.sim.engine import Process, Simulator
-from repro.sim.trace import NULL_TRACER, Tracer
 
 __all__ = ["Fault", "FaultInjector", "checkpoint_clock"]
 
@@ -70,8 +70,10 @@ class FaultInjector:
     seed:
         Seed of the injector's private RNG; equal seeds reproduce the
         exact fault timetable.
-    tracer:
-        Receives one ``"fault"`` record per failure and per repair.
+    obs:
+        Optional :class:`~repro.obs.recorder.ObsRecorder`; receives one
+        ``"fault"`` event per failure and per repair, on the failed
+        node's id (or link key) as track.
     """
 
     def __init__(
@@ -79,12 +81,12 @@ class FaultInjector:
         sim: Simulator,
         health: FabricHealth | None = None,
         seed: int = 0,
-        tracer: Tracer = NULL_TRACER,
+        obs=None,
     ):
         self.sim = sim
         self.health = health if health is not None else FabricHealth()
         self.rng = random.Random(seed)
-        self.tracer = tracer
+        self.obs = active(obs)
         #: every Fault scheduled, in scheduling order (the timetable)
         self.faults: list[Fault] = []
         self._victims: dict[int, list[Process]] = {}
@@ -202,10 +204,7 @@ class FaultInjector:
         sim = self.sim
         yield sim.timeout(fault.time - sim.now)
         self.health.fail_node(fault.target)
-        self.tracer.record(
-            sim.now, "fault", fault.target,
-            {"kind": "node", "action": "fail", "repair_after": fault.repair_after},
-        )
+        self._record(fault, "fail", repair_after=fault.repair_after)
         for victim in self._victims.get(fault.target, ()):
             if victim.is_alive:
                 # Defuse first: a victim that does not catch the
@@ -215,50 +214,48 @@ class FaultInjector:
         if fault.repair_after is not None:
             yield sim.timeout(fault.repair_after)
             self.health.repair_node(fault.target)
-            self.tracer.record(
-                sim.now, "fault", fault.target,
-                {"kind": "node", "action": "repair"},
-            )
+            self._record(fault, "repair")
 
     def _link_fault(self, fault: Fault):
         sim = self.sim
         yield sim.timeout(fault.time - sim.now)
         u, v = fault.target
         self.health.fail_link(u, v)
-        self.tracer.record(
-            sim.now, "fault", fault.target,
-            {"kind": "link", "action": "fail", "repair_after": fault.repair_after},
-        )
+        self._record(fault, "fail", repair_after=fault.repair_after)
         if fault.repair_after is not None:
             yield sim.timeout(fault.repair_after)
             self.health.repair_link(u, v)
-            self.tracer.record(
-                sim.now, "fault", fault.target,
-                {"kind": "link", "action": "repair"},
-            )
+            self._record(fault, "repair")
+
+    def _record(self, fault: Fault, action: str, **attrs) -> None:
+        if self.obs is not None:
+            self.obs.event("fault", fault.target, self.sim.now,
+                           kind=fault.kind, action=action, **attrs)
 
 
 def checkpoint_clock(
     sim: Simulator,
     interval: float,
     cost: float,
-    tracer: Tracer = NULL_TRACER,
+    obs=None,
     source: Any = "checkpoint",
     horizon: float | None = None,
 ):
     """A periodic checkpoint process (generator): every ``interval``
     simulated seconds it spends ``cost`` seconds writing and records a
-    ``"checkpoint"`` trace.  Run it alongside a workload to surface the
-    checkpoint overhead the :class:`~repro.resilience.checkpoint.
-    CheckpointModel` accounts for analytically::
+    ``"checkpoint"`` event (track ``source``, at the write's start) on
+    ``obs``.  Run it alongside a workload to surface the checkpoint
+    overhead the :class:`~repro.resilience.checkpoint.CheckpointModel`
+    accounts for analytically::
 
         sim.process(checkpoint_clock(sim, interval=60.0, cost=2.0,
-                                     tracer=tracer, horizon=600.0))
+                                     obs=obs, horizon=600.0))
     """
     if interval <= 0:
         raise ValueError("interval must be positive")
     if cost < 0:
         raise ValueError("cost must be >= 0")
+    obs = active(obs)
     n = 0
     while horizon is None or sim.now + interval + cost <= horizon:
         yield sim.timeout(interval)
@@ -266,4 +263,5 @@ def checkpoint_clock(
         if cost > 0:
             yield sim.timeout(cost)
         n += 1
-        tracer.record(start, "checkpoint", source, {"n": n, "cost": cost})
+        if obs is not None:
+            obs.event("checkpoint", source, start, n=n, cost=cost)

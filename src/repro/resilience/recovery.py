@@ -35,7 +35,6 @@ from repro.comm.mpi import Location
 from repro.resilience.faults import FaultInjector
 from repro.resilience.health import FabricHealth
 from repro.resilience.policy import DeliveryPolicy
-from repro.sim.trace import NULL_TRACER
 from repro.sweep3d.decomposition import Decomposition2D
 from repro.sweep3d.input import SweepInput
 from repro.sweep3d.parallel import ParallelSweep, SweepAborted
@@ -153,7 +152,6 @@ def run_with_recovery(
     restart_time: float = 0.0,
     recv_timeout: float | None = None,
     max_restarts: int = 8,
-    tracer=None,
 ) -> RecoveryOutcome:
     """Deliver ``iterations`` sweeps despite the fault plan.
 
@@ -215,10 +213,7 @@ def run_with_recovery(
         pending = [(t, node) for t, node in plan if t >= wallclock]
 
         def hook(sim, procs, locs, _pending=pending, _t0=wallclock):
-            injector = FaultInjector(
-                sim, health=health,
-                tracer=tracer if tracer is not None else NULL_TRACER,
-            )
+            injector = FaultInjector(sim, health=health)
             by_node: dict[int, list] = {}
             for proc, loc in zip(procs, locs):
                 by_node.setdefault(loc.node, []).append(proc)
@@ -229,7 +224,6 @@ def run_with_recovery(
 
         sweep = ParallelSweep(
             inp, decomp, grind_time, fabric, locations=locations,
-            tracer=tracer,
             delivery=DeliveryPolicy(health=health),
             recv_timeout=recv_timeout,
             fault_hook=hook,

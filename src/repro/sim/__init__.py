@@ -22,7 +22,6 @@ from repro.sim.engine import (
     Timeout,
 )
 from repro.sim.resources import BandwidthLink, Resource, Store
-from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
@@ -36,6 +35,4 @@ __all__ = [
     "Simulator",
     "Store",
     "Timeout",
-    "TraceRecord",
-    "Tracer",
 ]

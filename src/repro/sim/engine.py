@@ -732,10 +732,6 @@ class Simulator:
         """Composite event firing when all ``events`` have fired."""
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Composite event firing when any of ``events`` has fired."""
-        return AnyOf(self, events)
-
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
         if not delay >= 0:

@@ -347,8 +347,6 @@ class ParallelSweep:
         fabric,
         locations: list[Location] | None = None,
         angles: AngleSet | None = None,
-        timeline=None,
-        tracer=None,
         delivery=None,
         recv_timeout: float | None = None,
         fault_hook=None,
@@ -373,12 +371,6 @@ class ParallelSweep:
         if len(self.locations) != decomp.size:
             raise ValueError("one location per rank required")
         self.angles = angles or make_angle_set(inp.mmi)
-        #: optional :class:`repro.sim.timeline.Timeline` receiving one
-        #: busy interval per computed block
-        self.timeline = timeline
-        #: optional :class:`repro.sim.trace.Tracer` passed to the
-        #: communicator; records the MPI event timeline of the run
-        self.tracer = tracer
         # -- survivability knobs (all default off: the default run is
         # bit-identical to the seed timeline, asserted in perf smoke) --
         #: optional :class:`repro.resilience.policy.DeliveryPolicy`
@@ -496,11 +488,6 @@ class ParallelSweep:
                 if obs is not None:
                     obs.span("sweep.compute", rank.index, start, rank.sim.now,
                              octant=oid, block=b)
-                if self.timeline is not None:
-                    self.timeline.record(
-                        f"rank{rank.index}", start, rank.sim.now,
-                        label=f"oct{oid}b{b}",
-                    )
                 if acc is not None:
                     node = prev = graph.record(
                         acc, oid, b, in_x, in_y, prev, sends + (b < kb - 1)
@@ -553,8 +540,6 @@ class ParallelSweep:
             sim.attach_observer(self.obs)
         comm = SimMPI(sim, self.fabric, self.locations,
                       delivery=self.delivery, obs=self.obs)
-        if self.tracer is not None:
-            comm.tracer = self.tracer
         progress = [0] * dec.size
         # With bounded receives armed, recv timers that lose their race
         # against the message stay in the event heap; draining it would

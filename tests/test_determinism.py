@@ -4,7 +4,8 @@ The kernel promises (see the contract in :mod:`repro.sim.engine`) that
 two runs of the same model visit identical events at identical times.
 These tests exercise the promise through the layers above the kernel:
 a seeded random all-to-all over SimMPI and the full distributed sweep,
-each run twice and compared record-for-record via the MPI trace.  At
+each run twice and compared span-for-span via the recorded MPI
+send and receive spans.  At
 the kernel itself, a mixed workload is checked against the seed engine
 from git history, and observed against unobserved.
 """
@@ -19,7 +20,7 @@ from repro.comm.mpi import Location, SimMPI, UniformFabric
 from repro.comm.transport import Transport
 from repro.hardware.cell import POWERXCELL_8I
 from repro.obs import ObsRecorder
-from repro.sim import Simulator, Tracer
+from repro.sim import Simulator
 from repro.sweep3d.cellport import grind_time
 from repro.sweep3d.decomposition import Decomposition2D
 from repro.sweep3d.input import SweepInput
@@ -29,6 +30,10 @@ from repro.units import US
 
 N_RANKS = 8
 SEED = 0x5EED
+
+
+def _mpi_recorder() -> ObsRecorder:
+    return ObsRecorder(categories={"mpi.send", "mpi.recv"})
 
 
 def _traffic_plan(seed):
@@ -50,15 +55,15 @@ def _traffic_plan(seed):
 
 
 def _random_traffic_run(seed, pool_size=None):
-    """A seeded random message storm over SimMPI, returning the traced
-    timeline.  Every rank replays its plan — jittered sends to random
-    peers — then drains exactly the messages addressed to it."""
+    """A seeded random message storm over SimMPI, returning its send and
+    receive spans.  Every rank replays its plan — jittered sends to
+    random peers — then drains exactly the messages addressed to it."""
     plans, incoming = _traffic_plan(seed)
     sim = Simulator() if pool_size is None else Simulator(pool_size=pool_size)
     fabric = UniformFabric(Transport("test", latency=2 * US, bandwidth=1e9))
-    tracer = Tracer()
+    rec = _mpi_recorder()
     comm = SimMPI(
-        sim, fabric, [Location(node=i) for i in range(N_RANKS)], tracer=tracer
+        sim, fabric, [Location(node=i) for i in range(N_RANKS)], obs=rec
     )
 
     def body(rank):
@@ -71,22 +76,22 @@ def _random_traffic_run(seed, pool_size=None):
     for r in range(comm.size):
         sim.process(body(comm.rank(r)), name=f"rank{r}")
     sim.run()
-    return tracer.records, sim.now
+    return rec.spans, sim.now
 
 
 def _sweep_run():
     inp = SweepInput(it=3, jt=3, kt=16, mk=4, mmi=2)
     decomp = Decomposition2D(4, 2)
-    tracer = Tracer()
+    rec = _mpi_recorder()
     result = ParallelSweep(
         inp,
         decomp,
         grind_time=grind_time(POWERXCELL_8I),
         fabric=cell_fabric(),
         locations=spe_locations(decomp),
-        tracer=tracer,
+        obs=rec,
     ).run()
-    return result, tracer.records
+    return result, rec.spans
 
 
 def test_seeded_simmpi_traffic_is_bit_identical():
@@ -94,7 +99,7 @@ def test_seeded_simmpi_traffic_is_bit_identical():
     records_b, now_b = _random_traffic_run(SEED)
     assert now_a == now_b
     assert len(records_a) > 0
-    assert records_a == records_b  # TraceRecord is a frozen dataclass
+    assert records_a == records_b  # SpanRecord is a frozen dataclass
 
 
 def test_different_seed_changes_the_timeline():

@@ -60,12 +60,15 @@ def test_readme_mentions_every_package():
 
 
 def test_api_doc_imports_are_valid():
-    """Every `from repro...` line in docs/API.md resolves."""
+    """Every `from repro...` line in docs/*.md resolves."""
     import re
 
-    api = _read("docs/API.md")
-    for line in re.findall(r"^from repro[\w.]* import .+$", api, re.MULTILINE):
-        exec(line, {})  # raises on a stale import
+    docs = sorted((REPO / "docs").glob("*.md"))
+    assert len(docs) >= 5
+    for path in docs:
+        text = path.read_text()
+        for line in re.findall(r"^from repro[\w.]* import .+$", text, re.MULTILINE):
+            exec(line, {})  # raises on a stale import
 
 
 def test_documented_campaign_flags_exist():

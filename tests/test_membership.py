@@ -8,20 +8,20 @@ import pytest
 from repro.comm.membership import Membership
 from repro.comm.mpi import DeliveryError, Location, SimMPI, UniformFabric
 from repro.comm.transport import Transport
+from repro.obs import ObsRecorder
 from repro.resilience import FabricHealth, FaultInjector
-from repro.sim import Simulator, Tracer
+from repro.sim import Simulator
 from repro.units import US
 
 LATENCY = 1 * US
 TIMEOUT = 100 * US
 
 
-def make_comm(n_ranks, health=None):
+def make_comm(n_ranks, health=None, obs=None):
     sim = Simulator()
     fabric = UniformFabric(Transport("test", latency=LATENCY, bandwidth=1e9))
     comm = SimMPI(
-        sim, fabric, [Location(node=i) for i in range(n_ranks)],
-        tracer=Tracer(categories=frozenset()),
+        sim, fabric, [Location(node=i) for i in range(n_ranks)], obs=obs,
     )
     if health is not None:
         comm.attach_health(health)
@@ -181,6 +181,33 @@ def test_shrink_allreduce_over_survivors_only():
     assert comm.membership.live_ranks() == (0, 1, 3)
     # termination bound: snapshot is already survivor-only, no retry
     assert all(t <= 2 * TIMEOUT for _v, t in done.values())
+
+
+def test_shrink_commits_are_recorded_as_events():
+    """Each survivor's commit is one ``mpi.shrink`` event on its rank,
+    at the instant it returns: the collective's sequence number, the
+    attempt that committed and the size of the group it reduced over."""
+    health = FabricHealth()
+    health.fail_node(2)
+    rec = ObsRecorder()
+    sim, comm = make_comm(4, health=health, obs=rec)
+
+    def body(rank):
+        return (yield from rank.allreduce(
+            rank.index + 1, op=lambda a, b: a + b,
+            timeout=TIMEOUT, shrink=True,
+        ))
+
+    done, failed = collect(sim, comm, body, ranks=[0, 1, 3])
+    assert not failed
+    events = sorted(rec.events, key=lambda e: e.track)
+    assert [(e.category, e.track) for e in events] == [
+        ("mpi.shrink", r) for r in (0, 1, 3)
+    ]
+    for event in events:
+        assert event.t0 == event.t1 == done[event.track][1]
+        assert dict(event.attrs) == {"seq": 0, "attempt": 0, "group": 3}
+    assert all(span.category != "mpi.shrink" for span in rec.spans)
 
 
 def test_shrink_excluded_rank_raises():

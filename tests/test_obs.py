@@ -1,9 +1,9 @@
 """Tests for the observability subsystem (repro.obs).
 
-Covers the recorder primitives, the disabled-path bit-identity
-contract, span-stream determinism, the acceptance criteria (16-rank
-attribution closure within 1e-9; Chrome trace schema), and the
-``python -m repro profile`` command.
+Covers the recorder primitives (spans, instant events, counters), the
+disabled-path bit-identity contract, span-stream determinism, the
+acceptance criteria (16-rank attribution closure within 1e-9; Chrome
+trace schema), and the ``python -m repro profile`` command.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro.obs import (
     ObsRecorder,
     SpanRecord,
     active,
+    format_profile,
     link_occupancy,
     phase_fractions,
     profile,
@@ -90,6 +91,26 @@ def test_empty_categories_skips_span_retention_entirely():
     rec.gauge("depth", 2.0, track=0)
     assert rec.counter_total("msgs") == 1.0
     assert rec.gauges[("depth", 0)] == 2.0
+
+
+def test_events_are_instants_kept_apart_from_spans():
+    """An event is a zero-length SpanRecord in ``rec.events``; the
+    category filter applies, and the profile, summary and span stream
+    never see it (a fault's track is a node id, not a rank)."""
+    rec = ObsRecorder(categories=frozenset({"keep", "fault"}))
+    rec.span("keep", 0, 0.0, 1.0)
+    rec.event("fault", 17, 0.5, kind="node", action="fail")
+    rec.event("drop", 0, 0.5)
+    assert rec.events == [
+        SpanRecord("fault", 17, 0.5, 0.5, (("kind", "node"), ("action", "fail")))
+    ]
+    assert [s.category for s in rec.spans] == ["keep"]
+    assert list(profile(rec, 1.0).ranks) == [0]
+    summary = to_summary(rec, 1.0)
+    assert summary["span_count"] == 1 and list(summary["ranks"]) == ["0"]
+    assert [s["category"] for s in span_stream(rec)] == ["keep"]
+    rec.clear()
+    assert rec.events == []
 
 
 # -- streaming sinks ---------------------------------------------------------
@@ -216,6 +237,7 @@ def test_active_normalization():
 
 def test_null_recorder_is_inert():
     NULL_RECORDER.span("x", 0, 0.0, 1.0)
+    NULL_RECORDER.event("x", 0, 0.0, attempt=1)
     NULL_RECORDER.count("c")
     NULL_RECORDER.gauge("g", 1.0)
     NULL_RECORDER._note_event("Timeout", None, 0.0)
@@ -328,17 +350,23 @@ def test_link_occupancy_from_contended_scenario():
         assert lp.bytes == 1_000_000.0
 
 
-def test_transport_cache_counters_from_analytic_scenario():
-    """The analytic-fabric scenarios evaluate Transport cost curves, so
-    the module observer sees misses (first evaluation per size) and then
-    hits (the memoized curve)."""
-    rec, _sim_time = run_scenario("sweep4")
-    assert rec.counter_total("transport.cache_miss") > 0
-    assert rec.counter_total("transport.cache_hit") > 0
-    # The observer is uninstalled after the run.
-    from repro.comm import transport as transport_mod
-
-    assert transport_mod._OBSERVER is None
+def test_chrome_trace_exports_events_as_instants():
+    rec = ObsRecorder()
+    rec.span("mpi.send", 3, 1e-6, 2e-6, dest=4)
+    rec.event("mpi.retry", 3, 2e-6, attempt=1)
+    rec.event("fault", 3, 5e-6, kind="node", action="fail")
+    events = to_chrome_trace(rec)["traceEvents"]
+    retry, fault = [e for e in events if e["ph"] == "i"]
+    (send,) = [e for e in events if e["ph"] == "X"]
+    assert retry["name"] == retry["cat"] == "mpi.retry"
+    assert retry["ts"] == pytest.approx(2.0)
+    assert retry["args"] == {"attempt": 1}
+    # a rank's event sits on the rank's thread; node 3's fault does not
+    assert (retry["pid"], retry["tid"]) == (send["pid"], send["tid"])
+    assert fault["pid"] == 1 and fault["tid"] != send["tid"]
+    names = {e["tid"]: e["args"]["name"] for e in events
+             if e["ph"] == "M" and e["name"] == "thread_name" and e["pid"] == 1}
+    assert names[fault["tid"]] == "fault 3"
 
 
 def test_engine_observer_counts_events():
@@ -497,6 +525,55 @@ def test_profile_cli_text(capsys, tmp_path):
     assert "per-rank sim-time attribution" in out
     assert "compute" in out and "recv-wait" in out
     assert json.loads(trace_path.read_text())["traceEvents"]
+
+
+def test_profile_cli_trace_keeps_every_span(monkeypatch, tmp_path):
+    """``--trace`` writes one complete event per recorded span, also for
+    the scenarios that stream into an AggregatingSink by default (which
+    drops each batch it folds in).  ``sweep16`` stands in for the
+    full-machine pair here: made a sinked scenario with a flush
+    threshold its ~4.4k spans cross many times."""
+    import functools
+
+    from repro.cli import main
+    from repro.obs import scenarios
+
+    monkeypatch.setattr(scenarios, "_SINKED", frozenset({"sweep16"}))
+    monkeypatch.setattr(
+        scenarios, "ObsRecorder", functools.partial(ObsRecorder, flush_threshold=100)
+    )
+    trace_path = tmp_path / "t.json"
+    assert main(["profile", "sweep16", "--trace", str(trace_path)]) == 0
+    full, _sim_time = run_scenario("sweep16", obs=ObsRecorder())
+    events = json.loads(trace_path.read_text())["traceEvents"]
+    assert len(full.spans) > 1000
+    assert sum(e["ph"] == "X" for e in events) == len(full.spans)
+
+
+def test_format_profile_host_ms_per_rank_process():
+    """The host-ms column finds each rank's process by its ``-rank<i>``
+    suffix, whatever the scenario calls it (sweep-, solve-, ring-)."""
+    from repro.obs import RankProfile, SimProfile
+
+    def rank(track):
+        phases = {"compute": 1.0, "recv-wait": 0.0, "send": 0.0, "collective": 0.0}
+        return RankProfile(track=track, phases=phases, other=0.0, idle=0.0, total=1.0)
+
+    prof = SimProfile(
+        sim_time=1.0,
+        ranks={0: rank(0), 1: rank(1), 2: rank(2)},
+        host_time_by_process={
+            "solve-rank0": 0.0042, "ring-rank1": 0.0125, "sweep-rank2": 0.5,
+            "fault-node1": 9.0,
+        },
+    )
+    rows = [
+        line.split() for line in format_profile(prof).splitlines()
+        if line.split()[:1] in (["0"], ["1"], ["2"])
+    ]
+    assert [(row[0], row[-1]) for row in rows] == [
+        ("0", "4.2"), ("1", "12.5"), ("2", "500.0"),
+    ]
 
 
 def test_profile_cli_json(capsys):

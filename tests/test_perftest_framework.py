@@ -3,14 +3,15 @@
 Covers the reference primitives (floors/ceilings/bands), parameter-
 space expansion, registry validation, the runner's policy pipeline
 (skip -> xfail -> body -> references), the ``BENCH_perf.json`` format-2
-migration, and that framework-emitted sections round-trip through the
-*old* reader (:func:`enforce_speedup_floors`, kept here as the
-reference) unchanged.
+migration, seed-commit module loading, and that framework-emitted
+sections round-trip through the *old* reader
+(:func:`enforce_speedup_floors`, kept here as the reference) unchanged.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -362,3 +363,61 @@ def test_every_declared_section_is_committed():
         f"BENCH_perf.json lacks section(s) {missing}: record them with "
         "python -m repro perftest <name> --refresh-baselines"
     )
+
+
+# -- seed-commit modules ------------------------------------------------------
+
+
+def _stub_git(monkeypatch, files: dict[str, str]):
+    """gitseed with ``git show`` answered from ``files`` (relpath ->
+    source; absent paths are unavailable, as git reports them)."""
+    from benchmarks.framework import gitseed
+
+    monkeypatch.setattr(gitseed, "seed_commit", lambda: "0123456789abcdef")
+    monkeypatch.setattr(
+        gitseed, "_git_show", lambda commit, relpath: files.get(relpath)
+    )
+    return gitseed
+
+
+def test_seed_module_is_none_only_without_git_or_the_file(monkeypatch):
+    gitseed = _stub_git(monkeypatch, {})
+    assert gitseed.load_seed_module("src/repro/gone.py", "_seed_gone") is None
+    monkeypatch.setattr(gitseed, "seed_commit", lambda: None)
+    assert gitseed.load_seed_module("src/repro/gone.py", "_seed_gone") is None
+
+
+def test_seed_module_that_fails_to_load_raises(monkeypatch):
+    """A seed oracle must not turn into a silent skip: an error while
+    the seed file executes propagates."""
+    gitseed = _stub_git(monkeypatch, {
+        "src/repro/bad.py": "raise RuntimeError('broken seed')\n",
+        "src/repro/lost.py": "import repro.nowhere\n",
+    })
+    with pytest.raises(RuntimeError, match="broken seed"):
+        gitseed.load_seed_module("src/repro/bad.py", "_seed_bad")
+    with pytest.raises(ModuleNotFoundError):
+        gitseed.load_seed_module("src/repro/lost.py", "_seed_lost")
+    assert "_seed_bad" not in sys.modules and "_seed_lost" not in sys.modules
+
+
+def test_seed_mpi_cases_run_against_the_seed_commit():
+    """The two ``resilience_contract`` cases built on the seed commit's
+    ``comm/mpi.py`` (which imports the deleted ``repro.sim.trace``)
+    pass rather than skip wherever git history exists, and leave no
+    seed module importable from the current tree."""
+    from benchmarks.framework.gitseed import seed_commit
+    from benchmarks.perf.perf_resilience import ResilienceDisabledContract
+
+    if seed_commit() is None:
+        pytest.skip("no git history")
+    test = ResilienceDisabledContract()
+    cases = [case for case in test.cases()
+             if case.check in ("timeline_vs_seed", "allocation_slope")]
+    assert len(cases) == 2
+    for case in cases:
+        out = run_case(test, case, "smoke")
+        assert out.status == "passed", (case.id, out.status, out.detail)
+    assert "repro.sim.trace" not in sys.modules
+    with pytest.raises(ModuleNotFoundError):
+        import repro.sim.trace  # noqa: F401

@@ -21,6 +21,7 @@ from repro.network.routing import (
     hop_vector,
 )
 from repro.network.topology import RoadrunnerTopology
+from repro.obs import ObsRecorder, span_stream
 from repro.resilience import (
     CheckpointModel,
     DeliveryPolicy,
@@ -31,18 +32,17 @@ from repro.resilience import (
     edge_key,
     sweep_failure_study,
 )
-from repro.sim import Simulator, Tracer
+from repro.sim import Simulator
 from repro.sim.engine import Interrupt
 from repro.units import US
 
 
-def make_comm(n_ranks, delivery=None, tracer=None, latency=1 * US):
+def make_comm(n_ranks, delivery=None, obs=None, latency=1 * US):
     sim = Simulator()
     fabric = UniformFabric(Transport("test", latency=latency, bandwidth=1e9))
     comm = SimMPI(
         sim, fabric, [Location(node=i) for i in range(n_ranks)],
-        tracer=tracer if tracer is not None else Tracer(categories=frozenset()),
-        delivery=delivery,
+        delivery=delivery, obs=obs,
     )
     return sim, comm
 
@@ -126,13 +126,15 @@ def test_uncaught_fault_kills_victim_without_aborting_run():
 
 def test_fault_repair_restores_health_and_traces():
     sim = Simulator()
-    tracer = Tracer()
-    injector = FaultInjector(sim, tracer=tracer)
+    rec = ObsRecorder()
+    injector = FaultInjector(sim, obs=rec)
     injector.fail_node_at(1.0, 7, repair_after=2.0)
     sim.run()
     assert injector.health.node_ok(7)
-    actions = [(r.time, r.detail["action"]) for r in tracer.filter("fault")]
-    assert actions == [(1.0, "fail"), (3.0, "repair")]
+    actions = [(e.t0, e.track, dict(e.attrs)["action"])
+               for e in rec.events if e.category == "fault"]
+    assert actions == [(1.0, 7, "fail"), (3.0, 7, "repair")]
+    assert rec.spans == []  # a fault is an instant, not a span
 
 
 def test_link_fault_flips_ledger():
@@ -147,16 +149,16 @@ def test_link_fault_flips_ledger():
 
 def test_checkpoint_clock_respects_horizon_and_traces():
     sim = Simulator()
-    tracer = Tracer()
+    rec = ObsRecorder()
     sim.process(checkpoint_clock(sim, interval=10.0, cost=2.0,
-                                 tracer=tracer, horizon=50.0))
+                                 obs=rec, horizon=50.0))
     sim.run()
-    records = list(tracer.filter("checkpoint"))
+    records = [e for e in rec.events if e.category == "checkpoint"]
     # Checkpoints start every 12 s of wall clock (10 work + 2 write);
     # the one starting at 46 still completes by the 50 s horizon, and
     # the next (would finish at 60) is never started.
-    assert [r.time for r in records] == [10.0, 22.0, 34.0, 46.0]
-    assert [r.detail["n"] for r in records] == [1, 2, 3, 4]
+    assert [e.t0 for e in records] == [10.0, 22.0, 34.0, 46.0]
+    assert [dict(e.attrs)["n"] for e in records] == [1, 2, 3, 4]
     assert sim.now <= 50.0
 
 
@@ -245,10 +247,10 @@ def test_jitter_free_retry_policy_matches_delivery_schedule(
 def test_send_to_failed_node_exhausts_retries():
     health = FabricHealth()
     health.fail_node(1)
-    tracer = Tracer()
+    rec = ObsRecorder()
     policy = DeliveryPolicy(health=health, ack_timeout=10 * US,
                             backoff=2.0, max_retries=3, max_delay=1.0)
-    sim, comm = make_comm(2, delivery=policy, tracer=tracer)
+    sim, comm = make_comm(2, delivery=policy, obs=rec)
     outcome = {}
 
     def sender(rank):
@@ -262,16 +264,22 @@ def test_send_to_failed_node_exhausts_retries():
     # 4 attempts; backoff waits of 10, 20, 40 us between them.
     assert outcome["time"] == pytest.approx(70 * US)
     assert comm.retry_counts[0] == 3
-    retries = list(tracer.filter("retry"))
-    assert [r.detail["attempt"] for r in retries] == [1, 2, 3]
+    retries = [e for e in rec.events if e.category == "mpi.retry"]
+    assert [dict(e.attrs)["attempt"] for e in retries] == [1, 2, 3]
+    # the undeliverable send still closes its span, marked as such
+    (send,) = rec.spans
+    assert send.category == "mpi.send" and send.t0 == 0.0
+    assert send.t1 == outcome["time"]
+    assert dict(send.attrs)["attempts"] == 4
+    assert dict(send.attrs)["delivered"] is False
 
 
 def test_lossy_delivery_is_seed_deterministic_and_eventually_delivers():
     def run(seed):
-        tracer = Tracer()
+        rec = ObsRecorder()
         policy = DeliveryPolicy(drop_probability=0.5, seed=seed,
                                 ack_timeout=10 * US, max_retries=20)
-        sim, comm = make_comm(2, delivery=policy, tracer=tracer)
+        sim, comm = make_comm(2, delivery=policy, obs=rec)
         got = []
 
         def sender(rank):
@@ -286,13 +294,13 @@ def test_lossy_delivery_is_seed_deterministic_and_eventually_delivers():
         sim.process(sender(comm.rank(0)), name="s")
         sim.process(receiver(comm.rank(1)), name="r")
         sim.run()
-        return got, sim.now, tracer.records
+        return got, sim.now, rec.spans + rec.events
 
     got_a, now_a, rec_a = run(11)
     got_b, now_b, rec_b = run(11)
     assert got_a == [100] * 20
     assert (got_a, now_a, rec_a) == (got_b, now_b, rec_b)
-    assert any(r.category == "retry" for r in rec_a)  # 50% loss retries
+    assert any(r.category == "mpi.retry" for r in rec_a)  # 50% loss retries
 
 
 def _collective_workload(sim, comm, result):
@@ -308,25 +316,31 @@ def _collective_workload(sim, comm, result):
 
 
 def test_perfect_policy_matches_disabled_path_exactly():
-    """DeliveryPolicy() (perfect) must not change one event: same trace,
-    same finish time, no RNG draws — the zero-overhead contract."""
-    tracer_off = Tracer()
-    sim_off, comm_off = make_comm(4, tracer=tracer_off)
+    """DeliveryPolicy() (perfect) must not change one event: same spans
+    (less the resilient path's own ``attempts`` attribute), same finish
+    time, no RNG draws — the zero-overhead contract."""
+    rec_off = ObsRecorder()
+    sim_off, comm_off = make_comm(4, obs=rec_off)
     result_off = {}
     _collective_workload(sim_off, comm_off, result_off)
     sim_off.run()
 
     policy = DeliveryPolicy()
     rng_before = policy._rng.getstate()
-    tracer_on = Tracer()
-    sim_on, comm_on = make_comm(4, delivery=policy, tracer=tracer_on)
+    rec_on = ObsRecorder()
+    sim_on, comm_on = make_comm(4, delivery=policy, obs=rec_on)
     result_on = {}
     _collective_workload(sim_on, comm_on, result_on)
     sim_on.run()
 
     assert result_on == result_off
     assert sim_on.now == sim_off.now
-    assert tracer_on.records == tracer_off.records
+    stream_on = span_stream(rec_on)
+    for span in stream_on:
+        if span["category"] == "mpi.send":
+            assert span["attrs"].pop("attempts") == 1
+    assert stream_on == span_stream(rec_off)
+    assert rec_on.events == rec_off.events == []
     assert comm_on.retry_counts == [0] * 4
     assert policy._rng.getstate() == rng_before
 

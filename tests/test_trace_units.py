@@ -1,8 +1,7 @@
-"""Tests for the tracer, unit helpers, and parallel-efficiency stats."""
+"""Tests for unit helpers, the run's MPI record, and parallel-efficiency stats."""
 
 import pytest
 
-from repro.sim.trace import NULL_TRACER, Tracer
 from repro.units import (
     GB_S,
     GFLOPS,
@@ -45,62 +44,23 @@ def test_binary_vs_decimal_sizes():
     assert 1 * GHZ == 1e9
 
 
-# --- tracer -------------------------------------------------------------------
-
-def test_tracer_records_and_counts():
-    tracer = Tracer()
-    tracer.record(1.0, "mpi.send", 0, {"dest": 1})
-    tracer.record(2.0, "mpi.recv", 1)
-    tracer.record(3.0, "mpi.send", 0)
-    assert len(tracer) == 3
-    assert tracer.count("mpi.send") == 2
-    assert tracer.count("mpi.recv") == 1
-
-
-def test_tracer_category_filtering():
-    tracer = Tracer(categories=frozenset({"dma"}))
-    assert tracer.enabled_for("dma")
-    assert not tracer.enabled_for("mpi.send")
-    tracer.record(0.0, "mpi.send", 0)
-    tracer.record(0.0, "dma", 0)
-    assert len(tracer) == 1
-
-
-def test_tracer_filter_by_predicate():
-    tracer = Tracer()
-    for t in range(5):
-        tracer.record(float(t), "tick", source=t % 2)
-    evens = list(tracer.filter(predicate=lambda r: r.source == 0))
-    assert len(evens) == 3
-
-
-def test_tracer_span_and_clear():
-    tracer = Tracer()
-    assert tracer.span() == 0.0
-    tracer.record(1.0, "a", 0)
-    tracer.record(4.5, "b", 0)
-    assert tracer.span() == pytest.approx(3.5)
-    tracer.clear()
-    assert len(tracer) == 0
-
-
-def test_null_tracer_keeps_nothing():
-    NULL_TRACER.record(0.0, "anything", 0)
-    assert len(NULL_TRACER) == 0
-
+# --- the run's MPI record ---------------------------------------------------
 
 def test_mpi_tracer_integration():
+    """One blocking send and its receive each close one span on the
+    obs recorder, the channel every run is recorded through."""
     from repro.comm.mpi import Location, SimMPI, UniformFabric
     from repro.comm.transport import Transport
+    from repro.obs import ObsRecorder
     from repro.sim import Simulator
 
     sim = Simulator()
-    tracer = Tracer()
+    rec = ObsRecorder()
     comm = SimMPI(
         sim,
         UniformFabric(Transport("t", latency=1e-6, bandwidth=1e9)),
         [Location(node=i) for i in range(2)],
-        tracer=tracer,
+        obs=rec,
     )
 
     def body(rank):
@@ -112,8 +72,12 @@ def test_mpi_tracer_integration():
     for r in range(2):
         sim.process(body(comm.rank(r)))
     sim.run()
-    assert tracer.count("mpi.send") == 1
-    assert tracer.count("mpi.recv") == 1
+    assert [(s.category, s.track) for s in rec.spans] == [
+        ("mpi.send", 0), ("mpi.recv", 1),
+    ]
+    assert dict(rec.spans[0].attrs) == {"dest": 1, "size": 100, "tag": 0}
+    assert dict(rec.spans[1].attrs)["source"] == 0
+    assert rec.events == []
 
 
 # --- parallel efficiency statistics -----------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from repro.comm.mpi import UniformFabric
 from repro.comm.transport import Transport
-from repro.sim.timeline import Timeline
+from repro.obs import ObsRecorder
 from repro.sweep3d.decomposition import Decomposition2D
 from repro.sweep3d.input import SweepInput
 from repro.sweep3d.parallel import ParallelSweep
@@ -85,17 +85,17 @@ def test_des_sweep_executes_in_wavefront_order():
     diagonals: rank (pi, pj) starts at step pi + pj + 1."""
     inp = SweepInput(it=2, jt=2, kt=2, mk=2, mmi=1)  # one block per octant
     dec = Decomposition2D(4, 4)
-    tl = Timeline()
+    rec = ObsRecorder(categories={"sweep.compute"})
     grind = 1e-6
     block = inp.block_angle_work() * grind
     fabric = UniformFabric(Transport("free", 1e-12, 1e18))
-    ParallelSweep(inp, dec, grind, fabric, timeline=tl).run()
-    # First octant = label "oct0b0": start time / block = diagonal index.
+    ParallelSweep(inp, dec, grind, fabric, obs=rec).run()
+    # First octant, block 0: start time / block = diagonal index.
     starts = {}
-    for iv in tl.intervals:
-        if iv.label == "oct0b0":
-            rank = int(iv.actor.replace("rank", ""))
-            starts[rank] = iv.start
+    for span in rec.spans:
+        if dict(span.attrs) == {"octant": 0, "block": 0}:
+            starts[span.track] = span.t0
+    assert len(starts) == dec.size
     for rank, start in starts.items():
         pi, pj = dec.coords(rank)
         step = round(start / block)
