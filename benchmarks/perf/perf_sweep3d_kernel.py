@@ -1,16 +1,16 @@
-"""Perf of the Sweep3D numeric layer: plan kernels, batched octants, replay.
+"""Perf of the Sweep3D numeric layer: the plan kernel, octant stacks, replay.
 
-The smoke tier is the bit-identity contract of the sweep-plan rewrite:
+The smoke tier is the bit-identity contract of the sweep-plan kernel:
 
-* the plan-driven ``sweep_octant`` / ``sweep_octant_fixup`` against the
-  git-seed kernels on mixed grids (scalar and array ``sigma_t``,
+* the one-block ``sweep_octant`` (plain and ``fixup=True``) against the
+  git-seed kernels on mixed grids (thin and thick scalar ``sigma_t``,
   degenerate 1-wide axes — the BLAS one-row reduction edge cases);
-* the 8-octant batched sweep against the per-octant loop, for both
-  kernels, through ``sweep_all_octants`` (flux, leakage, reflected
-  influx) and at the raw face level;
+* the vacuum sweep's 8-octant stack against the seed solver's octant
+  loop over the seed kernels, for both schemes, through
+  ``sweep_all_octants`` (flux, leakage, reflected influx);
 * the current solver stack against the seed solver driving the seed
   kernels, including reflective faces and ``face_memory`` hand-off
-  across sweeps (where the batched path must *not* engage);
+  across sweeps (where the octants must run in order);
 * replay-mode ``run(iterations=N)`` against the full run — flux,
   message counts, bytes, iteration time, and the traced DES timeline.
 
@@ -38,7 +38,6 @@ from repro.hardware.cell import POWERXCELL_8I
 from repro.obs import ObsRecorder, span_stream
 from repro.sweep3d.cellport import grind_time
 from repro.sweep3d.decomposition import Decomposition2D
-from repro.sweep3d.fixup import sweep_octant_fixup
 from repro.sweep3d.input import SweepInput
 from repro.sweep3d.kernel import sweep_octant
 from repro.sweep3d.parallel import ParallelSweep
@@ -85,65 +84,66 @@ def _cases(rng, I, J, K, mmi):
         rng.uniform(0.0, 4.0, (I, K, M)),
         rng.uniform(0.0, 4.0, (I, J, M)),
     )
-    sigmas = (0.75, rng.uniform(0.5, 8.0, (I, J, K)))
-    return ang, src, inflows, sigmas
+    return ang, src, inflows, (0.75, 8.0)
+
+
+def _seed_kernels() -> dict:
+    """The seed commit's one-block kernels, by fixup scheme."""
+    seed_kernel = _seed("src/repro/sweep3d/kernel.py", "_seed_s3d_kernel")
+    seed_fixup = _seed("src/repro/sweep3d/fixup.py", "_seed_s3d_fixup")
+    return {False: seed_kernel.sweep_octant, True: seed_fixup.sweep_octant_fixup}
 
 
 def _check_plan_kernels_vs_seed():
-    seed_kernel = _seed("src/repro/sweep3d/kernel.py", "_seed_s3d_kernel")
-    seed_fixup = _seed("src/repro/sweep3d/fixup.py", "_seed_s3d_fixup")
+    seed = _seed_kernels()
     rng = np.random.default_rng(31)
-    pairs = [
-        (sweep_octant, seed_kernel.sweep_octant),
-        (sweep_octant_fixup, seed_fixup.sweep_octant_fixup),
-    ]
     for I, J, K, mmi in SMOKE_GRIDS:
         ang, src, inflows, sigmas = _cases(rng, I, J, K, mmi)
         for sigma in sigmas:
-            for now, then in pairs:
-                got = now(sigma, src, 0.3, 0.4, 0.5, ang, *inflows)
+            for fixup, then in seed.items():
+                got = sweep_octant(sigma, src, 0.3, 0.4, 0.5, ang, *inflows,
+                                   fixup=fixup)
                 want = then(sigma, src, 0.3, 0.4, 0.5, ang, *inflows)
                 for g, w in zip(got, want):
-                    assert np.array_equal(g, w), (now.__name__, I, J, K, mmi)
+                    assert np.array_equal(g, w), (fixup, sigma, I, J, K, mmi)
 
 
-def _check_batched_vs_per_octant():
-    """The 8-octant batched path and the octant loop are the same sweep:
-    identical flux, leakage and (zero) reflected influx, both kernels."""
+def _check_vacuum_stack_vs_seed_loop():
+    """The vacuum sweep's 8-octant stack and the seed solver's octant
+    loop are the same sweep: identical flux, leakage and (zero)
+    reflected influx, both schemes.  At ``sigma_t = 1`` the seed
+    fixup's three-pass cap never binds."""
+    seed_solver = _seed("src/repro/sweep3d/solver.py", "_seed_s3d_solver")
+    seed = _seed_kernels()
     rng = np.random.default_rng(32)
     for I, J, K, mmi in SMOKE_GRIDS:
-        inp = SweepInput(it=I, jt=J, kt=K, mk=K, mmi=mmi)
+        inp = SweepInput(it=I, jt=J, kt=K, mk=K, mmi=mmi, sigma_t=1.0)
         ang = make_angle_set(mmi)
         src = rng.uniform(0.05, 2.0, (I, J, K))
-        for kernel in (sweep_octant, sweep_octant_fixup):
-            loop = sweep_all_octants(inp, src, ang, kernel=kernel, batched=False)
-            fast = sweep_all_octants(inp, src, ang, kernel=kernel, batched=True)
-            assert np.array_equal(loop[0], fast[0])
-            assert loop[1] == fast[1]
-            assert loop[2] == fast[2]
+        for fixup, then in seed.items():
+            got = sweep_all_octants(inp, src, ang, fixup=fixup)
+            want = seed_solver.sweep_all_octants(inp, src, ang, kernel=then)
+            assert np.array_equal(got[0], want[0])
+            assert got[1] == want[1]
+            assert got[2] == want[2]
 
 
 def _check_solver_stack_vs_seed():
-    """The full current stack (plan kernels + auto-batching) against the
-    seed solver driving the seed kernels — vacuum, reflective, and
+    """The full current stack (the stacked kernel) against the seed
+    solver driving the seed kernels — vacuum, reflective, and
     fixup-with-face-memory sweeps."""
     seed_solver = _seed("src/repro/sweep3d/solver.py", "_seed_s3d_solver")
-    seed_kernel = _seed("src/repro/sweep3d/kernel.py", "_seed_s3d_kernel")
-    seed_fixup = _seed("src/repro/sweep3d/fixup.py", "_seed_s3d_fixup")
+    seed = _seed_kernels()
     inp = SweepInput(it=5, jt=4, kt=6, mk=6, mmi=6, sigma_t=2.0, sigma_s=0.8)
     ang = make_angle_set(inp.mmi)
     src = np.full((inp.it, inp.jt, inp.kt), inp.q)
-    pairs = [
-        (sweep_octant, seed_kernel.sweep_octant),
-        (sweep_octant_fixup, seed_fixup.sweep_octant_fixup),
-    ]
     for reflective in (frozenset(), ALL_REFLECTIVE):
-        for now_kernel, then_kernel in pairs:
+        for fixup, then_kernel in seed.items():
             mem_now: dict = {}
             mem_then: dict = {}
             for _sweep in range(3):  # face_memory hand-off across sweeps
                 got = sweep_all_octants(
-                    inp, src, ang, kernel=now_kernel,
+                    inp, src, ang, fixup=fixup,
                     reflective=reflective, face_memory=mem_now,
                 )
                 want = seed_solver.sweep_all_octants(
@@ -187,15 +187,15 @@ class SweepKernelIdentity(PerfTest):
     """Smoke tier: the rewrite's bit-identity contract."""
 
     name = "sweep3d_kernel_identity"
-    title = "sweep3d: plan kernels, batching, solver stack, replay identity"
+    title = "sweep3d: plan kernel, vacuum stack, solver stack, replay identity"
     tiers = ("smoke",)
     params = {
-        "check": ["plan_kernels", "batched", "solver_stack", "replay"]
+        "check": ["plan_kernels", "vacuum_stack", "solver_stack", "replay"]
     }
 
     _CHECKS = {
         "plan_kernels": _check_plan_kernels_vs_seed,
-        "batched": _check_batched_vs_per_octant,
+        "vacuum_stack": _check_vacuum_stack_vs_seed_loop,
         "solver_stack": _check_solver_stack_vs_seed,
         "replay": _check_replay_vs_full_run,
     }

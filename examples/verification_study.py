@@ -13,7 +13,6 @@ from repro.core.report import format_table, sparkline
 from repro.hardware.roofline import ROOFLINES, sweep3d_operating_point
 from repro.obs import ObsRecorder, format_gantt
 from repro.sweep3d.decomposition import Decomposition2D
-from repro.sweep3d.fixup import sweep_octant_fixup
 from repro.sweep3d.input import SweepInput
 from repro.sweep3d.kernel import sweep_octant
 from repro.sweep3d.parallel import ParallelSweep
@@ -42,8 +41,8 @@ def main() -> None:
     zeros = np.zeros((3, 3, 6))
     _, ox, oy, oz = sweep_octant(8.0, src, 1, 1, 1, ang,
                                  strong_inflow, zeros, zeros)
-    _, fx, fy, fz = sweep_octant_fixup(8.0, src, 1, 1, 1, ang,
-                                       strong_inflow, zeros, zeros)
+    _, fx, fy, fz = sweep_octant(8.0, src, 1, 1, 1, ang,
+                                 strong_inflow, zeros, zeros, fixup=True)
     print(f"plain kernel minimum outflow : {min(ox.min(), oy.min(), oz.min()):+.3f}"
           "  (negative: the classic DD failure in thick cells)")
     print(f"fixup kernel minimum outflow : {min(fx.min(), fy.min(), fz.min()):+.3f}"

@@ -49,11 +49,10 @@ from repro.obs.recorder import (
     active,
 )
 from repro.obs.scenarios import SCENARIOS, run_scenario
-from repro.obs.sinks import AggregatingSink, RotatingFileSink
+from repro.obs.sinks import AggregatingSink
 
 __all__ = [
     "AggregatingSink",
-    "RotatingFileSink",
     "ObsRecorder",
     "SpanRecord",
     "NullRecorder",

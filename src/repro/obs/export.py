@@ -19,6 +19,7 @@ Four output formats, all derived from one
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from typing import Any
 
 from repro.obs.profiler import PHASES, SimProfile, profile
@@ -187,6 +188,68 @@ def deterministic_summary(rec: ObsRecorder, sim_time: float) -> dict[str, Any]:
     return summary
 
 
+def _trace_events(rec: ObsRecorder) -> Iterator[dict[str, Any]]:
+    """The ``traceEvents`` of :func:`to_chrome_trace`, one at a time, in
+    order: a thread's ``thread_name`` metadata event comes just before
+    the first event on that thread."""
+    tids: tuple[dict[Any, int], dict[Any, int]] = ({}, {})  # ranks, links
+
+    def _thread(track: Any, is_link: bool) -> tuple[int, dict | None]:
+        table = tids[is_link]
+        tid = table.get(track)
+        if tid is not None:
+            return tid, None
+        tid = table[track] = len(table)
+        return tid, {
+            "ph": "M",
+            "pid": 2 if is_link else 1,
+            "tid": tid,
+            "name": "thread_name",
+            "args": {"name": str(track)},
+        }
+
+    for pid, name in ((1, "sim ranks"), (2, "links")):
+        yield {
+            "ph": "M",
+            "pid": pid,
+            "tid": 0,
+            "name": "process_name",
+            "args": {"name": name},
+        }
+    for span in rec.spans:
+        is_link = span.category == "link"
+        tid, meta = _thread(span.track, is_link)
+        if meta is not None:
+            yield meta
+        yield {
+            "ph": "X",
+            "pid": 2 if is_link else 1,
+            "tid": tid,
+            "name": span.category,
+            "cat": span.category,
+            "ts": span.t0 * _TS_SCALE,
+            "dur": (span.t1 - span.t0) * _TS_SCALE,
+            "args": dict(span.attrs),
+        }
+    for event in rec.events:
+        track = event.track
+        if not event.category.startswith("mpi."):
+            track = f"{event.category} {track}"
+        tid, meta = _thread(track, False)
+        if meta is not None:
+            yield meta
+        yield {
+            "ph": "i",
+            "s": "t",
+            "pid": 1,
+            "tid": tid,
+            "name": event.category,
+            "cat": event.category,
+            "ts": event.t0 * _TS_SCALE,
+            "args": dict(event.attrs),
+        }
+
+
 def to_chrome_trace(rec: ObsRecorder) -> dict[str, Any]:
     """The span stream in Chrome ``trace_event`` object format.
 
@@ -198,75 +261,23 @@ def to_chrome_trace(rec: ObsRecorder) -> dict[str, Any]:
     own named ``"<category> <track>"`` (a fault's track is a node or
     link, not a rank).
     """
-    events: list[dict[str, Any]] = []
-    rank_tids: dict[Any, int] = {}
-    link_tids: dict[Any, int] = {}
-
-    def _tid(track: Any, is_link: bool) -> int:
-        table = link_tids if is_link else rank_tids
-        tid = table.get(track)
-        if tid is None:
-            tid = len(table)
-            table[track] = tid
-            pid = 2 if is_link else 1
-            events.append(
-                {
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": tid,
-                    "name": "thread_name",
-                    "args": {"name": str(track)},
-                }
-            )
-        return tid
-
-    for pid, name in ((1, "sim ranks"), (2, "links")):
-        events.append(
-            {
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "name": "process_name",
-                "args": {"name": name},
-            }
-        )
-    for span in rec.spans:
-        is_link = span.category == "link"
-        events.append(
-            {
-                "ph": "X",
-                "pid": 2 if is_link else 1,
-                "tid": _tid(span.track, is_link),
-                "name": span.category,
-                "cat": span.category,
-                "ts": span.t0 * _TS_SCALE,
-                "dur": (span.t1 - span.t0) * _TS_SCALE,
-                "args": dict(span.attrs),
-            }
-        )
-    for event in rec.events:
-        track = event.track
-        if not event.category.startswith("mpi."):
-            track = f"{event.category} {track}"
-        events.append(
-            {
-                "ph": "i",
-                "s": "t",
-                "pid": 1,
-                "tid": _tid(track, False),
-                "name": event.category,
-                "cat": event.category,
-                "ts": event.t0 * _TS_SCALE,
-                "args": dict(event.attrs),
-            }
-        )
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+    return {"traceEvents": list(_trace_events(rec)), "displayTimeUnit": "ms"}
 
 
 def write_chrome_trace(rec: ObsRecorder, path) -> None:
-    """Write :func:`to_chrome_trace` output as JSON to ``path``."""
+    """Write :func:`to_chrome_trace` output as JSON to ``path``.
+
+    The events are encoded one at a time as they are generated, so the
+    writer holds one event dict, not one per span; the bytes equal
+    ``json.dumps(to_chrome_trace(rec))``.
+    """
     with open(path, "w") as fh:
-        json.dump(to_chrome_trace(rec), fh)
+        fh.write('{"traceEvents": [')
+        for i, event in enumerate(_trace_events(rec)):
+            if i:
+                fh.write(", ")
+            fh.write(json.dumps(event))
+        fh.write('], "displayTimeUnit": "ms"}')
 
 
 def _fmt_pct(value: float, total: float) -> str:

@@ -62,16 +62,28 @@ def self_times(spans: list[SpanRecord]) -> list[tuple[SpanRecord, float]]:
     span's self time is its duration minus its direct children's
     durations (the innermost-wins rule).
     """
-    ordered = sorted(spans, key=lambda s: (s.t0, -s.t1))
-    out: list[tuple[SpanRecord, float]] = []
-    # Stack of [span, child_time] for the currently open ancestry.
-    stack: list[list] = []
+    return _walk(sorted(spans, key=lambda s: (s.t0, -s.t1)))[0]
+
+
+def _walk(ordered):
+    """The innermost-wins stack walk of one track's spans.
+
+    ``ordered`` must be sorted by ``(t0, -t1)`` (stable, so recording
+    order breaks ties).  Returns ``(charged, roots)``: ``(span,
+    self_time)`` for every span, in closing order, and the forest's
+    roots — the top-level spans.  Partial overlap raises ``ValueError``.
+    """
+    out = []
+    roots = []
+    stack = []  # [span, child_time] for the currently open ancestry
     for span in ordered:
         while stack and stack[-1][0].t1 <= span.t0:
             parent, child_time = stack.pop()
             out.append((parent, parent.duration - child_time))
             if stack:
                 stack[-1][1] += parent.duration
+            else:
+                roots.append(parent)
         if stack and span.t1 > stack[-1][0].t1:
             top = stack[-1][0]
             raise ValueError(
@@ -85,7 +97,9 @@ def self_times(spans: list[SpanRecord]) -> list[tuple[SpanRecord, float]]:
         out.append((parent, parent.duration - child_time))
         if stack:
             stack[-1][1] += parent.duration
-    return out
+        else:
+            roots.append(parent)
+    return out, roots
 
 
 def _interval_union(spans: list[SpanRecord]) -> float:

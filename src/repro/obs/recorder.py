@@ -110,8 +110,7 @@ class ObsRecorder:
     Memory contract: without a sink, ``spans`` grows with every span
     recorded — O(total spans), fine for tests and small profiles.  For
     full-machine runs attach a *sink*
-    (:class:`repro.obs.sinks.AggregatingSink` or
-    :class:`~repro.obs.sinks.RotatingFileSink`): once the buffer
+    (:class:`repro.obs.sinks.AggregatingSink`): once the buffer
     reaches ``flush_threshold`` spans it is handed to
     ``sink.consume()`` and dropped, bounding live memory at
     O(``flush_threshold`` + sink state) while ``profile()`` /

@@ -31,16 +31,13 @@ else — span counts, transfer counts, counters, engine stats — is
 exact).  ``benchmarks/perf/perf_fullmachine.py`` asserts both
 properties.
 
-:class:`RotatingFileSink` additionally streams every flushed span to
-JSON-lines files, rotating past ``max_spans_per_file``, for offline
-inspection of runs too large to hold — while delegating aggregation to
-an internal :class:`AggregatingSink` so ``profile()`` / ``to_summary``
-keep working.
+To inspect every span offline, record without a sink and write a
+Chrome trace (``python -m repro profile <scenario> --trace``), which
+streams the events to disk one at a time.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.obs.profiler import (
@@ -49,54 +46,17 @@ from repro.obs.profiler import (
     LinkProfile,
     RankProfile,
     SimProfile,
+    _walk,
 )
 from repro.obs.recorder import SpanRecord
 
-__all__ = ["AggregatingSink", "RotatingFileSink"]
+__all__ = ["AggregatingSink"]
 
 #: category marking an already-aggregated top-level interval record;
 #: claimable by a late-closing parent but never charged to a phase
 _AGG = "\x00agg"
 
 _LINK_CATEGORY = "link"
-
-
-def _walk(ordered):
-    """The innermost-wins stack walk of one track's spans.
-
-    ``ordered`` must be sorted by ``(t0, -t1)`` (stable, so recording
-    order breaks ties — the same order :func:`profiler.self_times`
-    uses).  Yields ``(span, self_time)`` for every span and appends the
-    forest's roots — the top-level spans — to the returned list.
-    Partial overlap raises ``ValueError`` exactly like the profiler.
-    """
-    out = []
-    roots = []
-    stack = []
-    for span in ordered:
-        while stack and stack[-1][0].t1 <= span.t0:
-            parent, child_time = stack.pop()
-            out.append((parent, parent.duration - child_time))
-            if stack:
-                stack[-1][1] += parent.duration
-            else:
-                roots.append(parent)
-        if stack and span.t1 > stack[-1][0].t1:
-            top = stack[-1][0]
-            raise ValueError(
-                f"spans overlap without nesting: {span.category!r} "
-                f"[{span.t0!r}, {span.t1!r}] vs {top.category!r} "
-                f"[{top.t0!r}, {top.t1!r}]"
-            )
-        stack.append([span, 0.0])
-    while stack:
-        parent, child_time = stack.pop()
-        out.append((parent, parent.duration - child_time))
-        if stack:
-            stack[-1][1] += parent.duration
-        else:
-            roots.append(parent)
-    return out, roots
 
 
 def _merge_intervals(intervals):
@@ -280,67 +240,3 @@ class AggregatingSink:
         self._carry.clear()
         self._link_busy.clear()
         self._link_transfers.clear()
-
-
-class RotatingFileSink(AggregatingSink):
-    """Aggregate like :class:`AggregatingSink` *and* stream every
-    flushed span to JSON-lines files, rotating past
-    ``max_spans_per_file`` spans per file.
-
-    Files are named ``<path_base>.<index>.jsonl`` with ``index``
-    starting at 0; each line is one span in the
-    :func:`repro.obs.export.span_stream` dict format (deterministic,
-    sim-time only).  ``close()`` flushes and closes the current file;
-    the sink reopens on the next flush, so it survives
-    ``ObsRecorder.clear`` round-trips.
-    """
-
-    def __init__(self, path_base, max_spans_per_file: int = 500_000):
-        super().__init__()
-        if max_spans_per_file <= 0:
-            raise ValueError("max_spans_per_file must be positive")
-        self.path_base = str(path_base)
-        self.max_spans_per_file = max_spans_per_file
-        self.paths: list[str] = []
-        self._fh = None
-        self._in_file = 0
-
-    def consume(self, spans: list[SpanRecord]) -> None:
-        for span in spans:
-            if self._fh is None or self._in_file >= self.max_spans_per_file:
-                self._rotate()
-            self._fh.write(
-                json.dumps(
-                    {
-                        "category": span.category,
-                        "track": span.track,
-                        "t0": span.t0,
-                        "t1": span.t1,
-                        "attrs": dict(span.attrs),
-                    }
-                )
-            )
-            self._fh.write("\n")
-            self._in_file += 1
-        super().consume(spans)
-
-    def _rotate(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-        path = f"{self.path_base}.{len(self.paths)}.jsonl"
-        self.paths.append(path)
-        self._fh = open(path, "w")
-        self._in_file = 0
-
-    def close(self) -> None:
-        """Close the current output file (reopened on the next flush)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close()
-        return False

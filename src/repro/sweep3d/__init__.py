@@ -5,9 +5,11 @@ on the simulated Roadrunner machine.
 
 The package mirrors the paper's study end to end:
 
-* :mod:`repro.sweep3d.kernel` / :mod:`repro.sweep3d.solver` — the
-  diamond-difference sweep and source iteration (validated against the
-  naive :mod:`repro.sweep3d.reference`).
+* :mod:`repro.sweep3d.kernel` / :mod:`repro.sweep3d.solver` — the one
+  diamond-difference block kernel (plain or with the set-to-zero
+  fixup, over a :mod:`repro.sweep3d.plan` wavefront schedule) and
+  source iteration (validated against the naive
+  :mod:`repro.sweep3d.reference`).
 * :mod:`repro.sweep3d.parallel` — the MPI-decomposed sweep running on
   :class:`repro.comm.mpi.SimMPI`: real fluxes, simulated time.
 * :mod:`repro.sweep3d.cellport` — the SPE-centric Cell port cost model
@@ -19,8 +21,7 @@ The package mirrors the paper's study end to end:
 from repro.sweep3d.input import SweepInput
 from repro.sweep3d.quadrature import AngleSet, Octant, OCTANTS, make_angle_set
 from repro.sweep3d.plan import SweepPlan, get_plan, clear_plans
-from repro.sweep3d.kernel import sweep_octant, sweep_octants_batched
-from repro.sweep3d.fixup import sweep_octant_fixup, sweep_octants_batched_fixup
+from repro.sweep3d.kernel import sweep_octant
 from repro.sweep3d.multigroup import MultigroupInput, MultigroupResult, solve_multigroup
 from repro.sweep3d.reference import reference_sweep_octant
 from repro.sweep3d.solver import SweepResult, solve
@@ -46,9 +47,6 @@ __all__ = [
     "get_plan",
     "clear_plans",
     "sweep_octant",
-    "sweep_octants_batched",
-    "sweep_octant_fixup",
-    "sweep_octants_batched_fixup",
     "MultigroupInput",
     "MultigroupResult",
     "solve_multigroup",

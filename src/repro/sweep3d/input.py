@@ -11,6 +11,7 @@ problem.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import inf
 
 __all__ = ["SweepInput"]
 
@@ -64,18 +65,21 @@ class SweepInput:
             raise ValueError(f"kt={self.kt} not divisible by mk={self.mk}")
         if self.mmi < 1:
             raise ValueError("mmi must be >= 1")
-        if min(self.dx, self.dy, self.dz) <= 0:
-            raise ValueError("cell widths must be positive")
-        if self.sigma_t <= 0:
-            raise ValueError("sigma_t must be positive")
+        # Written so that NaN fails every guard: a non-finite width,
+        # cross-section, source or tolerance would sweep to a NaN (or
+        # all-zero) flux that still reports convergence.
+        if not all(0 < d < inf for d in (self.dx, self.dy, self.dz)):
+            raise ValueError("cell widths must be positive and finite")
+        if not 0 < self.sigma_t < inf:
+            raise ValueError("sigma_t must be positive and finite")
         if not 0 <= self.sigma_s < self.sigma_t:
             raise ValueError("need 0 <= sigma_s < sigma_t for convergence")
-        if self.q < 0:
-            raise ValueError("source density must be >= 0")
+        if not 0 <= self.q < inf:
+            raise ValueError("source density must be >= 0 and finite")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.epsi <= 0:
-            raise ValueError("epsi must be positive")
+        if not 0 < self.epsi < inf:
+            raise ValueError("epsi must be positive and finite")
 
     # -- derived quantities ----------------------------------------------------
     @property

@@ -358,8 +358,8 @@ class ParallelSweep:
             grinds = [float(g) for g in grind_time]
             if len(grinds) != decomp.size:
                 raise ValueError("need one grind time per rank")
-        if any(g <= 0 for g in grinds):
-            raise ValueError("grind_time must be positive")
+        if not all(0 < g < np.inf for g in grinds):
+            raise ValueError("grind_time must be positive and finite")
         self.inp = inp
         self.decomp = decomp
         self.grind_times = grinds

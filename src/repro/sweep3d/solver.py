@@ -14,8 +14,12 @@ iteration.
 
 Each source iteration sweeps the eight octants of
 :data:`repro.sweep3d.quadrature.OCTANTS`; negative-direction octants are
-realized by flipping the problem arrays so the vectorized (+,+,+)
-kernel serves all of them.  The driver tracks the exact per-sweep
+realized by flipping the problem arrays so the one (+,+,+) block kernel,
+:class:`repro.sweep3d.kernel.BoundKernel`, serves all of them.  With
+vacuum inflows the eight octants are independent and sweep as one
+8-block stack; a mirror octant needs its partner's outflow, so
+reflective (or banked ``face_memory``) sweeps run the octants in order,
+one block each.  The driver tracks the exact per-sweep
 particle balance
 
     leakage + sigma_t * sum(phi) V  =  sum(source) V + reflected influx
@@ -30,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sweep3d.fixup import sweep_octant_fixup, sweep_octants_batched_fixup
 from repro.sweep3d.input import SweepInput
-from repro.sweep3d.kernel import sweep_octant, sweep_octants_batched
+from repro.sweep3d.kernel import bind_octant_kernel
+from repro.sweep3d.plan import get_plan
 from repro.sweep3d.quadrature import OCTANTS, AngleSet, make_angle_set
 
 __all__ = ["SweepResult", "sweep_all_octants", "solve", "ALL_REFLECTIVE", "FACES"]
@@ -98,52 +102,13 @@ def _flip(arr: np.ndarray, signs: tuple[int, int, int]) -> np.ndarray:
     return arr if sl is None else arr[sl]
 
 
-#: Per-octant kernels with an 8-octant batched counterpart (the batched
-#: variants only exist for vacuum inflows, hence the gate below).
-_BATCHED_KERNELS = {
-    sweep_octant: sweep_octants_batched,
-    sweep_octant_fixup: sweep_octants_batched_fixup,
-}
-
-
-def _sweep_batched(
-    inp: SweepInput, source: np.ndarray, angles: AngleSet, batched_kernel
-) -> tuple[np.ndarray, float, float]:
-    """One vacuum-boundary sweep via a single batched kernel call.
-
-    Bit-identical to the eight-call octant loop: the batched kernel
-    accumulates ``phi`` in octant order, and the leakage einsums below
-    run per octant per axis in the loop's exact order on faces with the
-    per-octant layout.  Reflected influx is identically zero here (the
-    vacuum-only gate), matching the loop's sum of ``+0.0`` terms.
-    """
-    phi, out_x, out_y, out_z = batched_kernel(
-        inp.sigma_t, source, inp.dx, inp.dy, inp.dz, angles
-    )
-    area = {"x": inp.dy * inp.dz, "y": inp.dx * inp.dz, "z": inp.dx * inp.dy}
-    cosine = {"x": angles.mu, "y": angles.eta, "z": angles.xi}
-    leakage = 0.0
-    for octant in OCTANTS:
-        for axis, out in (
-            ("x", out_x[octant.id]),
-            ("y", out_y[octant.id]),
-            ("z", out_z[octant.id]),
-        ):
-            leakage += float(
-                area[axis]
-                * np.einsum("abm,m->", out, angles.weights * cosine[axis])
-            )
-    return phi, leakage, 0.0
-
-
 def sweep_all_octants(
     inp: SweepInput,
     source: np.ndarray,
     angles: AngleSet,
-    kernel=sweep_octant,
+    fixup: bool = False,
     reflective: frozenset = frozenset(),
     face_memory: dict | None = None,
-    batched: bool | None = None,
 ) -> tuple[np.ndarray, float, float]:
     """One full transport sweep of ``source`` over all eight octants.
 
@@ -155,78 +120,75 @@ def sweep_all_octants(
 
         leakage + sigma_t * sum(phi) V = sum(source) V + reflected_net
 
-    ``kernel`` selects the block sweep: the plain diamond-difference
-    kernel (default) or :func:`repro.sweep3d.fixup.sweep_octant_fixup`.
+    ``fixup`` selects the set-to-zero negative-flux rebalance.
     ``reflective`` names mirrored faces (subset of :data:`FACES`);
     ``face_memory`` carries their stored outflows across sweeps (pass
     the same dict to every call of an iteration loop).
 
-    ``batched`` selects the 8-octant batched kernel (one call per sweep
-    instead of eight).  It requires all-vacuum inflows — no reflective
-    faces, no banked ``face_memory`` — and a kernel with a batched
-    counterpart; the default ``None`` auto-enables it exactly when
-    those hold, falling back to the octant loop otherwise.  Both paths
-    return bit-identical results.
+    Flux and leakage accumulate in octant order whichever way the
+    octants are stacked, so both paths give the same bits.
     """
     bad = set(reflective) - FACES
     if bad:
         raise ValueError(f"unknown reflective faces: {sorted(bad)}")
-    batched_kernel = _BATCHED_KERNELS.get(kernel)
-    vacuum = not reflective and not face_memory
-    if batched is None:
-        batched = vacuum and batched_kernel is not None
-    elif batched and not (vacuum and batched_kernel is not None):
-        raise ValueError(
-            "batched sweeps require vacuum boundaries (no reflective faces "
-            "or face_memory) and a kernel with a batched counterpart"
-        )
-    if batched:
-        return _sweep_batched(inp, source, angles, batched_kernel)
     I, J, K = inp.it, inp.jt, inp.kt
     M = angles.n_angles
-    memory = face_memory if face_memory is not None else {}
-    phi = np.zeros((I, J, K), dtype=np.float64)
-    leakage = 0.0
-    influx = 0.0
+    kernel = bind_octant_kernel(
+        inp.sigma_t, inp.dx, inp.dy, inp.dz, angles, get_plan(I, J, K, M),
+        fixup=fixup,
+    )
     area = {"x": inp.dy * inp.dz, "y": inp.dx * inp.dz, "z": inp.dx * inp.dy}
     cosine = {"x": angles.mu, "y": angles.eta, "z": angles.xi}
+
+    def current(face: np.ndarray, axis: str) -> float:
+        # einsum's summation order depends on the operand's strides, so
+        # a stacked kernel's strided face view is summed as a contiguous
+        # copy, like the one-block faces
+        face = np.ascontiguousarray(face)
+        return float(
+            area[axis] * np.einsum("abm,m->", face, angles.weights * cosine[axis])
+        )
+
+    phi = np.zeros((I, J, K), dtype=np.float64)
+    leakage = 0.0
+    if not reflective and not face_memory:
+        # Vacuum: no octant reads another's outflow, so all eight sweep
+        # as one stack (the reflected influx is a sum of +0.0 terms).
+        n_oct = len(OCTANTS)
+        phi8, *outs = kernel(
+            np.stack([_flip(source, octant.signs) for octant in OCTANTS]),
+            np.broadcast_to(0.0, (n_oct, J, K, M)),
+            np.broadcast_to(0.0, (n_oct, I, K, M)),
+            np.broadcast_to(0.0, (n_oct, I, J, M)),
+        )
+        for octant in OCTANTS:
+            phi += _flip(phi8[octant.id], octant.signs)
+            for axis, out in zip("xyz", outs):
+                leakage += current(out[octant.id], axis)
+        return phi, leakage, 0.0
+
+    memory = face_memory if face_memory is not None else {}
+    influx = 0.0
     zero_in = {
         "x": np.zeros((J, K, M)),
         "y": np.zeros((I, K, M)),
         "z": np.zeros((I, J, M)),
     }
-
     for octant in OCTANTS:
-        flipped_source = _flip(source, octant.signs)
-        inflows = {}
-        for axis in ("x", "y", "z"):
+        inflows = []
+        for axis in "xyz":
             stored = memory.get((octant.id, axis))
-            inflows[axis] = stored if stored is not None else zero_in[axis]
-            influx += float(
-                area[axis]
-                * np.einsum("abm,m->", inflows[axis], angles.weights * cosine[axis])
-            )
-        phi_oct, out_x, out_y, out_z = kernel(
-            inp.sigma_t,
-            flipped_source,
-            inp.dx,
-            inp.dy,
-            inp.dz,
-            angles,
-            inflow_x=inflows["x"],
-            inflow_y=inflows["y"],
-            inflow_z=inflows["z"],
-        )
-        phi += _flip(phi_oct, octant.signs)
-        for axis, out in (("x", out_x), ("y", out_y), ("z", out_z)):
-            outflux = float(
-                area[axis]
-                * np.einsum("abm,m->", out, angles.weights * cosine[axis])
-            )
+            face = stored if stored is not None else zero_in[axis]
+            influx += current(face, axis)
+            inflows.append(face[None])
+        phi1, *outs = kernel(_flip(source, octant.signs)[None], *inflows)
+        phi += _flip(phi1[0], octant.signs)
+        for axis, out in zip("xyz", outs):
+            outflux = current(out[0], axis)
             if _exit_face(octant, axis) in reflective:
                 # Hand the face flux to the mirror octant; the other
                 # two axes' flips match, so no reshuffling is needed.
-                memory[(_mirror_octant_id(octant, axis), axis)] = out
+                memory[(_mirror_octant_id(octant, axis), axis)] = out[0]
                 influx -= outflux  # banked for the mirror, not leaked
             else:
                 leakage += outflux
@@ -240,7 +202,6 @@ def solve(
     fixup: bool = False,
     external_source: np.ndarray | None = None,
     reflective: frozenset = frozenset(),
-    batched: bool | None = None,
 ) -> SweepResult:
     """Source-iterate to convergence (or ``max_iterations``).
 
@@ -251,7 +212,6 @@ def solve(
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    kernel = sweep_octant_fixup if fixup else sweep_octant
     angles = angles or make_angle_set(inp.mmi)
     I, J, K = inp.it, inp.jt, inp.kt
     cell_volume = inp.dx * inp.dy * inp.dz
@@ -260,6 +220,8 @@ def solve(
         if external_source.shape != (I, J, K):
             raise ValueError("external_source must match the grid shape")
         external = np.asarray(external_source, dtype=np.float64)
+        if not np.isfinite(external).all():
+            raise ValueError("external_source must be finite")
     else:
         external = np.full((I, J, K), inp.q, dtype=np.float64)
 
@@ -272,8 +234,8 @@ def solve(
     for iterations in range(1, max_iterations + 1):
         source = external + inp.sigma_s * phi
         phi_new, leakage, reflected_net = sweep_all_octants(
-            inp, source, angles, kernel=kernel,
-            reflective=reflective, face_memory=face_memory, batched=batched,
+            inp, source, angles, fixup=fixup,
+            reflective=reflective, face_memory=face_memory,
         )
         # Per-sweep particle balance — an *exact* identity of diamond
         # differencing, valid every iteration, converged or not:

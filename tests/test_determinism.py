@@ -257,7 +257,7 @@ def test_sweep_plan_reused_across_solvers_and_distinct_per_geometry():
 
 def test_sweep_plan_warm_vs_cold_bitwise():
     """A plan-cold solve (fresh cache) and a plan-warm solve (reusing
-    cached index vectors, angle constants and scratch workspaces) are
+    cached index vectors and bound kernels) are
     bit-identical — the cache carries no numeric state between runs."""
     from repro.sweep3d import clear_plans, solve
 

@@ -9,6 +9,7 @@ trace schema), and the ``python -m repro profile`` command.
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from repro.obs import (
     span_stream,
     to_chrome_trace,
     to_summary,
+    write_chrome_trace,
 )
 from repro.sim.engine import Simulator
 from repro.sweep3d.decomposition import Decomposition2D
@@ -158,27 +160,6 @@ def test_sink_profile_matches_unbounded_recorder():
     rec_sink.clear()
     assert rec_sink.span_count == 0
     assert sink.flushed_spans == 0
-
-
-def test_rotating_file_sink_streams_spans_to_disk(tmp_path):
-    from repro.obs import RotatingFileSink
-
-    with RotatingFileSink(tmp_path / "spans", max_spans_per_file=3) as sink:
-        rec = ObsRecorder(sink=sink, flush_threshold=2)
-        for i in range(8):
-            rec.span("phase", 0, float(i), float(i) + 0.5, step=i)
-        rec.flush()
-    assert len(sink.paths) == 3  # 3 + 3 + 2 spans
-    rows = [
-        json.loads(line) for path in sink.paths for line in open(path)
-    ]
-    assert len(rows) == 8
-    assert rows[0] == {
-        "category": "phase", "track": 0, "t0": 0.0, "t1": 0.5,
-        "attrs": {"step": 0},
-    }
-    # and it aggregates like its parent class
-    assert profile(rec, 8.0).ranks[0].other == pytest.approx(4.0)
 
 
 def test_measure_context_manager_reads_the_sim_clock():
@@ -334,10 +315,30 @@ def test_chrome_trace_schema(tmp_path):
     assert {(e["pid"], e["tid"]) for e in events if e["ph"] == "X"} <= tids
     # And it round-trips through JSON.
     path = tmp_path / "trace.json"
-    from repro.obs import write_chrome_trace
-
     write_chrome_trace(rec, path)
     assert json.loads(path.read_text())["traceEvents"]
+
+
+def test_write_chrome_trace_bytes_equal_the_dumped_dict(tmp_path):
+    rec, _sim_time = run_scenario("sweep4")
+    path = tmp_path / "trace.json"
+    write_chrome_trace(rec, path)
+    assert path.read_text() == json.dumps(to_chrome_trace(rec))
+
+
+def test_write_chrome_trace_streams_its_events(tmp_path):
+    """The writer encodes one event at a time: its peak allocation does
+    not grow with the span count (about 2.3 MB if it built the event
+    list for sweep16's spans first)."""
+    rec, _sim_time = run_scenario("sweep16")
+    assert len(rec.spans) > 4000
+    tracemalloc.start()
+    try:
+        write_chrome_trace(rec, tmp_path / "trace.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def test_link_occupancy_from_contended_scenario():

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sweep3d.plan import SweepPlan
+from repro.sweep3d.plan import SweepPlan, octant_flip_maps
 from repro.sweep3d.quadrature import OCTANTS
 from repro.sweep3d.solver import _flip
 
@@ -63,37 +63,31 @@ def test_offsets_partition_all_cells(I, J, K, M):
 @settings(deadline=None, max_examples=60)
 @given(I=dims, J=dims, K=dims, M=angle_counts)
 def test_fixup_rows_are_the_2d_singletons(I, J, K, M):
-    """``fix_single`` marks exactly the rows whose (i, j) anti-diagonal
-    had length 1 in the seed kernel's per-K-plane grouping."""
+    """``fix`` marks exactly the rows whose (i, j) anti-diagonal had
+    length 1 in the seed kernel's per-K-plane grouping."""
     plan = SweepPlan(I, J, K, M)
     naive = naive_wavefront(I, J, K)
     for step, cells in zip(plan.steps, naive):
-        fix_single, fix_batched = step[4], step[5]
         if len(cells) == 1:
             # Singleton 3-D steps go through the one-row path whole.
-            assert fix_single == ()
-            assert fix_batched == tuple(range(len(OCTANTS)))
+            assert step[4] == ()
             continue
         expect = tuple(
             r
             for r, (i, j, _k) in enumerate(cells)
             if min(i + j, I - 1, J - 1, (I - 1) + (J - 1) - (i + j)) + 1 == 1
         )
-        assert fix_single == expect
-        assert fix_batched == tuple(
-            r * len(OCTANTS) + o for r in expect for o in range(len(OCTANTS))
-        )
+        assert step[4] == expect
 
 
 @settings(deadline=None, max_examples=60)
-@given(I=dims, J=dims, K=dims, M=angle_counts)
-def test_octant_maps_are_involutions(I, J, K, M):
-    plan = SweepPlan(I, J, K, M)
-    maps = plan.octant_maps
-    assert maps.shape == (plan.n_cells, len(OCTANTS))
-    identity = np.arange(plan.n_cells)
+@given(I=dims, J=dims, K=dims)
+def test_octant_maps_are_involutions(I, J, K):
+    maps = octant_flip_maps(I, J, K)
+    assert maps.shape == (len(OCTANTS), I * J * K)
+    identity = np.arange(I * J * K)
     for octant in OCTANTS:
-        col = maps[:, octant.id]
+        col = maps[octant.id]
         # A flip map is a permutation and its own inverse.
         assert np.array_equal(np.sort(col), identity)
         assert np.array_equal(col[col], identity)
@@ -104,11 +98,10 @@ def test_octant_maps_are_involutions(I, J, K, M):
 def test_octant_maps_realize_flip(I, J, K, data):
     """Gathering through an octant's map equals ``_flip`` of the array
     (the solver's axis-flip), for a random field and octant."""
-    plan = SweepPlan(I, J, K, 1)
     octant = data.draw(st.sampled_from(OCTANTS))
     rng = np.random.default_rng(
         data.draw(st.integers(min_value=0, max_value=2**32 - 1))
     )
     arr = rng.standard_normal((I, J, K))
-    via_map = arr.reshape(-1)[plan.octant_maps[:, octant.id]].reshape(I, J, K)
+    via_map = arr.reshape(-1)[octant_flip_maps(I, J, K)[octant.id]].reshape(I, J, K)
     assert np.array_equal(via_map, _flip(arr, octant.signs))

@@ -88,41 +88,6 @@ def test_reflective_with_fixup_kernel():
     np.testing.assert_allclose(res.phi, exact, rtol=1e-6)
 
 
-def test_reflective_solve_unchanged_through_plan_layer():
-    """A reflective solve must take the per-octant loop (the batched
-    path is vacuum-only) and give the same bits whether the loop is
-    reached by the auto gate or forced explicitly."""
-    inp = base_input()
-    auto = solve(inp, max_iterations=40, reflective=ALL_REFLECTIVE)
-    forced = solve(inp, max_iterations=40, reflective=ALL_REFLECTIVE, batched=False)
-    assert np.array_equal(auto.phi, forced.phi)
-    assert auto.leakage == forced.leakage
-    assert auto.balance_residual == forced.balance_residual
-
-
-def test_vacuum_solve_batched_matches_loop_bitwise():
-    """With vacuum boundaries the auto gate engages the batched kernel;
-    it must change nothing — same flux, leakage and balance, bit for
-    bit, as the per-octant loop."""
-    inp = base_input()
-    loop = solve(inp, max_iterations=40, batched=False)
-    fast = solve(inp, max_iterations=40, batched=True)
-    auto = solve(inp, max_iterations=40)
-    for other in (fast, auto):
-        assert np.array_equal(loop.phi, other.phi)
-        assert loop.leakage == other.leakage
-        assert loop.balance_residual == other.balance_residual
-        assert loop.iterations == other.iterations
-
-
-def test_batched_with_reflective_faces_rejected():
-    with pytest.raises(ValueError):
-        solve(
-            base_input(), max_iterations=5,
-            reflective=ALL_REFLECTIVE, batched=True,
-        )
-
-
 def test_unknown_face_rejected():
     from repro.sweep3d.quadrature import make_angle_set
     from repro.sweep3d.solver import sweep_all_octants

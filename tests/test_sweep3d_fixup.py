@@ -1,15 +1,18 @@
-"""Tests for the negative-flux fixup kernel."""
+"""Tests for the kernel's negative-flux fixup scheme."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sweep3d.fixup import sweep_octant_fixup, sweep_octants_batched_fixup
 from repro.sweep3d.input import SweepInput
 from repro.sweep3d.kernel import sweep_octant
 from repro.sweep3d.quadrature import OCTANTS, make_angle_set
 from repro.sweep3d.solver import _flip, solve, sweep_all_octants
+
+
+def fixup_kernel(*args):
+    return sweep_octant(*args, fixup=True)
 
 
 def zero_inflows(I, J, K, M):
@@ -27,7 +30,7 @@ def test_fixup_matches_plain_kernel_when_no_negatives():
     src = np.ones((4, 4, 4))
     ins = zero_inflows(4, 4, 4, 6)
     plain = sweep_octant(1.0, src, 1, 1, 1, ang, *ins)
-    fixed = sweep_octant_fixup(1.0, src, 1, 1, 1, ang, *ins)
+    fixed = fixup_kernel(1.0, src, 1, 1, 1, ang, *ins)
     for p, f in zip(plain, fixed):
         np.testing.assert_allclose(f, p, rtol=1e-13)
 
@@ -52,7 +55,7 @@ def test_fixup_keeps_everything_nonnegative():
     in_x = np.full((3, 3, 6), 10.0)
     in_y = np.zeros((3, 3, 6))
     in_z = np.zeros((3, 3, 6))
-    phi, out_x, out_y, out_z = sweep_octant_fixup(
+    phi, out_x, out_y, out_z = fixup_kernel(
         8.0, src, 1, 1, 1, ang, in_x, in_y, in_z
     )
     assert phi.min() >= 0
@@ -81,62 +84,64 @@ def test_fixup_and_plain_agree_on_benign_problem():
     np.testing.assert_allclose(fixed.phi, plain.phi, rtol=1e-10)
 
 
-def test_batched_fixup_matches_per_octant_loop():
-    """The 8-octant batched fixup is the same sweep as eight per-octant
-    calls — bit-identical faces and octant-summed flux, including with
-    a spatially varying (array) ``sigma_t``, where the rebalance engages
-    in some cells and not others."""
+@pytest.mark.parametrize("fixup", [False, True])
+def test_vacuum_sweep_matches_per_octant_loop(fixup):
+    """A vacuum sweep's 8-octant stack is the same sweep as eight
+    one-block calls: bit-identical octant-summed flux and leakage, with
+    the rebalance engaging in some cells and not others."""
     rng = np.random.default_rng(5)
+    engaged = False
     for I, J, K, mmi in [(4, 4, 4, 6), (5, 3, 2, 3), (1, 4, 3, 2), (3, 1, 5, 4)]:
         ang = make_angle_set(mmi)
         M = ang.n_angles
         src = rng.uniform(0.0, 0.3, (I, J, K))
-        for sigma in (8.0, rng.uniform(2.0, 12.0, (I, J, K))):
-            phi_b, ox_b, oy_b, oz_b = sweep_octants_batched_fixup(
-                sigma, src, 0.9, 1.1, 1.3, ang
-            )
+        for sigma in (8.0, 1.0):
+            inp = SweepInput(it=I, jt=J, kt=K, mk=K, mmi=mmi, dx=0.9, dy=1.1,
+                             dz=1.3, sigma_t=sigma, sigma_s=0.0)
+            phi, leakage, reflected = sweep_all_octants(inp, src, ang, fixup=fixup)
             phi_ref = np.zeros((I, J, K))
+            leak_ref = 0.0
             for octant in OCTANTS:
-                src_f = np.ascontiguousarray(_flip(src, octant.signs))
-                sig_f = (
-                    sigma if np.ndim(sigma) == 0
-                    else np.ascontiguousarray(_flip(sigma, octant.signs))
-                )
-                phi_o, ox, oy, oz = sweep_octant_fixup(
-                    sig_f, src_f, 0.9, 1.1, 1.3, ang,
-                    np.zeros((J, K, M)), np.zeros((I, K, M)), np.zeros((I, J, M)),
-                )
+                args = (sigma, _flip(src, octant.signs), 0.9, 1.1, 1.3, ang,
+                        *zero_inflows(I, J, K, M))
+                plain = sweep_octant(*args)
+                engaged |= any((p < 0).any() for p in plain[1:])
+                phi_o, *outs = sweep_octant(*args, fixup=True) if fixup else plain
                 phi_ref += _flip(phi_o, octant.signs)
-                assert np.array_equal(ox, ox_b[octant.id])
-                assert np.array_equal(oy, oy_b[octant.id])
-                assert np.array_equal(oz, oz_b[octant.id])
-            assert np.array_equal(phi_ref, phi_b)
+                for out, area, cosine in zip(
+                    outs, (1.1 * 1.3, 0.9 * 1.3, 0.9 * 1.1),
+                    (ang.mu, ang.eta, ang.xi),
+                ):
+                    leak_ref += float(
+                        area * np.einsum("abm,m->", out, ang.weights * cosine)
+                    )
+            assert np.array_equal(phi, phi_ref)
+            assert leakage == leak_ref
+            assert reflected == 0.0
+    assert engaged  # the rebalance had work to do somewhere
 
 
-def test_fixup_solve_batched_matches_loop_bitwise():
-    """A vacuum fixup solve is bit-identical whether the octants run
-    batched (the auto default) or through the per-octant loop."""
-    inp = SweepInput(it=5, jt=4, kt=6, mk=2, mmi=6, sigma_t=9.0, sigma_s=1.0)
-    loop = solve(inp, max_iterations=25, fixup=True, batched=False)
-    auto = solve(inp, max_iterations=25, fixup=True)
-    assert np.array_equal(loop.phi, auto.phi)
-    assert loop.leakage == auto.leakage
-    assert loop.balance_residual == auto.balance_residual
-    assert loop.iterations == auto.iterations
-
-
-def test_batched_rejected_with_banked_face_memory():
-    """The batched path only exists for vacuum inflows; banked mirror
-    outflows must force (or raise on) the per-octant loop."""
+def test_banked_face_memory_feeds_the_octant_loop():
+    """Banked mirror outflows are inflows, so a vacuum sweep with a
+    non-empty ``face_memory`` runs the octants in order, sweeps the
+    banked face in and counts it as reflected influx: the per-sweep
+    balance closes on it."""
     inp = SweepInput(it=3, jt=3, kt=3, mk=3, mmi=2)
     ang = make_angle_set(inp.mmi)
     src = np.ones((3, 3, 3))
-    memory = {(0, "x"): np.ones((3, 3, ang.n_angles))}
-    with pytest.raises(ValueError):
-        sweep_all_octants(
-            inp, src, ang, kernel=sweep_octant_fixup,
-            face_memory=memory, batched=True,
+    bank = np.ones((3, 3, ang.n_angles))
+    for fixup in (False, True):
+        phi0, _, influx0 = sweep_all_octants(inp, src, ang, fixup=fixup)
+        phi, leak, influx = sweep_all_octants(
+            inp, src, ang, fixup=fixup, face_memory={(0, "x"): bank}
         )
+        expect = float(inp.dy * inp.dz * np.einsum(
+            "abm,m->", bank, ang.weights * ang.mu))
+        assert influx0 == 0.0 and influx == expect
+        assert not np.array_equal(phi, phi0)
+        removal = inp.sigma_t * phi.sum() * inp.dx * inp.dy * inp.dz
+        swept = src.sum() * inp.dx * inp.dy * inp.dz + influx
+        assert abs(leak + removal - swept) < 1e-12 * swept
 
 
 @settings(max_examples=30, deadline=None)
@@ -155,7 +160,7 @@ def test_fixup_nonnegativity_property(sigma, inflow, seed):
     in_x = inflow * rng.random((2, 2, 3))
     in_y = inflow * rng.random((3, 2, 3))
     in_z = inflow * rng.random((3, 2, 3))
-    phi, ox, oy, oz = sweep_octant_fixup(
+    phi, ox, oy, oz = fixup_kernel(
         sigma, src, 1.0, 1.0, 1.0, ang, in_x, in_y, in_z
     )
     assert phi.min() >= -1e-14
@@ -181,7 +186,7 @@ def test_both_kernels_preserve_octant_balance(sigma, inflow, seed):
     in_x = inflow * rng.random((4, 2, 1))
     in_y = inflow * rng.random((3, 2, 1))
     in_z = inflow * rng.random((3, 4, 1))
-    for kernel in (sweep_octant, sweep_octant_fixup):
+    for kernel in (sweep_octant, fixup_kernel):
         phi, ox, oy, oz = kernel(
             sigma, src, 1.0, 1.0, 1.0, ang, in_x, in_y, in_z
         )

@@ -69,7 +69,7 @@ def test_vectorized_kernel_matches_reference(shape, mmi):
     I, J, K = shape
     ang = make_angle_set(mmi)
     src = rng.random(shape)
-    sig = 0.5 + rng.random(shape)
+    sig = 0.5 + rng.random()
     in_x = rng.random((J, K, mmi))
     in_y = rng.random((I, K, mmi))
     in_z = rng.random((I, J, mmi))
@@ -95,6 +95,18 @@ def test_kernel_validates_inflow_shapes():
         bad[key] = np.zeros(shape)
         with pytest.raises(ValueError):
             sweep_octant(1.0, src, 1, 1, 1, ang, **bad)
+
+
+def test_kernel_rejects_array_sigma_t():
+    """The kernel binds a scalar cross-section; only the naive
+    reference sweeps a per-cell array."""
+    ang = make_angle_set(2)
+    src = np.ones((2, 3, 4))
+    ins = (np.zeros((3, 4, 2)), np.zeros((2, 4, 2)), np.zeros((2, 3, 2)))
+    for fixup in (False, True):
+        with pytest.raises(ValueError, match="scalar sigma_t"):
+            sweep_octant(np.full((2, 3, 4), 1.0), src, 1, 1, 1, ang, *ins,
+                         fixup=fixup)
 
 
 def test_kernel_positive_inputs_give_positive_flux():
@@ -239,6 +251,24 @@ def test_input_validation():
         SweepInput(mmi=0)
     with pytest.raises(ValueError):
         SweepInput(dx=0.0)
+
+
+@pytest.mark.parametrize("field", ["dx", "dy", "dz", "sigma_t", "q", "epsi"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_input_rejects_non_finite_values(field, value):
+    """A NaN width or source would sweep to a NaN flux that reports
+    convergence after one iteration; an infinite cross-section to an
+    all-zero one."""
+    with pytest.raises(ValueError, match="finite"):
+        SweepInput(**{field: value})
+
+
+def test_solve_rejects_non_finite_external_source():
+    inp = small_input()
+    source = np.ones((inp.it, inp.jt, inp.kt))
+    source[0, 1, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        solve(inp, external_source=source)
 
 
 def test_paper_configurations():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.framework.gitseed import load_seed_module
 from repro.comm.mpi import Location, UniformFabric
 from repro.comm.transport import Transport
 from repro.sweep3d.decomposition import Decomposition2D
@@ -124,8 +125,9 @@ def test_parallel_message_statistics():
 def test_parallel_validates_arguments():
     inp = SweepInput(it=2, jt=2, kt=4, mk=2, mmi=2)
     dec = Decomposition2D(2, 2)
-    with pytest.raises(ValueError):
-        ParallelSweep(inp, dec, grind_time=0.0, fabric=FREE_FABRIC)
+    for grind in (0.0, float("inf"), float("nan"), [1e-9, 1e-9, 1e-9, float("nan")]):
+        with pytest.raises(ValueError):
+            ParallelSweep(inp, dec, grind_time=grind, fabric=FREE_FABRIC)
     with pytest.raises(ValueError):
         ParallelSweep(inp, dec, 1e-9, FREE_FABRIC, locations=[Location(0)])
     sweep = ParallelSweep(inp, dec, 1e-9, FREE_FABRIC)
@@ -366,24 +368,41 @@ def test_solve_distributed_batches_each_iteration(monkeypatch):
     )
 
 
+@pytest.fixture(scope="module")
+def seed_sweep_octant():
+    """The seed commit's one-block kernel: an independent bitwise oracle."""
+    seed = load_seed_module("src/repro/sweep3d/kernel.py", "_seed_s3d_kernel_t")
+    if seed is None:
+        pytest.skip("seed kernel unavailable (no git history)")
+    return seed.sweep_octant
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     I=st.integers(1, 6), J=st.integers(1, 6), K=st.integers(1, 6),
     M=st.integers(1, 6), R=st.integers(1, 4), seed=st.integers(0, 2**16),
+    sigma=st.sampled_from([0.75, 8.0]), fixup=st.booleans(),
 )
-def test_stacked_bound_kernel_matches_sweep_octant_bitwise(I, J, K, M, R, seed):
-    """R blocks through one stacked call equal R single-block sweeps bit
-    for bit: singleton steps, one-row fix-ups and M = 1 included."""
+def test_stacked_bound_kernel_matches_sweep_octant_bitwise(
+    seed_sweep_octant, I, J, K, M, R, seed, sigma, fixup
+):
+    """R blocks through one stacked call equal R one-block sweeps bit
+    for bit: singleton steps, one-row fix-ups and M = 1 included.  Plain
+    blocks are checked against the seed commit's kernel; fixup blocks
+    against one-block calls of the same kernel (the seed's three-pass
+    fixup cap could leave a negative the kernel now corrects)."""
     rng = np.random.default_rng(seed)
     ang = make_angle_set(M)
-    kernel = bind_octant_kernel(0.75, 0.3, 0.4, 0.5, ang, get_plan(I, J, K, M))
+    kernel = bind_octant_kernel(
+        sigma, 0.3, 0.4, 0.5, ang, get_plan(I, J, K, M), fixup=fixup
+    )
     src = rng.uniform(0.05, 2.0, (R, I, J, K))
     ins = (rng.uniform(0.0, 4.0, (R, J, K, M)), rng.uniform(0.0, 4.0, (R, I, K, M)),
            rng.uniform(0.0, 4.0, (R, I, J, M)))
     got = kernel(src, *ins)
     for r in range(R):
-        want = sweep_octant(0.75, src[r], 0.3, 0.4, 0.5, ang,
-                            ins[0][r], ins[1][r], ins[2][r])
+        args = (sigma, src[r], 0.3, 0.4, 0.5, ang, ins[0][r], ins[1][r], ins[2][r])
+        want = sweep_octant(*args, fixup=True) if fixup else seed_sweep_octant(*args)
         for g, w in zip(got, want):
             assert np.array_equal(g[r], w)
 
