@@ -8,19 +8,32 @@ Every switching element in the fabric is a 24-port InfiniBand crossbar.
 * ``("F", s, j)``  — first-level crossbar *j* of inter-CU switch *s*
 * ``("M", s, j)``  — middle-level crossbar *j* of inter-CU switch *s*
 * ``("T", s, j)``  — third-level crossbar *j* of inter-CU switch *s*
+
+The wired fabric is a plain :data:`Graph`: each vertex (a crossbar, or
+a ``("node" | "io", cu, index)`` endpoint) maps to its neighbours in
+wiring order, one per port in use.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-__all__ = ["CROSSBAR_PORTS", "LEVELS", "XbarId"]
+__all__ = ["CROSSBAR_PORTS", "LEVELS", "XbarId", "Graph", "add_link"]
 
 #: Every crossbar in the Voltaire ISR 9288 has 24 ports (paper §II-B).
 CROSSBAR_PORTS = 24
 
 #: Valid crossbar levels; L/U live in CU switches, F/M/T in inter-CU ones.
 LEVELS = frozenset({"L", "U", "F", "M", "T"})
+
+#: Adjacency lists: vertex -> neighbours in the order they were wired.
+Graph = dict[tuple, list[tuple]]
+
+
+def add_link(graph: Graph, u: tuple, v: tuple) -> None:
+    """Wire ``u — v``, adding either vertex that is not yet present."""
+    graph.setdefault(u, []).append(v)
+    graph.setdefault(v, []).append(u)
 
 
 class XbarId(NamedTuple):

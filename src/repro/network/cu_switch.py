@@ -16,9 +16,7 @@ matching the paper's "utilizing 192 of the 288 available ports, yielding
 
 from __future__ import annotations
 
-import networkx as nx
-
-from repro.network.crossbar import XbarId
+from repro.network.crossbar import Graph, XbarId, add_link
 
 __all__ = [
     "LOWER_XBARS",
@@ -58,27 +56,26 @@ def lower_xbar_of_local_node(local_index: int) -> int:
     return MIXED_XBAR
 
 
-def build_cu_switch(graph: nx.Graph, cu: int) -> None:
-    """Add CU ``cu``'s 36 crossbars and intra-switch links to ``graph``."""
+def build_cu_switch(graph: Graph, cu: int) -> None:
+    """Add CU ``cu``'s 36 crossbars and intra-switch links to ``graph``:
+    every lower crossbar wired to every upper one."""
     lowers = [XbarId("L", cu, i) for i in range(LOWER_XBARS)]
     uppers = [XbarId("U", cu, j) for j in range(UPPER_XBARS)]
-    graph.add_nodes_from(lowers, kind="xbar")
-    graph.add_nodes_from(uppers, kind="xbar")
     for low in lowers:
-        for up in uppers:
-            graph.add_edge(low, up, kind="intra-cu")
+        graph[low] = list(uppers)
+    for up in uppers:
+        graph[up] = list(lowers)
 
 
-def attach_cu_nodes(graph: nx.Graph, cu: int) -> None:
-    """Attach CU ``cu``'s 180 compute nodes and 12 I/O nodes."""
+def attach_cu_nodes(graph: Graph, cu: int, include_io: bool = True) -> None:
+    """Attach CU ``cu``'s 180 compute nodes and, with ``include_io``,
+    its 12 I/O nodes."""
     for local in range(COMPUTE_NODES_PER_CU):
-        node = ("node", cu, local)
-        xbar = XbarId("L", cu, lower_xbar_of_local_node(local))
-        graph.add_node(node, kind="compute")
-        graph.add_edge(node, xbar, kind="node-link")
+        add_link(graph, ("node", cu, local),
+                 XbarId("L", cu, lower_xbar_of_local_node(local)))
+    if not include_io:
+        return
     # I/O nodes: 4 on the mixed crossbar, 8 on the dedicated I/O crossbar.
     for ionum in range(IO_NODES_PER_CU):
-        node = ("io", cu, ionum)
         xbar_index = MIXED_XBAR if ionum < 4 else IO_XBAR
-        graph.add_node(node, kind="io")
-        graph.add_edge(node, XbarId("L", cu, xbar_index), kind="node-link")
+        add_link(graph, ("io", cu, ionum), XbarId("L", cu, xbar_index))

@@ -25,9 +25,7 @@ Roadrunner populates 17.
 
 from __future__ import annotations
 
-import networkx as nx
-
-from repro.network.crossbar import XbarId
+from repro.network.crossbar import Graph, XbarId, add_link
 
 __all__ = [
     "INTERCU_SWITCHES",
@@ -35,6 +33,7 @@ __all__ = [
     "FIRST_SIDE_CUS",
     "build_intercu_switch",
     "wire_cu_uplinks",
+    "wire_intercu_chains",
     "uplink_target",
     "uplink_edges",
 ]
@@ -45,15 +44,24 @@ XBARS_PER_LEVEL = 12
 FIRST_SIDE_CUS = 12
 
 
-def build_intercu_switch(graph: nx.Graph, s: int) -> None:
-    """Add inter-CU switch ``s``'s 36 crossbars and F-M-T chains."""
+def build_intercu_switch(graph: Graph, s: int) -> None:
+    """Add inter-CU switch ``s``'s 36 crossbars, unwired: ``F``, ``M``
+    and ``T`` for each index ``j``."""
     for j in range(XBARS_PER_LEVEL):
-        first = XbarId("F", s, j)
+        for level in "FMT":
+            graph[XbarId(level, s, j)] = []
+
+
+def wire_intercu_chains(graph: Graph, s: int) -> None:
+    """Wire inter-CU switch ``s``'s ``F(s,j) - M(s,j) - T(s,j)`` chains.
+
+    The topology wires them after the CU uplinks, so each ``F`` or ``T``
+    crossbar lists its ``M`` partner last.
+    """
+    for j in range(XBARS_PER_LEVEL):
         middle = XbarId("M", s, j)
-        third = XbarId("T", s, j)
-        graph.add_nodes_from([first, middle, third], kind="xbar")
-        graph.add_edge(first, middle, kind="inter-cu")
-        graph.add_edge(middle, third, kind="inter-cu")
+        add_link(graph, XbarId("F", s, j), middle)
+        add_link(graph, middle, XbarId("T", s, j))
 
 
 def uplink_target(cu: int, lower_xbar: int, uplink: int) -> XbarId:
@@ -69,12 +77,10 @@ def uplink_target(cu: int, lower_xbar: int, uplink: int) -> XbarId:
     return XbarId(level, s, j)
 
 
-def wire_cu_uplinks(graph: nx.Graph, cu: int) -> None:
+def wire_cu_uplinks(graph: Graph, cu: int) -> None:
     """Connect all 96 uplinks of CU ``cu`` to the inter-CU switches."""
-    for i in range(24):
-        low = XbarId("L", cu, i)
-        for k in range(4):
-            graph.add_edge(low, uplink_target(cu, i, k), kind="uplink")
+    for low, target in uplink_edges(cu):
+        add_link(graph, low, target)
 
 
 def uplink_edges(cu: int) -> list[tuple[XbarId, XbarId]]:

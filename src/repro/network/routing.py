@@ -25,10 +25,9 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
-import networkx as nx
 import numpy as np
 
-from repro.network.crossbar import XbarId
+from repro.network.crossbar import Graph, XbarId
 from repro.network.cu_switch import (
     MIXED_XBAR,
     NODES_PER_LOWER_XBAR,
@@ -44,7 +43,6 @@ __all__ = [
     "route_uplinks",
     "hop_census",
     "average_hops",
-    "bfs_hop_count",
     "degraded_route",
     "degraded_hop_vector",
     "degraded_hop_census",
@@ -191,12 +189,6 @@ def route_uplinks(
     return (_uplink_edge(cu_s, lower, uplink), _uplink_edge(cu_d, lower, uplink))
 
 
-def bfs_hop_count(topo: RoadrunnerTopology, src: NodeId, dst: NodeId) -> int:
-    """Crossbar hops via shortest path over the explicit graph (oracle)."""
-    path = nx.shortest_path(topo.graph, topo.graph_node(src), topo.graph_node(dst))
-    return sum(1 for v in path if isinstance(v, XbarId))
-
-
 def hop_census(topo: RoadrunnerTopology, src: NodeId = 0) -> Counter:
     """Table I: how many destinations lie at each hop distance.
 
@@ -217,19 +209,32 @@ def average_hops(topo: RoadrunnerTopology, src: NodeId = 0) -> float:
 #
 # The closed forms above assume every wired link is up.  With links
 # failed (see :class:`repro.resilience.health.FabricHealth`) routes are
-# recomputed by breadth-first search over the explicit graph minus the
-# failed edges — exactly what an InfiniBand subnet manager's re-sweep
-# does after a link drops.  ``failed_links`` is always a *frozenset* of
-# canonical ``(u, v)`` vertex pairs (:func:`repro.resilience.health.
-# edge_key`), which makes it a cache key: the working graph and each
-# source's BFS tree are memoized until the failure set changes.
+# recomputed by breadth-first search over the topology's adjacency
+# lists minus the failed edges — exactly what an InfiniBand subnet
+# manager's re-sweep does after a link drops.  ``failed_links`` is
+# always a *frozenset* of ``(u, v)`` vertex pairs (canonically
+# :func:`repro.resilience.health.edge_key`'s), which makes it a cache
+# key: the working graph and each source's BFS tree are memoized until
+# the failure set changes.
 
 
 @lru_cache(maxsize=32)
-def _working_graph(topo: RoadrunnerTopology, failed_links: frozenset) -> nx.Graph:
-    """The topology graph minus the failed edges (memoized)."""
-    graph = topo.graph.copy()
-    graph.remove_edges_from(failed_links)
+def _working_graph(topo: RoadrunnerTopology, failed_links: frozenset) -> Graph:
+    """The topology graph minus the failed edges (memoized).
+
+    With nothing failed this is ``topo.graph`` itself.  Otherwise it is
+    a shallow copy in which both ends of each failed link get new
+    neighbour lists without each other: a pair may come in either
+    orientation, and pairs that are not wired are ignored.
+    """
+    graph = topo.graph
+    if not failed_links:
+        return graph
+    graph = dict(graph)
+    for u, v in failed_links:
+        if v in graph.get(u, ()):
+            graph[u] = [w for w in graph[u] if w != v]
+            graph[v] = [w for w in graph[v] if w != u]
     return graph
 
 
@@ -240,7 +245,48 @@ def _degraded_lengths(
     """BFS edge-distances from ``src``'s graph vertex over the working
     graph; vertices cut off by the failures are simply absent."""
     graph = _working_graph(topo, failed_links)
-    return nx.single_source_shortest_path_length(graph, topo.graph_node(src))
+    source = topo.graph_node(src)
+    lengths = {source: 0}
+    level = [source]
+    depth = 0
+    while level:
+        depth += 1
+        reached = []
+        for v in level:
+            for w in graph[v]:
+                if w not in lengths:
+                    lengths[w] = depth
+                    reached.append(w)
+        level = reached
+    return lengths
+
+
+def _meeting_vertex(graph: Graph, pred: dict, succ: dict) -> tuple | None:
+    """Bidirectional breadth-first search from ``pred``'s source to
+    ``succ``'s target, filling both predecessor maps.
+
+    Each round grows the smaller frontier by one level (the forward one
+    on a tie), scanning neighbours in list order, and returns the first
+    vertex both searches have reached; ``None`` once a frontier empties.
+    This is networkx's unweighted ``bidirectional_shortest_path``, so
+    among equal-cost paths it picks the same one.
+    """
+    forward, reverse = list(pred), list(succ)
+    while forward and reverse:
+        if len(forward) <= len(reverse):
+            level, forward = forward, []
+            frontier, mine, theirs = forward, pred, succ
+        else:
+            level, reverse = reverse, []
+            frontier, mine, theirs = reverse, succ, pred
+        for v in level:
+            for w in graph[v]:
+                if w not in mine:
+                    frontier.append(w)
+                    mine[w] = v
+                if w in theirs:
+                    return w
+    return None
 
 
 def degraded_route(
@@ -259,10 +305,22 @@ def degraded_route(
     if src == dst:
         return []
     graph = _working_graph(topo, frozenset(failed_links))
-    try:
-        path = nx.shortest_path(graph, topo.graph_node(src), topo.graph_node(dst))
-    except nx.NetworkXNoPath:
+    pred = {topo.graph_node(src): None}
+    succ = {topo.graph_node(dst): None}
+    meet = _meeting_vertex(graph, pred, succ)
+    if meet is None:
         return None
+    # Source ... meet from the forward map, then meet ... target.
+    path = []
+    v = meet
+    while v is not None:
+        path.append(v)
+        v = pred[v]
+    path.reverse()
+    v = succ[meet]
+    while v is not None:
+        path.append(v)
+        v = succ[v]
     return [v for v in path if isinstance(v, XbarId)]
 
 

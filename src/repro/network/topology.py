@@ -1,6 +1,6 @@
 """The assembled Roadrunner fabric: 17 CU switches + 8 inter-CU switches.
 
-:class:`RoadrunnerTopology` owns the port-by-port networkx graph and the
+:class:`RoadrunnerTopology` owns the port-by-port adjacency lists and the
 node-naming scheme.  Compute nodes are addressed both globally
 (``0 .. 3059``) and as ``(cu, local)`` pairs; CU membership follows the
 paper (CU *c* holds nodes ``180c .. 180c+179``).
@@ -10,12 +10,9 @@ from __future__ import annotations
 
 from functools import cached_property
 
-import networkx as nx
-
-from repro.network.crossbar import XbarId
+from repro.network.crossbar import Graph, XbarId
 from repro.network.cu_switch import (
     COMPUTE_NODES_PER_CU,
-    IO_NODES_PER_CU,
     attach_cu_nodes,
     build_cu_switch,
     lower_xbar_of_local_node,
@@ -25,6 +22,7 @@ from repro.network.intercu import (
     INTERCU_SWITCHES,
     build_intercu_switch,
     wire_cu_uplinks,
+    wire_intercu_chains,
 )
 
 __all__ = ["NodeId", "RoadrunnerTopology", "DEFAULT_CU_COUNT"]
@@ -61,19 +59,27 @@ class RoadrunnerTopology:
         return self.cu_count * self.nodes_per_cu
 
     @cached_property
-    def graph(self) -> nx.Graph:
-        """The port-by-port fabric graph (built lazily)."""
-        g = nx.Graph()
+    def graph(self) -> Graph:
+        """The port-by-port fabric graph (built lazily; do not mutate).
+
+        Each vertex maps to its neighbour list.  Vertices run per CU
+        (24 ``L``, 12 ``U``, 180 compute and 12 I/O nodes), then per
+        inter-CU switch (``F``, ``M``, ``T`` for each index).  Neighbours
+        follow the wiring order, with the F-M-T chains wired last; the
+        degraded-routing searches break ties between equal-cost paths
+        by this order, so changing it moves routes.
+        """
+        g: Graph = {}
         for cu in range(self.cu_count):
             build_cu_switch(g, cu)
-            attach_cu_nodes(g, cu)
-            if not self.include_io:
-                g.remove_nodes_from([n for n in list(g) if n[0] == "io"])
+            attach_cu_nodes(g, cu, include_io=self.include_io)
         if self.cu_count > 1:
             for s in range(INTERCU_SWITCHES):
                 build_intercu_switch(g, s)
             for cu in range(self.cu_count):
                 wire_cu_uplinks(g, cu)
+            for s in range(INTERCU_SWITCHES):
+                wire_intercu_chains(g, s)
         return g
 
     # -- addressing ---------------------------------------------------------
@@ -110,8 +116,8 @@ class RoadrunnerTopology:
     def port_usage(self) -> dict[XbarId, int]:
         """Degree (ports in use) of every crossbar in the fabric."""
         return {
-            v: self.graph.degree(v)
-            for v in self.graph
+            v: len(neighbours)
+            for v, neighbours in self.graph.items()
             if isinstance(v, XbarId)
         }
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable
+from typing import Any, Iterable
 
 from repro.obs.recorder import active
 from repro.resilience.health import FabricHealth
@@ -50,16 +50,16 @@ class Fault:
 
     #: simulated time the component fails
     time: float
-    #: ``"node"`` or ``"link"``
+    #: what failed; the injector schedules only ``"node"`` faults
     kind: str
-    #: global node id, or a canonical ``(u, v)`` link key
+    #: global node id
     target: Any
     #: seconds until the component returns to service (None: permanent)
     repair_after: float | None = None
 
 
 class FaultInjector:
-    """Schedules node/link failures into a simulator from MTBF draws.
+    """Schedules node failures into a simulator from MTBF draws.
 
     Parameters
     ----------
@@ -73,7 +73,7 @@ class FaultInjector:
     obs:
         Optional :class:`~repro.obs.recorder.ObsRecorder`; receives one
         ``"fault"`` event per failure and per repair, on the failed
-        node's id (or link key) as track.
+        node's id as track.
     """
 
     def __init__(
@@ -105,23 +105,6 @@ class FaultInjector:
         fault = Fault(time=time, kind="node", target=node, repair_after=repair_after)
         self.faults.append(fault)
         self.sim.process(self._node_fault(fault), name=f"fault-node{node}")
-        return fault
-
-    def fail_link_at(
-        self,
-        time: float,
-        u: Hashable,
-        v: Hashable,
-        repair_after: float | None = None,
-    ) -> Fault:
-        """Schedule a link failure at an explicit simulated time."""
-        from repro.resilience.health import edge_key
-
-        fault = Fault(
-            time=time, kind="link", target=edge_key(u, v), repair_after=repair_after
-        )
-        self.faults.append(fault)
-        self.sim.process(self._link_fault(fault), name="fault-link")
         return fault
 
     # -- MTBF-driven scheduling -------------------------------------------
@@ -214,17 +197,6 @@ class FaultInjector:
         if fault.repair_after is not None:
             yield sim.timeout(fault.repair_after)
             self.health.repair_node(fault.target)
-            self._record(fault, "repair")
-
-    def _link_fault(self, fault: Fault):
-        sim = self.sim
-        yield sim.timeout(fault.time - sim.now)
-        u, v = fault.target
-        self.health.fail_link(u, v)
-        self._record(fault, "fail", repair_after=fault.repair_after)
-        if fault.repair_after is not None:
-            yield sim.timeout(fault.repair_after)
-            self.health.repair_link(u, v)
             self._record(fault, "repair")
 
     def _record(self, fault: Fault, action: str, **attrs) -> None:

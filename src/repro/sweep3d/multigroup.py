@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -50,15 +51,18 @@ class MultigroupInput:
             len(row) != g for row in self.sigma_s
         ):
             raise ValueError("sigma_t, sigma_s, q must agree on group count")
+        # Written so that NaN fails every guard, as in SweepInput.
         for gt in range(g):
-            if self.sigma_t[gt] <= 0:
-                raise ValueError(f"group {gt}: sigma_t must be positive")
-            if self.q[gt] < 0:
-                raise ValueError(f"group {gt}: source must be >= 0")
+            if not 0 < self.sigma_t[gt] < inf:
+                raise ValueError(f"group {gt}: sigma_t must be positive and finite")
+            if not 0 <= self.q[gt] < inf:
+                raise ValueError(f"group {gt}: source must be >= 0 and finite")
             for gf in range(g):
                 s = self.sigma_s[gt][gf]
-                if s < 0:
-                    raise ValueError("scattering cross-sections must be >= 0")
+                if not 0 <= s < inf:
+                    raise ValueError(
+                        "scattering cross-sections must be >= 0 and finite"
+                    )
                 if gf > gt and s != 0:
                     raise ValueError(
                         "upscatter (sigma_s[g_to][g_from] with g_from > g_to) "

@@ -301,19 +301,6 @@ class ParallelSweepResult:
         total = self.iteration_time * self.iterations
         return self.compute_time_per_rank / total if total > 0 else 1.0
 
-    def expected_wallclock(self, model, interval: float | None = None) -> float:
-        """Expected wall clock of this iteration set under failures.
-
-        ``model`` is a checkpoint/restart cost model (duck-typed
-        ``expected_runtime``, e.g. :class:`repro.resilience.checkpoint.
-        CheckpointModel`); ``interval`` overrides its optimal checkpoint
-        interval.  Bridges the DES-measured failure-free solve time to
-        the Young/Daly failure economics.
-        """
-        return model.expected_runtime(
-            self.iteration_time * self.iterations, interval
-        )
-
 
 class ParallelSweep:
     """Run the KBA sweep over ``decomp`` on a simulated fabric.
@@ -601,11 +588,11 @@ class ParallelSweep:
             source = np.full((inp.it, inp.jt, inp.kt), inp.q)
         if source.shape != (inp.it, inp.jt, inp.kt):
             raise ValueError("source must match the per-rank subgrid")
+        source = np.ascontiguousarray(source, dtype=np.float64)
+        if not np.isfinite(source).all():
+            raise ValueError("source must be finite")
         # weak scaling: every rank sweeps the one source row
-        graph = _BlockGraph(
-            inp, self.angles,
-            np.ascontiguousarray(source, dtype=np.float64).reshape(1, -1),
-        )
+        graph = _BlockGraph(inp, self.angles, source.reshape(1, -1))
         accs: list = [None] * self.decomp.size
         sim, comm = self._execute(
             graph,

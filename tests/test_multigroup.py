@@ -1,5 +1,7 @@
 """Tests for the multigroup extension of the sweep solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,30 @@ def test_validation():
         MultigroupInput(BASE, sigma_t=(1.0,), sigma_s=((1.0,),), q=(1.0,))
     with pytest.raises(ValueError):  # negative cross-section
         MultigroupInput(BASE, sigma_t=(1.0,), sigma_s=((-0.1,),), q=(1.0,))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sigma_t", (NAN, 2.0)),
+        ("sigma_t", (1.0, INF)),
+        ("sigma_s", ((NAN, 0.0), (0.3, 0.8))),
+        ("sigma_s", ((0.4, 0.0), (NAN, 0.8))),
+        ("sigma_s", ((0.4, 0.0), (INF, 0.8))),
+        ("q", (NAN, 0.0)),
+        ("q", (1.0, INF)),
+    ],
+    ids=["sigma_t-nan", "sigma_t-inf", "within-nan", "downscatter-nan",
+         "downscatter-inf", "q-nan", "q-inf"],
+)
+def test_validation_rejects_non_finite_values(field, value):
+    """Caught at construction, not inside one group's solve under the
+    name of an argument the caller never passed."""
+    with pytest.raises(ValueError, match="finite"):
+        dataclasses.replace(two_group(), **{field: value})
 
 
 def test_single_group_reduces_to_scalar_solver():

@@ -145,13 +145,13 @@ def test_lower_crossbar_port_budget(small_topo):
     """A fully populated lower crossbar uses exactly 24 ports:
     8 nodes + 12 upper links + 4 uplinks."""
     g = small_topo.graph
-    assert g.degree(XbarId("L", 0, 0)) == CROSSBAR_PORTS
+    assert len(g[XbarId("L", 0, 0)]) == CROSSBAR_PORTS
 
 
 def test_upper_crossbars_use_all_24_ports_on_lowers(small_topo):
     g = small_topo.graph
     for j in range(12):
-        assert g.degree(XbarId("U", 0, j)) == 24
+        assert len(g[XbarId("U", 0, j)]) == 24
 
 
 def test_io_nodes_attached(small_topo):
@@ -161,8 +161,8 @@ def test_io_nodes_attached(small_topo):
     # 4 I/O on the mixed crossbar, 8 on the I/O-only crossbar.
     mixed = XbarId("L", 0, 22)
     io_only = XbarId("L", 0, 23)
-    assert sum(1 for v in g.neighbors(mixed) if v[0] == "io") == 4
-    assert sum(1 for v in g.neighbors(io_only) if v[0] == "io") == 8
+    assert sum(1 for v in g[mixed] if v[0] == "io") == 4
+    assert sum(1 for v in g[io_only] if v[0] == "io") == 8
 
 
 def test_io_nodes_can_be_excluded():
@@ -171,9 +171,30 @@ def test_io_nodes_can_be_excluded():
 
 
 def test_graph_is_connected(small_topo):
-    import networkx as nx
+    """A breadth-first search from one vertex reaches every vertex."""
+    g = small_topo.graph
+    start = next(iter(g))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        reached = []
+        for v in frontier:
+            for w in g[v]:
+                if w not in seen:
+                    seen.add(w)
+                    reached.append(w)
+        frontier = reached
+    assert seen == set(g)
 
-    assert nx.is_connected(small_topo.graph)
+
+@pytest.mark.parametrize("cu_count", [1, 2, 17])
+def test_graph_lists_each_link_once_at_both_ends(cu_count):
+    g = RoadrunnerTopology(cu_count=cu_count).graph
+    for v, neighbours in g.items():
+        assert len(set(neighbours)) == len(neighbours), v
+        assert v not in neighbours
+        for w in neighbours:
+            assert v in g[w], (v, w)
 
 
 def test_compute_node_count_in_graph(small_topo):

@@ -137,16 +137,6 @@ def test_fault_repair_restores_health_and_traces():
     assert rec.spans == []  # a fault is an instant, not a span
 
 
-def test_link_fault_flips_ledger():
-    sim = Simulator()
-    injector = FaultInjector(sim)
-    u, v = XbarId("F", 2, 3), XbarId("M", 2, 3)
-    injector.fail_link_at(0.1, v, u)
-    sim.run()
-    assert not injector.health.link_ok(u, v)
-    assert injector.health.failed_links == frozenset({edge_key(u, v)})
-
-
 def test_checkpoint_clock_respects_horizon_and_traces():
     sim = Simulator()
     rec = ObsRecorder()
@@ -468,21 +458,6 @@ def test_sweep_failure_study_rows_improve_with_mtbf():
         assert row["expected_wallclock_hours"] == pytest.approx(
             row["expected_slowdown"] * study["campaign_hours"]
         )
-
-
-def test_parallel_sweep_result_expected_wallclock():
-    from repro.sweep3d.parallel import ParallelSweepResult
-
-    result = ParallelSweepResult(
-        phi=None, iteration_time=2.0, iterations=50, messages=0, bytes_sent=0,
-    )
-    model = CheckpointModel(mtbf=3600.0, checkpoint_time=10.0)
-    assert result.expected_wallclock(model) == pytest.approx(
-        model.expected_runtime(100.0)
-    )
-    assert result.expected_wallclock(model, interval=600.0) == pytest.approx(
-        model.expected_runtime(100.0, 600.0)
-    )
 
 
 # -- correlated power-domain failures ---------------------------------------

@@ -137,6 +137,18 @@ def test_parallel_validates_arguments():
         sweep.run(source=np.ones((1, 1, 1)))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_parallel_rejects_non_finite_source(value):
+    """One bad cell would otherwise spread to every flux cell, with no
+    error, as ``solve(external_source=)`` already refuses."""
+    inp = SweepInput(it=2, jt=2, kt=4, mk=2, mmi=2)
+    sweep = ParallelSweep(inp, Decomposition2D(2, 2), 1e-9, FREE_FABRIC)
+    source = np.ones((2, 2, 4))
+    source[1, 0, 3] = value
+    with pytest.raises(ValueError, match="finite"):
+        sweep.run(source=source)
+
+
 def test_parallel_custom_source():
     inp = SweepInput(it=2, jt=2, kt=2, mk=1, mmi=2)
     dec = Decomposition2D(1, 1)
