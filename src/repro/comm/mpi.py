@@ -13,12 +13,11 @@ cost; :class:`UniformFabric` applies one transport everywhere, while
 Sweep3D's runs use location-aware fabrics from :mod:`repro.comm.cml`
 and :mod:`repro.network.latency`.
 
-On an unhealthy machine the collectives are survivable: ``timeout=``
-bounds every receive in the tree (a dead partner raises
-:class:`DeliveryError` instead of stalling the subtree forever), and
-``shrink=True`` completes the collective over the live membership from
-a :class:`~repro.resilience.health.FabricHealth` ledger (see
-:mod:`repro.comm.membership`).  Both default off; the default path is
+On an unhealthy machine a run aborts instead of hanging: ``timeout=``
+on ``recv`` and the collectives bounds every receive, so a dead partner
+raises :class:`DeliveryError` instead of stalling its subtree forever,
+and a :class:`~repro.resilience.policy.DeliveryPolicy` retries lost
+sends until its budget runs out.  Both default off; the default path is
 bit-identical to the historical perfect-fabric communicator.
 """
 
@@ -285,7 +284,7 @@ class SimMPI:
         #: max_retries); None keeps the historical perfect-fabric path
         self.delivery = delivery
         #: optional :class:`repro.obs.recorder.ObsRecorder` receiving
-        #: send/recv/collective spans, retry and shrink events, and
+        #: send/recv/collective spans, retry events, and
         #: message/byte/retry counters; None (the default) keeps
         #: recording branches off the hot path
         if obs is not None:
@@ -293,12 +292,6 @@ class SimMPI:
 
             obs = active(obs)
         self.obs = obs
-        #: optional :class:`repro.comm.membership.Membership` consulted
-        #: by the ``shrink=True`` collectives; set via :meth:`attach_health`
-        self.membership = None
-        #: shared shrink-protocol state, one cell per collective
-        #: sequence number (see :mod:`repro.comm.membership`)
-        self._shrink_state: dict[int, Any] = {}
         self._mailboxes = [_Mailbox() for _ in locations]
         #: in-flight batch deliveries keyed by arrival instant, plus a
         #: free-list of reusable records (see :class:`_Cohort`)
@@ -326,15 +319,6 @@ class SimMPI:
     @property
     def size(self) -> int:
         return len(self.locations)
-
-    def attach_health(self, health):
-        """Give the communicator a live-membership view over ``health``
-        (a :class:`~repro.resilience.health.FabricHealth`), enabling the
-        ``shrink=True`` collectives.  Returns the Membership."""
-        from repro.comm.membership import Membership
-
-        self.membership = Membership(self.locations, health)
-        return self.membership
 
     def rank(self, index: int) -> "Rank":
         """Handle used by rank ``index``'s process."""
@@ -365,46 +349,82 @@ class Rank:
     # -- point to point ------------------------------------------------------
     def send(self, dest: int, size: int, tag: int = 0, payload: Any = None):
         """Blocking send (generator): the sender is busy for its
-        serialization time; delivery happens one wire latency later."""
+        serialization time; delivery happens one wire latency later.
+
+        Under a :class:`~repro.resilience.policy.DeliveryPolicy` each
+        transmission is an attempt: a lost one (dropped, or refused by
+        a contended fabric because an endpoint's node is down) records
+        an ``mpi.retry`` event, waits out the policy's backoff and goes
+        again; once the retries are spent the send closes its
+        ``mpi.send`` span with ``delivered=False`` and raises
+        :class:`DeliveryError`.  Without a policy there is one attempt
+        and a fabric's refusal propagates as raised.  A *perfect* policy
+        (no drops, no failed endpoints) gives the exact event timeline
+        of no policy — same spans less their ``attempts`` attribute, no
+        RNG draws — which ``tests/test_resilience.py`` pins.
+        """
         if not 0 <= dest < self.comm.size:
             raise ValueError(f"destination rank {dest} out of range")
         if not 0 <= size < inf:
             raise ValueError(f"message size must be finite and >= 0, got {size!r}")
-        comm, sim = self.comm, self.sim
-        if comm.delivery is not None:
-            # Resilient path lives out-of-line so the default (perfect
-            # fabric) path stays allocation-identical to the historical
-            # code — asserted by benchmarks/perf/perf_resilience.py.
-            return (yield from self._send_resilient(dest, size, tag, payload))
-        src_loc = comm.locations[self.index]
+        comm, sim, index = self.comm, self.sim, self.index
+        src_loc = comm.locations[index]
         dst_loc = comm.locations[dest]
-        pair = (self.index, dest)
+        pair = (index, dest)
         latency = comm._lat_cache.get(pair)
         if latency is None:
             latency = comm.fabric.zero_byte_latency(src_loc, dst_loc)
             comm._lat_cache[pair] = latency
         contended = comm._contended
         if not contended:  # a contended fabric times its links instead
-            tkey = (self.index, dest, size)
+            tkey = (index, dest, size)
             total = comm._time_cache.get(tkey)
             if total is None:
                 total = comm.fabric.one_way_time(src_loc, dst_loc, size)
                 comm._time_cache[tkey] = total
-        sent_at = sim.now
-        comm.sent_counts[self.index] += 1
-        comm.sent_bytes[self.index] += size
-        if contended:
-            # Contended fabric: the bandwidth phase runs through shared
-            # link resources; the sender is occupied until its payload
-            # clears them (conservative store-and-forward semantics).
-            yield comm.fabric.transfer(src_loc, dst_loc, size)
-        else:
             serialize = max(0.0, total - latency)
-            if serialize > 0:
-                yield sim.timeout(serialize)
+        sent_at = sim.now
+        comm.sent_counts[index] += 1
+        comm.sent_bytes[index] += size
+        policy = comm.delivery
+        attempt = 0
+        while True:
+            try:
+                if contended:
+                    # Contended fabric: the bandwidth phase runs through
+                    # shared link resources; the sender is occupied
+                    # until its payload clears them (conservative
+                    # store-and-forward semantics).
+                    yield comm.fabric.transfer(src_loc, dst_loc, size)
+                elif serialize > 0:
+                    yield sim.timeout(serialize)
+            except DeliveryError:
+                # The fabric refused: an endpoint's node is down.
+                if policy is None:
+                    raise
+            else:
+                if policy is None or policy.delivered(src_loc, dst_loc, size):
+                    break
+            obs = comm.obs
+            if attempt >= policy.max_retries:
+                if obs is not None:
+                    obs.span("mpi.send", index, sent_at, sim.now,
+                             dest=dest, size=size, tag=tag,
+                             attempts=attempt + 1, delivered=False)
+                raise DeliveryError(
+                    f"rank {index} -> rank {dest}: {size}-byte message "
+                    f"undeliverable after {attempt + 1} attempts"
+                )
+            comm.retry_counts[index] += 1
+            if obs is not None:
+                obs.event("mpi.retry", index, sim.now, dest=dest,
+                          size=size, tag=tag, attempt=attempt + 1)
+                obs.count("mpi.retries", track=index)
+            yield sim.timeout(policy.retry_delay(attempt))
+            attempt += 1
         when = sim.now + latency
         msg = Message(
-            source=self.index, dest=dest, tag=tag, size=size,
+            source=index, dest=dest, tag=tag, size=size,
             payload=payload, sent_at=sent_at,
             delivered_at=when,
         )
@@ -422,96 +442,15 @@ class Rank:
         rec.msgs.append(msg)
         obs = comm.obs
         if obs is not None:
-            obs.span("mpi.send", self.index, sent_at, sim.now,
-                     dest=dest, size=size, tag=tag)
-            obs.count("mpi.messages", track=self.index)
-            obs.count("mpi.bytes", size, track=self.index)
-        return msg
-
-    def _send_resilient(self, dest: int, size: int, tag: int, payload: Any):
-        """Send under a DeliveryPolicy (generator): retransmit lost
-        attempts with exponential backoff; raise :class:`DeliveryError`
-        once retries are exhausted.
-
-        With a *perfect* policy (no drops, no failed endpoints) this
-        path produces the exact event timeline of the policy-free
-        ``send`` — same send spans, same timeouts, no RNG draws —
-        which ``tests/test_resilience.py`` pins.  A send that exhausts
-        its retries still records its ``mpi.send`` span, with
-        ``delivered=False``, before raising.
-        """
-        comm, sim = self.comm, self.sim
-        policy = comm.delivery
-        src_loc = comm.locations[self.index]
-        dst_loc = comm.locations[dest]
-        pair = (self.index, dest)
-        latency = comm._lat_cache.get(pair)
-        if latency is None:
-            latency = comm.fabric.zero_byte_latency(src_loc, dst_loc)
-            comm._lat_cache[pair] = latency
-        total = comm.fabric.one_way_time(src_loc, dst_loc, size)
-        sent_at = sim.now
-        comm.sent_counts[self.index] += 1
-        comm.sent_bytes[self.index] += size
-        attempt = 0
-        while True:
-            if comm._contended:
-                try:
-                    yield comm.fabric.transfer(src_loc, dst_loc, size)
-                except DeliveryError:
-                    # The fabric itself refused (endpoint NIC down):
-                    # counts as a lost attempt, retried below.
-                    delivered = False
-                else:
-                    delivered = policy.delivered(src_loc, dst_loc, size)
+            if policy is None:
+                obs.span("mpi.send", index, sent_at, sim.now,
+                         dest=dest, size=size, tag=tag)
             else:
-                serialize = max(0.0, total - latency)
-                if serialize > 0:
-                    yield sim.timeout(serialize)
-                delivered = policy.delivered(src_loc, dst_loc, size)
-            if delivered:
-                when = sim.now + latency
-                msg = Message(
-                    source=self.index, dest=dest, tag=tag, size=size,
-                    payload=payload, sent_at=sent_at,
-                    delivered_at=when,
-                )
-                cohorts = comm._cohorts
-                rec = cohorts.get(when)
-                if rec is None:
-                    free = comm._free_cohorts
-                    if free:
-                        rec = free.pop()
-                        rec.time = when
-                    else:
-                        rec = _Cohort(comm, when)
-                    cohorts[when] = rec
-                    sim.timeout(latency).callbacks.append(rec)
-                rec.msgs.append(msg)
-                obs = comm.obs
-                if obs is not None:
-                    obs.span("mpi.send", self.index, sent_at, sim.now,
-                             dest=dest, size=size, tag=tag, attempts=attempt + 1)
-                    obs.count("mpi.messages", track=self.index)
-                    obs.count("mpi.bytes", size, track=self.index)
-                return msg
-            obs = comm.obs
-            if attempt >= policy.max_retries:
-                if obs is not None:
-                    obs.span("mpi.send", self.index, sent_at, sim.now,
-                             dest=dest, size=size, tag=tag,
-                             attempts=attempt + 1, delivered=False)
-                raise DeliveryError(
-                    f"rank {self.index} -> rank {dest}: {size}-byte message "
-                    f"undeliverable after {attempt + 1} attempts"
-                )
-            comm.retry_counts[self.index] += 1
-            if obs is not None:
-                obs.event("mpi.retry", self.index, sim.now, dest=dest,
-                          size=size, tag=tag, attempt=attempt + 1)
-                obs.count("mpi.retries", track=self.index)
-            yield sim.timeout(policy.retry_delay(attempt))
-            attempt += 1
+                obs.span("mpi.send", index, sent_at, sim.now,
+                         dest=dest, size=size, tag=tag, attempts=attempt + 1)
+            obs.count("mpi.messages", track=index)
+            obs.count("mpi.bytes", size, track=index)
+        return msg
 
     def recv(
         self,
@@ -524,7 +463,7 @@ class Rank:
         With ``timeout`` the wait is bounded: if no matching message
         arrives within ``timeout`` simulated seconds the receive gives
         up and raises :class:`DeliveryError` — the detection primitive
-        the survivable collectives are built on.  ``timeout=None`` (the
+        of the collectives' abort contract.  ``timeout=None`` (the
         default) is the historical unbounded receive.
         """
         obs = self.comm.obs
@@ -575,27 +514,19 @@ class Rank:
 
     # -- collectives (binomial trees over point-to-point) ---------------------
     #
-    # All four core collectives take two survivability knobs:
-    #
-    # * ``timeout`` bounds every receive in the tree — a dead partner
-    #   surfaces as :class:`DeliveryError` out of the collective (abort
-    #   contract) instead of parking its whole subtree forever;
-    # * ``shrink=True`` (requires ``comm.attach_health(...)`` and a
-    #   ``timeout``) instead rebuilds the tree over the live membership
-    #   and completes with a survivor-only result — the shrink-and-
-    #   continue protocol of :mod:`repro.comm.membership`.
-    #
-    # The defaults keep the historical, perfect-fabric behavior.
-    def _next_coll_seq(self) -> int:
-        """This rank's next collective sequence number (MPI ordering
-        makes these agree across ranks)."""
-        seq = self.comm._coll_seq[self.index]
-        self.comm._coll_seq[self.index] += 1
-        return seq
-
+    # The four core collectives take ``timeout``, which bounds every
+    # receive in the tree: a dead partner surfaces as
+    # :class:`DeliveryError` out of the collective (the abort contract)
+    # instead of parking its whole subtree forever.  The default keeps
+    # the historical, perfect-fabric behavior.
     def _next_coll_tag(self) -> int:
-        """Fresh 64-tag block for one collective invocation."""
-        return SimMPI._COLL_TAG + self._next_coll_seq() * 64
+        """Fresh 64-tag block for one collective invocation, numbered by
+        this rank's collective count (MPI ordering makes the counts
+        agree across ranks)."""
+        seqs = self.comm._coll_seq
+        seq = seqs[self.index]
+        seqs[self.index] = seq + 1
+        return SimMPI._COLL_TAG + seq * 64
 
     def _collective_span(self, op: str, gen):
         """Delegate to a collective's body (generator), recording an
@@ -613,19 +544,15 @@ class Rank:
             obs.span("mpi.collective", self.index, t0, self.sim.now, op=op)
         return result
 
-    def barrier(self, timeout: float | None = None, shrink: bool = False):
+    def barrier(self, timeout: float | None = None):
         """Dissemination barrier (generator)."""
         return (
             yield from self._collective_span(
-                "barrier", self._barrier_impl(timeout=timeout, shrink=shrink)
+                "barrier", self._barrier_impl(timeout=timeout)
             )
         )
 
-    def _barrier_impl(self, timeout: float | None = None, shrink: bool = False):
-        if shrink:
-            from repro.comm.membership import shrink_barrier
-
-            return (yield from shrink_barrier(self, timeout=timeout))
+    def _barrier_impl(self, timeout: float | None = None):
         tag = self._next_coll_tag()
         n = self.comm.size
         if n == 1:
@@ -647,15 +574,13 @@ class Rank:
         size: int = 8,
         tag: int | None = None,
         timeout: float | None = None,
-        shrink: bool = False,
     ):
         """Binomial-tree broadcast (generator); returns the value."""
         return (
             yield from self._collective_span(
                 "bcast",
                 self._bcast_impl(
-                    value, root=root, size=size, tag=tag,
-                    timeout=timeout, shrink=shrink,
+                    value, root=root, size=size, tag=tag, timeout=timeout,
                 ),
             )
         )
@@ -667,16 +592,7 @@ class Rank:
         size: int = 8,
         tag: int | None = None,
         timeout: float | None = None,
-        shrink: bool = False,
     ):
-        if shrink:
-            from repro.comm.membership import shrink_bcast
-
-            return (
-                yield from shrink_bcast(
-                    self, value, root=root, size=size, timeout=timeout
-                )
-            )
         tag = tag if tag is not None else self._next_coll_tag()
         n = self.comm.size
         if n == 1:
@@ -708,7 +624,6 @@ class Rank:
         size: int = 8,
         tag: int | None = None,
         timeout: float | None = None,
-        shrink: bool = False,
     ):
         """Binomial-tree reduction (generator); root returns the result,
         other ranks return ``None``."""
@@ -716,8 +631,7 @@ class Rank:
             yield from self._collective_span(
                 "reduce",
                 self._reduce_impl(
-                    value, op, root=root, size=size, tag=tag,
-                    timeout=timeout, shrink=shrink,
+                    value, op, root=root, size=size, tag=tag, timeout=timeout,
                 ),
             )
         )
@@ -730,16 +644,7 @@ class Rank:
         size: int = 8,
         tag: int | None = None,
         timeout: float | None = None,
-        shrink: bool = False,
     ):
-        if shrink:
-            from repro.comm.membership import shrink_reduce
-
-            return (
-                yield from shrink_reduce(
-                    self, value, op, root=root, size=size, timeout=timeout
-                )
-            )
         tag = tag if tag is not None else self._next_coll_tag()
         n = self.comm.size
         vrank = (self.index - root) % n
@@ -765,16 +670,13 @@ class Rank:
         op: Callable[[Any, Any], Any],
         size: int = 8,
         timeout: float | None = None,
-        shrink: bool = False,
     ):
         """Reduce-to-root then broadcast (generator); all ranks return
         the reduced value."""
         return (
             yield from self._collective_span(
                 "allreduce",
-                self._allreduce_impl(
-                    value, op, size=size, timeout=timeout, shrink=shrink
-                ),
+                self._allreduce_impl(value, op, size=size, timeout=timeout),
             )
         )
 
@@ -784,16 +686,7 @@ class Rank:
         op: Callable[[Any, Any], Any],
         size: int = 8,
         timeout: float | None = None,
-        shrink: bool = False,
     ):
-        if shrink:
-            from repro.comm.membership import shrink_allreduce
-
-            return (
-                yield from shrink_allreduce(
-                    self, value, op, size=size, timeout=timeout
-                )
-            )
         # The inner phases delegate to the *impl* bodies so a user-level
         # allreduce records exactly one collective span.
         reduced = yield from self._reduce_impl(value, op, root=0, size=size,

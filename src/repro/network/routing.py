@@ -214,8 +214,10 @@ def average_hops(topo: RoadrunnerTopology, src: NodeId = 0) -> float:
 # manager's re-sweep does after a link drops.  ``failed_links`` is
 # always a *frozenset* of ``(u, v)`` vertex pairs (canonically
 # :func:`repro.resilience.health.edge_key`'s), which makes it a cache
-# key: the working graph and each source's BFS tree are memoized until
-# the failure set changes.
+# key: the working graph is memoized until the failure set changes.
+# Each source's BFS distances are not: a census reads them once, and
+# keeping a 4,164-entry dict per (failure set, source) alive would grow
+# with every source ever asked about.
 
 
 @lru_cache(maxsize=32)
@@ -238,7 +240,6 @@ def _working_graph(topo: RoadrunnerTopology, failed_links: frozenset) -> Graph:
     return graph
 
 
-@lru_cache(maxsize=4096)
 def _degraded_lengths(
     topo: RoadrunnerTopology, failed_links: frozenset, src: NodeId
 ) -> dict:

@@ -10,9 +10,9 @@ simulation run:
   profiler (:mod:`repro.obs.profiler`) attributes each instant to the
   innermost enclosing span's category.
 * **Events** are instants on a track — facts with no duration (a
-  retry, a fault, a checkpoint, a shrink commit).  They are kept apart
-  from the spans: the profiler, the summary and the span stream never
-  see them, and the Chrome trace shows them as instant markers.
+  retry, a fault, a checkpoint).  They are kept apart from the spans:
+  the profiler, the summary and the span stream never see them, and
+  the Chrome trace shows them as instant markers.
 * **Counters** accumulate (messages, bytes, retries);
   **gauges** hold a last-written value.
 * **Engine statistics** arrive through the

@@ -36,8 +36,9 @@ package adds the failure axis the paper's measurements assume away:
 Degraded-fabric rerouting lives with the rest of the routing code in
 :mod:`repro.network.routing` (``degraded_route`` / ``degraded_hop_census``)
 and :mod:`repro.network.loadmap` (``degraded_bisection_summary`` /
-``degraded_link_loads``); shrink-and-continue collectives live with the
-communicator in :mod:`repro.comm.membership`.
+``degraded_link_loads``); the abort contract (``timeout=`` on SimMPI's
+receives and collectives) lives with the communicator in
+:mod:`repro.comm.mpi`.
 """
 
 from repro.resilience.checkpoint import CheckpointModel, sweep_failure_study

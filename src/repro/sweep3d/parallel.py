@@ -320,10 +320,11 @@ class ParallelSweep:
     delivery, recv_timeout, fault_hook:
         Survivability knobs (all default off — the default run is the
         seed timeline, bit for bit): a DeliveryPolicy for the
-        communicator, a bound on every surface receive, and a hook to
-        wire a FaultInjector into the run's private Simulator.  With
-        them enabled a mid-run fault surfaces as :class:`SweepAborted`;
-        see :func:`repro.resilience.recovery.run_with_recovery`.
+        communicator, a bound on every receive (the surface receives and
+        the solve's convergence allreduces), and a hook to wire a
+        FaultInjector into the run's private Simulator.  With them
+        enabled a mid-run fault surfaces as :class:`SweepAborted`; see
+        :func:`repro.resilience.recovery.run_with_recovery`.
     """
 
     def __init__(
@@ -363,9 +364,9 @@ class ParallelSweep:
         #: optional :class:`repro.resilience.policy.DeliveryPolicy`
         #: given to the communicator (sends to dead endpoints fail)
         self.delivery = delivery
-        #: bound on every surface receive, simulated seconds; a dead
-        #: upstream neighbour then aborts the run (:class:`SweepAborted`)
-        #: instead of stalling the wavefront forever
+        #: bound on every receive, simulated seconds; a dead upstream
+        #: neighbour or allreduce partner then aborts the run
+        #: (:class:`SweepAborted`) instead of stalling it forever
         self.recv_timeout = recv_timeout
         #: optional ``hook(sim, procs, locations)`` called after the
         #: rank processes are created and before the simulation runs —
@@ -397,6 +398,7 @@ class ParallelSweep:
         external = np.full((inp.it, inp.jt, inp.kt), inp.q)
         phi = np.zeros_like(external)
         source = graph.sources[r].reshape(external.shape)
+        timeout = self.recv_timeout
         obs = self.obs
         for iteration in range(1, max_iterations + 1):
             t0 = rank.sim.now if obs is not None else 0.0
@@ -406,8 +408,12 @@ class ParallelSweep:
             phi_new = graph.flux(acc)
             local_change = float(np.abs(phi_new - phi).max())
             local_peak = float(np.abs(phi_new).max())
-            global_change = yield from rank.allreduce(local_change, op=max)
-            global_peak = yield from rank.allreduce(local_peak, op=max)
+            global_change = yield from rank.allreduce(
+                local_change, op=max, timeout=timeout
+            )
+            global_peak = yield from rank.allreduce(
+                local_peak, op=max, timeout=timeout
+            )
             if obs is not None:
                 obs.span("sweep.iteration", r, t0, rank.sim.now,
                          iteration=iteration)

@@ -192,3 +192,26 @@ def test_fixture_covers_unroutable_pairs_and_cut_nodes(recorded):
     assert recorded["node_access"]["census"]["-1"] == 3059
     assert recorded["lower_island"]["census"]["-1"] == 3052
     assert recorded["cu5_cut_off"]["census"]["-1"] == 2880
+
+
+def test_censuses_retain_no_per_source_state():
+    """A census from each of many sources leaves nothing per source
+    alive: the memory held afterwards must not grow with the number of
+    sources asked about (a kept BFS distance dict is ~140 KiB)."""
+    import gc
+    import tracemalloc
+
+    topo = _topology(17, True)
+    failed = frozenset({edge_key(*uplink_edges(0)[0])})
+    degraded_hop_census(topo, 0, failed)  # memoizes the working graph
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for src in range(1, 26):
+            degraded_hop_census(topo, src, failed)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20, f"{held / 2**20:.1f} MiB held after 25 censuses"

@@ -95,3 +95,54 @@ def test_documented_campaign_flags_exist():
                       if flag not in known]
     assert commands >= 10, f"found only {commands} campaign commands"
     assert not stale, f"documented flags the campaign CLI rejects: {stale}"
+
+
+def _design_inventory() -> list[str]:
+    """The module paths DESIGN.md's package inventory lists, relative
+    to ``src/repro``: a two-space entry ending in ``/`` opens a package,
+    a four-space entry is a module of the package open above it, and
+    an entry's names run up to the first double space (continuation
+    lines are indented past the names column)."""
+    import re
+
+    block = _read("DESIGN.md").split("## 3. Package inventory")[1].split("```")[1]
+    package, paths = "", []
+    for line in block.splitlines():
+        entry = re.match(r"( {2}| {4})([^\s,]+(?:, [^\s,]+)*)", line)
+        if entry is None:
+            continue
+        indent, names = entry.groups()
+        if indent == "  ":
+            package = names if names.endswith("/") else ""
+            if package:
+                continue
+        paths += [package + name for name in names.split(", ")]
+    return paths
+
+
+def test_design_inventory_names_real_modules():
+    paths = _design_inventory()
+    assert len(paths) >= 80, f"inventory parse found only {len(paths)} modules"
+    ghosts = [p for p in paths if not (REPO / "src" / "repro" / p).is_file()]
+    assert not ghosts, f"DESIGN.md lists modules that do not exist: {ghosts}"
+
+
+def test_documented_span_and_event_categories_are_emitted():
+    """Every category in the span and event tables of the observability
+    and API docs is recorded by some ``.span("...")`` or
+    ``.event("...")`` call in the package."""
+    import re
+
+    emitted = set()
+    for path in (REPO / "src" / "repro").rglob("*.py"):
+        emitted.update(re.findall(r"\.(?:span|event)\(\s*\"([^\"]+)\"",
+                                  path.read_text()))
+    documented = set()
+    for name in ("docs/OBSERVABILITY.md", "docs/API.md"):
+        for table in re.findall(r"^\| *(?:Category|Event|category) *\|.*\n"
+                                r"(?:\|.*\n)+", _read(name), re.MULTILINE):
+            documented.update(re.findall(r"^\| *`([^`]+)`", table,
+                                         re.MULTILINE))
+    assert len(documented) >= 10, sorted(documented)
+    stale = sorted(documented - emitted)
+    assert not stale, f"documented categories nothing records: {stale}"

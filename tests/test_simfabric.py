@@ -7,12 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.comm.mpi import Location, SimMPI, UniformFabric
+from repro.comm.mpi import DeliveryError, Location, SimMPI, UniformFabric
 from repro.comm.transport import Transport
 from repro.network.latency import IBLatencyModel
 from repro.network.simfabric import ContendedFabric
 from repro.network.topology import RoadrunnerTopology
-from repro.obs import AggregatingSink, ObsRecorder, deterministic_summary
+from repro.obs import (
+    AggregatingSink,
+    ObsRecorder,
+    deterministic_summary,
+    span_stream,
+)
+from repro.resilience import DeliveryPolicy, FabricHealth
 from repro.sim import BandwidthLink, Simulator
 from repro.units import MB, US
 
@@ -153,6 +159,124 @@ def test_send_rejects_nan_size(sim, topo, contended):
     with pytest.raises(ValueError):
         next(send)
     assert comm.sent_bytes == [0, 0]
+
+
+# -- sends over a fabric with a health ledger ------------------------------
+
+def _ledger_comm(sim, topo, n_nodes, health, delivery=None, obs=None):
+    fabric = ContendedFabric(sim, topology=topo, health=health, obs=obs)
+    locations = [Location(node=i) for i in range(n_nodes)]
+    return SimMPI(sim, fabric, locations, delivery=delivery, obs=obs)
+
+
+def _send_once(sim, comm, dest, size):
+    """Rank 0 sends one message to ``dest``; returns the error the send
+    raised (or None) and the time it ended."""
+    outcome = {}
+
+    def sender(rank):
+        try:
+            yield from rank.send(dest, size=size)
+        except DeliveryError as err:
+            outcome["error"] = err
+        outcome["time"] = sim.now
+
+    sim.process(sender(comm.rank(0)), name="sender")
+    sim.run()
+    return outcome.get("error"), outcome["time"]
+
+
+def _count_transfers(monkeypatch) -> list:
+    """Record the ``(src, dst)`` nodes of every fabric transfer."""
+    attempts = []
+    transfer = ContendedFabric.transfer
+
+    def counted(self, src, dst, size):
+        attempts.append((src.node, dst.node))
+        return transfer(self, src, dst, size)
+
+    monkeypatch.setattr(ContendedFabric, "transfer", counted)
+    return attempts
+
+
+def test_send_to_failed_node_without_policy_fails_first_attempt(
+    sim, topo, monkeypatch
+):
+    """Without a delivery policy the fabric's refusal is the send's
+    error: one transfer, no retry, raised at the instant of the send."""
+    health = FabricHealth()
+    health.fail_node(1)
+    rec = ObsRecorder()
+    comm = _ledger_comm(sim, topo, 2, health, obs=rec)
+    attempts = _count_transfers(monkeypatch)
+    error, when = _send_once(sim, comm, 1, 4096)
+    assert isinstance(error, DeliveryError) and "node 1 is down" in str(error)
+    assert when == 0.0
+    assert attempts == [(0, 1)]
+    assert comm.retry_counts == [0, 0]
+    assert rec.events == [] and rec.spans == []
+
+
+@pytest.mark.parametrize("max_retries", [0, 3])
+def test_send_to_failed_node_under_policy_spends_its_retries(
+    sim, topo, monkeypatch, max_retries
+):
+    """Under ``DeliveryPolicy(max_retries=k)`` each refusal is a lost
+    attempt: k + 1 transfers, k retry events, backoff waits between
+    them, then one undelivered send span and the error."""
+    health = FabricHealth()
+    health.fail_node(1)
+    rec = ObsRecorder()
+    policy = DeliveryPolicy(max_retries=max_retries, ack_timeout=10 * US,
+                            backoff=2.0, max_delay=1.0)
+    comm = _ledger_comm(sim, topo, 2, health, delivery=policy, obs=rec)
+    attempts = _count_transfers(monkeypatch)
+    error, when = _send_once(sim, comm, 1, 4096)
+    assert isinstance(error, DeliveryError)
+    assert f"after {max_retries + 1} attempts" in str(error)
+    assert attempts == [(0, 1)] * (max_retries + 1)
+    assert comm.retry_counts == [max_retries, 0]
+    assert when == pytest.approx(sum(policy.retry_delay(a)
+                                     for a in range(max_retries)))
+    retries = [e for e in rec.events if e.category == "mpi.retry"]
+    assert [dict(e.attrs)["attempt"] for e in retries] == list(
+        range(1, max_retries + 1))
+    (send,) = rec.spans
+    assert send.category == "mpi.send" and (send.t0, send.t1) == (0.0, when)
+    assert dict(send.attrs)["attempts"] == max_retries + 1
+    assert dict(send.attrs)["delivered"] is False
+
+
+def test_perfect_policy_over_contended_fabric_changes_nothing(topo):
+    """``DeliveryPolicy()`` over a contended fabric with a (healthy)
+    ledger gives the policy-free run's finish time and span stream —
+    sends, receives, collectives and link occupancy — less the send
+    spans' ``attempts`` attribute, which is always 1."""
+    nodes = 8
+
+    def run(delivery):
+        sim, rec = Simulator(), ObsRecorder()
+        comm = _ledger_comm(sim, topo, nodes, FabricHealth(),
+                            delivery=delivery, obs=rec)
+
+        def body(rank):
+            nxt, prev = (rank.index + 1) % nodes, (rank.index - 1) % nodes
+            for i in range(6):
+                yield from rank.send(nxt, size=64 if i % 3 else 256 * KIB, tag=i)
+                yield from rank.recv(source=prev, tag=i)
+            yield from rank.allreduce(rank.index, op=max)
+
+        run_ranks(sim, comm, body)
+        return sim.now, span_stream(rec), rec.events
+
+    now_off, stream_off, events_off = run(None)
+    now_on, stream_on, events_on = run(DeliveryPolicy())
+    assert now_on == now_off
+    sends = [s for s in stream_on if s["category"] == "mpi.send"]
+    assert sends and all(s["attrs"].pop("attempts") == 1 for s in sends)
+    assert any(s["category"] == "link" for s in stream_on)
+    assert stream_on == stream_off
+    assert events_on == events_off == []
 
 
 def test_hops_exposed(sim, topo):

@@ -309,6 +309,40 @@ def test_solve_distributed_fault_aborts_with_progress():
     assert exc.value.sim_time < 16 * it_time
 
 
+def test_solve_distributed_allreduce_honours_recv_timeout():
+    """A rank that dies as the others enter the convergence allreduce
+    ends the solve within the receive bound (fault + 2 timeouts), not
+    once a survivor's send retries to it run out."""
+    from repro.obs import ObsRecorder
+    from repro.resilience import DeliveryPolicy, FabricHealth, FaultInjector
+
+    inp = SweepInput(it=2, jt=2, kt=4, mk=2, mmi=2)
+    dec = Decomposition2D(2, 2)
+    fabric = UniformFabric(Transport("ib", latency=2e-6, bandwidth=2e9))
+    rec = ObsRecorder(categories={"mpi.collective"})
+    clean, _info = ParallelSweep(
+        inp, dec, 1e-6, fabric, obs=rec
+    ).solve_distributed(16)
+    # rank 3's node fails the instant rank 2 enters its first allreduce
+    fault_at = min(span.t0 for span in rec.spans if span.track == 2)
+    timeout = 2.0 * clean.iteration_time
+    health = FabricHealth()
+
+    def hook(sim, procs, locs):
+        injector = FaultInjector(sim, health=health)
+        injector.watch(3, procs[3])
+        injector.fail_node_at(fault_at, 3)
+
+    sweep = ParallelSweep(
+        inp, dec, 1e-6, fabric, delivery=DeliveryPolicy(health=health),
+        recv_timeout=timeout, fault_hook=hook,
+    )
+    with pytest.raises(SweepAborted) as exc:
+        sweep.solve_distributed(16)
+    assert exc.value.completed_iterations == 0
+    assert exc.value.sim_time <= fault_at + 2 * timeout
+
+
 def test_solve_distributed_delivery_failure_is_sweep_aborted():
     """A send that exhausts its retries aborts the solve (it used to
     escape as a bare DeliveryError)."""
