@@ -70,13 +70,13 @@ def span_stream(rec: ObsRecorder) -> list[dict[str, Any]]:
     """
     return [
         {
-            "category": span.category,
-            "track": span.track,
-            "t0": span.t0,
-            "t1": span.t1,
-            "attrs": dict(span.attrs),
+            "category": category,
+            "track": track,
+            "t0": t0,
+            "t1": t1,
+            "attrs": dict(attrs),
         }
-        for span in rec.spans
+        for category, track, t0, t1, attrs in rec.span_rows()
     ]
 
 
@@ -116,7 +116,7 @@ def to_summary(rec: ObsRecorder, sim_time: float) -> dict[str, Any]:
     }
     return {
         "sim_time": sim_time,
-        "span_count": getattr(rec, "span_count", None) or len(rec.spans),
+        "span_count": rec.span_count,
         "ranks": ranks,
         "links": links,
         "counters": _counter_map(rec),
@@ -216,20 +216,20 @@ def _trace_events(rec: ObsRecorder) -> Iterator[dict[str, Any]]:
             "name": "process_name",
             "args": {"name": name},
         }
-    for span in rec.spans:
-        is_link = span.category == "link"
-        tid, meta = _thread(span.track, is_link)
+    for category, track, t0, t1, attrs in rec.span_rows():
+        is_link = category == "link"
+        tid, meta = _thread(track, is_link)
         if meta is not None:
             yield meta
         yield {
             "ph": "X",
             "pid": 2 if is_link else 1,
             "tid": tid,
-            "name": span.category,
-            "cat": span.category,
-            "ts": span.t0 * _TS_SCALE,
-            "dur": (span.t1 - span.t0) * _TS_SCALE,
-            "args": dict(span.attrs),
+            "name": category,
+            "cat": category,
+            "ts": t0 * _TS_SCALE,
+            "dur": (t1 - t0) * _TS_SCALE,
+            "args": dict(attrs),
         }
     for event in rec.events:
         track = event.track
@@ -368,19 +368,19 @@ def format_gantt(rec: ObsRecorder, width: int = 60) -> str:
     One row per track, named ``rank<track>``, in order of first
     appearance; ``width`` columns of simulated time over the spans'
     whole extent, ``#`` where the track is inside a span, and the
-    track's busy fraction of that extent.  Reads ``rec.spans`` only, so
-    a recorder with a sink draws just its unflushed tail.
+    track's busy fraction of that extent.  Reads the buffered spans only,
+    so a recorder with a sink draws just its unflushed tail.
     """
     if width < 1:
         raise ValueError("width must be >= 1")
-    rows: dict[Any, list] = {}
-    for span in rec.spans:
-        if span.category == "sweep.compute":
-            rows.setdefault(span.track, []).append(span)
+    rows: dict[Any, list[tuple[float, float]]] = {}
+    for category, track, t0, t1, _attrs in rec.span_rows():
+        if category == "sweep.compute":
+            rows.setdefault(track, []).append((t0, t1))
     if not rows:
         return "(empty timeline)"
-    lo = min(span.t0 for spans in rows.values() for span in spans)
-    hi = max(span.t1 for spans in rows.values() for span in spans)
+    lo = min(t0 for spans in rows.values() for t0, _t1 in spans)
+    hi = max(t1 for spans in rows.values() for _t0, t1 in spans)
     total = hi - lo
     if total <= 0:
         return "(empty timeline)"
@@ -390,12 +390,12 @@ def format_gantt(rec: ObsRecorder, width: int = 60) -> str:
     for track, spans in rows.items():
         row = ["."] * width
         busy = 0.0
-        for span in spans:
-            a = int((span.t0 - lo) / total * width)
-            b = max(a + 1, int((span.t1 - lo) / total * width))
+        for t0, t1 in spans:
+            a = int((t0 - lo) / total * width)
+            b = max(a + 1, int((t1 - lo) / total * width))
             for col in range(a, min(b, width)):
                 row[col] = "#"
-            busy += span.duration
+            busy += t1 - t0
         lines.append(
             f"{names[track].ljust(name_w)} |{''.join(row)}| {busy / total:5.1%}"
         )

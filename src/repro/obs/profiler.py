@@ -23,6 +23,7 @@ synchronization residue counts as ``collective``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any
 
 from repro.obs.recorder import ObsRecorder, SpanRecord
@@ -60,59 +61,78 @@ def self_times(spans: list[SpanRecord]) -> list[tuple[SpanRecord, float]]:
     Spans must be properly nested — two spans either don't overlap or
     one contains the other; partial overlap raises ``ValueError``.  A
     span's self time is its duration minus its direct children's
-    durations (the innermost-wins rule).
+    durations (the innermost-wins rule).  Returns ``(span, self_time)``
+    pairs in closing order.
     """
-    return _walk(sorted(spans, key=lambda s: (s.t0, -s.t1)))[0]
+    ordered = sorted(spans, key=_walk_order)
+    # Keyed by position, each span's self time gets an entry of its own,
+    # inserted as the span closes.
+    by_position: dict[int, float] = {}
+    _walk([(*span[:4], i) for i, span in enumerate(ordered)], by_position, key=4)
+    return [(ordered[i], self_time) for i, self_time in by_position.items()]
 
 
-def _walk(ordered):
+def _walk_order(row) -> tuple[float, float]:
+    """The walk's sort key: by start, and the longer span first."""
+    return (row[2], -row[3])
+
+
+def _walk(ordered, totals: dict, key: int = 0) -> list:
     """The innermost-wins stack walk of one track's spans.
 
-    ``ordered`` must be sorted by ``(t0, -t1)`` (stable, so recording
-    order breaks ties).  Returns ``(charged, roots)``: ``(span,
-    self_time)`` for every span, in closing order, and the forest's
-    roots — the top-level spans.  Partial overlap raises ``ValueError``.
+    ``ordered`` holds tuples laid out like :class:`SpanRecord` —
+    ``(category, track, t0, t1, ...)`` — sorted by :func:`_walk_order`
+    (stable, so recording order breaks ties).  As each span closes its
+    self time is added to ``totals[span[key]]``, so every total adds its
+    terms in closing order.  Returns the forest's roots — the top-level
+    spans — in order.  Partial overlap raises ``ValueError``.
     """
-    out = []
     roots = []
-    stack = []  # [span, child_time] for the currently open ancestry
+    stack = []  # the open ancestry, outermost first
+    covered = []  # per open span: the summed durations of its closed children
     for span in ordered:
-        while stack and stack[-1][0].t1 <= span.t0:
-            parent, child_time = stack.pop()
-            out.append((parent, parent.duration - child_time))
+        while stack and stack[-1][3] <= span[2]:
+            parent = stack.pop()
+            duration = parent[3] - parent[2]
+            name = parent[key]
+            totals[name] = totals.get(name, 0.0) + (duration - covered.pop())
             if stack:
-                stack[-1][1] += parent.duration
+                covered[-1] += duration
             else:
                 roots.append(parent)
-        if stack and span.t1 > stack[-1][0].t1:
-            top = stack[-1][0]
+        if stack and span[3] > stack[-1][3]:
+            top = stack[-1]
             raise ValueError(
-                f"spans overlap without nesting: {span.category!r} "
-                f"[{span.t0!r}, {span.t1!r}] vs {top.category!r} "
-                f"[{top.t0!r}, {top.t1!r}]"
+                f"spans overlap without nesting: {span[0]!r} "
+                f"[{span[2]!r}, {span[3]!r}] vs {top[0]!r} "
+                f"[{top[2]!r}, {top[3]!r}]"
             )
-        stack.append([span, 0.0])
+        stack.append(span)
+        covered.append(0.0)
     while stack:
-        parent, child_time = stack.pop()
-        out.append((parent, parent.duration - child_time))
+        parent = stack.pop()
+        duration = parent[3] - parent[2]
+        name = parent[key]
+        totals[name] = totals.get(name, 0.0) + (duration - covered.pop())
         if stack:
-            stack[-1][1] += parent.duration
+            covered[-1] += duration
         else:
             roots.append(parent)
-    return out, roots
+    return roots
 
 
-def _interval_union(spans: list[SpanRecord]) -> float:
+def _interval_union(spans) -> float:
     """Total length of the union of span intervals (one track)."""
     total = 0.0
     end = float("-inf")
-    for span in sorted(spans, key=lambda s: s.t0):
-        if span.t0 > end:
-            total += span.t1 - span.t0
-            end = span.t1
-        elif span.t1 > end:
-            total += span.t1 - end
-            end = span.t1
+    for span in sorted(spans, key=itemgetter(2)):
+        t0, t1 = span[2], span[3]
+        if t0 > end:
+            total += t1 - t0
+            end = t1
+        elif t1 > end:
+            total += t1 - end
+            end = t1
     return total
 
 
@@ -165,14 +185,15 @@ class SimProfile:
 
 
 def _spans_by_track(rec: ObsRecorder) -> tuple[dict, dict]:
-    """Split spans into per-rank and per-link track maps."""
-    rank_spans: dict[Any, list[SpanRecord]] = {}
-    link_spans: dict[str, list[SpanRecord]] = {}
-    for span in rec.spans:
-        if span.category == _LINK_CATEGORY:
-            link_spans.setdefault(span.track, []).append(span)
+    """Split the recorder's span rows into per-rank and per-link track
+    maps."""
+    rank_spans: dict[Any, list[tuple]] = {}
+    link_spans: dict[str, list[tuple]] = {}
+    for row in rec.span_rows():
+        if row[0] == _LINK_CATEGORY:
+            link_spans.setdefault(row[1], []).append(row)
         else:
-            rank_spans.setdefault(span.track, []).append(span)
+            rank_spans.setdefault(row[1], []).append(row)
     return rank_spans, link_spans
 
 
@@ -185,7 +206,7 @@ def phase_breakdown(rec: ObsRecorder, sim_time: float) -> dict[Any, RankProfile]
         phases = {name: 0.0 for name in PHASES}
         other = 0.0
         for span, self_time in self_times(spans):
-            phase = CATEGORY_PHASE.get(span.category)
+            phase = CATEGORY_PHASE.get(span[0])
             if phase is None:
                 other += self_time
             else:

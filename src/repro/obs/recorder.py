@@ -38,28 +38,39 @@ nondeterministic contents and are excluded from exported span streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator, NamedTuple
 
 __all__ = ["SpanRecord", "ObsRecorder", "NullRecorder", "NULL_RECORDER", "active"]
 
 
-@dataclass(frozen=True)
-class SpanRecord:
-    """One completed simulated-time interval on one track."""
+def _ends_before(category, t0, t1) -> ValueError:
+    return ValueError(
+        f"span {category!r} ends before it starts ({t1!r} < {t0!r})"
+    )
 
+
+class _SpanFields(NamedTuple):
     category: str
     track: Any
     t0: float
     t1: float
     attrs: tuple[tuple[str, Any], ...] = ()
 
-    def __post_init__(self):
-        if self.t1 < self.t0:
-            raise ValueError(
-                f"span {self.category!r} ends before it starts "
-                f"({self.t1!r} < {self.t0!r})"
-            )
+
+class SpanRecord(_SpanFields):
+    """One completed simulated-time interval on one track.
+
+    A tuple ``(category, track, t0, t1, attrs)``: the layout of the
+    recorder's rows (:meth:`ObsRecorder.span_rows`), so the profiler's
+    walk reads records and rows alike.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, category, track, t0, t1, attrs=()):
+        if t1 < t0:
+            raise _ends_before(category, t0, t1)
+        return super().__new__(cls, category, track, t0, t1, attrs)
 
     @property
     def duration(self) -> float:
@@ -96,68 +107,86 @@ class _SpanScope:
         return False
 
 
-@dataclass
 class ObsRecorder:
     """Accumulates spans, events, counters, gauges and engine statistics.
 
     ``categories``, when given, restricts *span* and *event* recording
     to those categories (counters and gauges are always kept — they are
     cheap and the profile tables read them).  ``categories=()`` skips
-    span retention entirely — no ``SpanRecord`` is ever built or
-    stored, so a counter-only recorder stays flat-memory no matter how
-    long the run is.
+    span retention entirely, so a counter-only recorder stays
+    flat-memory no matter how long the run is.
 
-    Memory contract: without a sink, ``spans`` grows with every span
+    Spans are buffered as five parallel columns (category, track, t0,
+    t1, attrs), one list each: recording a span appends to each list
+    and builds no object of its own — the attrs column keeps the call's
+    keyword dict.  :meth:`span_rows` reads the buffer back as plain
+    tuples and :attr:`spans` as :class:`SpanRecord` objects.
+
+    Memory contract: without a sink, the buffer grows with every span
     recorded — O(total spans), fine for tests and small profiles.  For
     full-machine runs attach a *sink*
     (:class:`repro.obs.sinks.AggregatingSink`): once the buffer
-    reaches ``flush_threshold`` spans it is handed to
+    reaches ``flush_threshold`` spans its columns are handed to
     ``sink.consume()`` and dropped, bounding live memory at
     O(``flush_threshold`` + sink state) while ``profile()`` /
     ``to_summary`` keep working via the sink's aggregate.
     """
 
-    categories: frozenset[str] | None = None
-    #: completed spans, in recording (simulated-time close) order
-    spans: list[SpanRecord] = field(default_factory=list)
-    #: instant events (``t0 == t1``), in recording order; never flushed
-    #: to the sink — they are rare (retries, faults, checkpoints)
-    events: list[SpanRecord] = field(default_factory=list)
-    #: streaming span sink; buffered spans are flushed to it in batches
-    sink: Any = None
-    #: buffered-span count that triggers a flush to ``sink``
-    flush_threshold: int = 10_000
-    #: ``(name, track)`` -> accumulated value; ``track=None`` is global
-    counters: dict[tuple[str, Any], float] = field(default_factory=dict)
-    #: ``(name, track)`` -> last written value
-    gauges: dict[tuple[str, Any], float] = field(default_factory=dict)
-    # -- engine observer state (see Simulator.attach_observer) -----------
-    #: events processed per event class name
-    events_by_class: dict[str, int] = field(default_factory=dict)
-    #: process resumptions per process name
-    resumes_by_process: dict[str, int] = field(default_factory=dict)
-    #: host wall-clock seconds spent resuming each process (includes the
-    #: model code the resume runs; nondeterministic, never exported in
-    #: span streams)
-    host_time_by_process: dict[str, float] = field(default_factory=dict)
-    #: total host seconds inside observed ``Simulator.run`` calls
-    host_run_time: float = 0.0
-
     #: instrumented components treat this recorder as attached
     enabled = True
+
+    def __init__(self, categories=None, *, sink: Any = None,
+                 flush_threshold: int = 10_000):
+        if not isinstance(flush_threshold, int) or isinstance(flush_threshold, bool):
+            raise TypeError(
+                f"flush_threshold must be an int, got {flush_threshold!r}"
+            )
+        if flush_threshold < 1:
+            raise ValueError(
+                f"flush_threshold must be >= 1, got {flush_threshold!r}"
+            )
+        self.categories: frozenset[str] | None = categories
+        #: streaming span sink; buffered spans are flushed to it in batches
+        self.sink = sink
+        #: buffered-span count that triggers a flush to ``sink``
+        self.flush_threshold = flush_threshold
+        # the span buffer: category, track, t0, t1 and attrs columns, in
+        # recording (close) order
+        self._columns: tuple[list, list, list, list, list] = ([], [], [], [], [])
+        #: instant events (``t0 == t1``), in recording order; never flushed
+        #: to the sink — they are rare (retries, faults, checkpoints)
+        self.events: list[SpanRecord] = []
+        #: ``(name, track)`` -> accumulated value; ``track=None`` is global
+        self.counters: dict[tuple[str, Any], float] = {}
+        #: ``(name, track)`` -> last written value
+        self.gauges: dict[tuple[str, Any], float] = {}
+        # -- engine observer state (see Simulator.attach_observer) -------
+        #: events processed per event class name
+        self.events_by_class: dict[str, int] = {}
+        #: process resumptions per process name
+        self.resumes_by_process: dict[str, int] = {}
+        #: host wall-clock seconds spent resuming each process (includes
+        #: the model code the resume runs; nondeterministic, never
+        #: exported in span streams)
+        self.host_time_by_process: dict[str, float] = {}
+        #: total host seconds inside observed ``Simulator.run`` calls
+        self.host_run_time = 0.0
 
     # -- spans ------------------------------------------------------------
     def span(self, category: str, track: Any, t0: float, t1: float, **attrs) -> None:
         """Record one completed simulated-time span."""
         if self.categories is not None and category not in self.categories:
             return
-        self.spans.append(
-            SpanRecord(category, track, t0, t1, tuple(attrs.items()))
-        )
-        if self.sink is not None and len(self.spans) >= self.flush_threshold:
-            batch = self.spans
-            self.spans = []
-            self.sink.consume(batch)
+        if t1 < t0:
+            raise _ends_before(category, t0, t1)
+        category_col, track_col, t0_col, t1_col, attrs_col = self._columns
+        category_col.append(category)
+        track_col.append(track)
+        t0_col.append(t0)
+        t1_col.append(t1)
+        attrs_col.append(attrs)
+        if self.sink is not None and len(category_col) >= self.flush_threshold:
+            self.flush()
 
     def event(self, category: str, track: Any, time: float, **attrs) -> None:
         """Record one instant event (kept in ``events``, not ``spans``)."""
@@ -175,16 +204,32 @@ class ObsRecorder:
 
     def flush(self) -> None:
         """Hand any buffered spans to the sink now (no-op without one)."""
-        if self.sink is not None and self.spans:
-            batch = self.spans
-            self.spans = []
-            self.sink.consume(batch)
+        if self.sink is not None and self._columns[0]:
+            columns = self._columns
+            self._columns = ([], [], [], [], [])
+            self.sink.consume(*columns)
+
+    def span_rows(self) -> Iterator[tuple[str, Any, float, float, dict]]:
+        """The buffered spans as ``(category, track, t0, t1, attrs)``
+        tuples, in recording order, one at a time; ``attrs`` is the
+        recorded keyword dict (read it, do not change it)."""
+        return zip(*self._columns)
+
+    @property
+    def spans(self) -> list[SpanRecord]:
+        """The buffered spans as :class:`SpanRecord` objects, in
+        recording (simulated-time close) order: a new list per read.
+        With a sink attached it holds only the spans not yet flushed."""
+        return [
+            SpanRecord(category, track, t0, t1, tuple(attrs.items()))
+            for category, track, t0, t1, attrs in self.span_rows()
+        ]
 
     @property
     def span_count(self) -> int:
         """Total spans recorded, including those flushed to the sink."""
         flushed = getattr(self.sink, "flushed_spans", 0) if self.sink else 0
-        return len(self.spans) + flushed
+        return len(self._columns[0]) + flushed
 
     # -- counters and gauges ----------------------------------------------
     def count(self, name: str, value: float = 1.0, track: Any = None) -> None:
@@ -219,7 +264,8 @@ class ObsRecorder:
     # -- bookkeeping -------------------------------------------------------
     def clear(self) -> None:
         """Drop everything recorded so far (including sink aggregate)."""
-        self.spans.clear()
+        for column in self._columns:
+            column.clear()
         self.events.clear()
         if self.sink is not None:
             self.sink.clear()
@@ -231,7 +277,7 @@ class ObsRecorder:
         self.host_run_time = 0.0
 
     def __len__(self) -> int:
-        return len(self.spans)
+        return len(self._columns[0])
 
 
 class NullRecorder:

@@ -99,7 +99,7 @@ def test_seeded_simmpi_traffic_is_bit_identical():
     records_b, now_b = _random_traffic_run(SEED)
     assert now_a == now_b
     assert len(records_a) > 0
-    assert records_a == records_b  # SpanRecord is a frozen dataclass
+    assert records_a == records_b  # SpanRecord compares by value
 
 
 def test_different_seed_changes_the_timeline():
