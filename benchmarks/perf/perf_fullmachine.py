@@ -6,9 +6,10 @@ one rank per hybrid node) and a "2x Roadrunner" what-if at 6,120 —
 not extrapolate to it.  This module pins that capability:
 
 * **smoke** (tier-1 time budget, 120 ranks on the same reduced tile):
-  the event/message pools are timeline-invisible — a pooled run and a
-  ``Simulator(pool_size=0)`` run produce bit-identical ``phi``,
-  ``messages``, ``bytes_sent``, ``iteration_time`` and MPI trace; the
+  the engine's timeout and bootstrap pools are timeline-invisible — a
+  pooled run and a ``Simulator(pool_size=0)`` run produce bit-identical
+  ``phi``, ``messages``, ``bytes_sent``, ``iteration_time`` and MPI
+  trace; the
   streaming obs sink reproduces the unbounded recorder's summary; and
   an enabled-obs run with the sink stays inside a tracemalloc memory
   band that the unbounded recorder already violates at this scale.

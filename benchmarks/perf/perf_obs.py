@@ -3,8 +3,7 @@
 Two halves of the overhead contract (see ``docs/OBSERVABILITY.md``):
 
 * **disabled** (``obs=None``, the default): the simulated timeline is
-  bit-identical to the seed commit's uninstrumented sweep layer, and to
-  a run passing the disabled ``NULL_RECORDER`` explicitly;
+  bit-identical to the seed commit's uninstrumented sweep layer;
 * **enabled**: recording never perturbs the simulation — the simulated
   results are bit-identical to the disabled run, and the span stream
   itself is deterministic (same scenario twice => identical streams).
@@ -29,7 +28,7 @@ from benchmarks.framework import (
 from benchmarks.framework.pytest_bridge import install_pytest_tests
 from repro.comm.mpi import UniformFabric
 from repro.comm.transport import Transport
-from repro.obs import NULL_RECORDER, ObsRecorder, span_stream
+from repro.obs import ObsRecorder, span_stream
 from repro.sweep3d import parallel as current_parallel
 from repro.sweep3d.decomposition import Decomposition2D
 from repro.sweep3d.input import SweepInput
@@ -60,7 +59,6 @@ class ObsContract(PerfTest):
     params = {
         "check": [
             "disabled_matches_seed",
-            "null_recorder_is_disabled",
             "enabled_does_not_perturb",
             "span_stream_deterministic",
         ]
@@ -81,12 +79,6 @@ class ObsContract(PerfTest):
             assert r_now.messages == r_seed.messages
             assert r_now.bytes_sent == r_seed.bytes_sent
             assert np.array_equal(r_now.phi, r_seed.phi)
-        elif case.check == "null_recorder_is_disabled":
-            r_plain = _run(current_parallel)
-            r_null = _run(current_parallel, obs=NULL_RECORDER)
-            assert r_null.iteration_time == r_plain.iteration_time
-            assert r_null.messages == r_plain.messages
-            assert np.array_equal(r_null.phi, r_plain.phi)
         elif case.check == "enabled_does_not_perturb":
             r_plain = _run(current_parallel)
             rec = ObsRecorder()

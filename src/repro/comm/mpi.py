@@ -219,19 +219,19 @@ class _Mailbox:
 
 
 class _Cohort:
-    """Slotted, reusable batch-delivery record for one arrival instant.
+    """Slotted batch-delivery record for one arrival instant.
 
     All messages whose delivery lands at the same simulated time share
     one timeout and one callback: the first send targeting an instant
-    schedules the timeout and registers the cohort under that time in
+    schedules the timeout and registers a new cohort under that time in
     ``comm._cohorts``; later sends landing at the bit-identical instant
     just append their message.  Firing drains the whole cohort in one
     pass, in append order — which is exactly the (time, seq) dispatch
     order the per-message timeouts would have had, since sends enqueue
-    messages in seq order.  After firing, the record (and its list) park
-    on the communicator's free-list, so the steady-state send path
-    allocates no callback objects and the event loop dispatches one
-    event per *instant* instead of one per message.
+    messages in seq order — so the event loop dispatches one event per
+    *instant* instead of one per message.  Once fired, nothing refers
+    to the record, so reference counting frees it and no cycle through
+    the communicator outlives the run.
     """
 
     __slots__ = ("comm", "time", "msgs")
@@ -255,10 +255,6 @@ class _Cohort:
             obs = comm.obs
             if obs is not None:
                 obs.count("mpi.batched_deliveries", n - 1)
-        msgs.clear()
-        free = comm._free_cohorts
-        if len(free) < 64:
-            free.append(self)
 
 
 class SimMPI:
@@ -287,16 +283,11 @@ class SimMPI:
         #: send/recv/collective spans, retry events, and
         #: message/byte/retry counters; None (the default) keeps
         #: recording branches off the hot path
-        if obs is not None:
-            from repro.obs.recorder import active
-
-            obs = active(obs)
         self.obs = obs
         self._mailboxes = [_Mailbox() for _ in locations]
-        #: in-flight batch deliveries keyed by arrival instant, plus a
-        #: free-list of reusable records (see :class:`_Cohort`)
+        #: in-flight batch deliveries keyed by arrival instant (see
+        #: :class:`_Cohort`)
         self._cohorts: dict[float, _Cohort] = {}
-        self._free_cohorts: list[_Cohort] = []
         #: zero-byte latency memoized per (src_rank, dest_rank) — rank
         #: locations are fixed for the communicator's lifetime
         self._lat_cache: dict[tuple[int, int], float] = {}
@@ -431,13 +422,7 @@ class Rank:
         cohorts = comm._cohorts
         rec = cohorts.get(when)
         if rec is None:
-            free = comm._free_cohorts
-            if free:
-                rec = free.pop()
-                rec.time = when
-            else:
-                rec = _Cohort(comm, when)
-            cohorts[when] = rec
+            rec = cohorts[when] = _Cohort(comm, when)
             sim.timeout(latency).callbacks.append(rec)
         rec.msgs.append(msg)
         obs = comm.obs

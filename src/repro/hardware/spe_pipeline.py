@@ -331,7 +331,13 @@ class SPEPipeline:
         self, mix: Iterable[tuple[InstructionGroup, float]], cycles_hint: int = 4096
     ) -> float:
         """Schedule a long independent stream drawn from ``mix`` (group,
-        weight) pairs round-robin and return achieved flops/cycle."""
+        weight) pairs round-robin and return achieved flops/cycle.
+
+        A test oracle: no command runs it.  ``tests/test_spe_pipeline.py``
+        checks that the issue simulator reaches each table's
+        ``dp_flops_per_cycle`` through it, and that dual issue keeps an
+        FPD/LS mix at the pure-FPD rate.
+        """
         mix = list(mix)
         total_w = sum(w for _, w in mix)
         if total_w <= 0:

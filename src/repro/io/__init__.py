@@ -1,8 +1,7 @@
-"""The I/O subsystem: Panasas parallel filesystem behind 12 I/O nodes
-per CU (paper §II-B), reached from the SPEs via Opteron RPC (§V-C).
+"""The I/O subsystem: the Panasas parallel filesystem behind 12 I/O
+nodes per CU (paper §II-B).
 """
 
 from repro.io.panasas import PanasasModel, IoNodeSpec
-from repro.io.filepath import SweepInputReader
 
-__all__ = ["PanasasModel", "IoNodeSpec", "SweepInputReader"]
+__all__ = ["PanasasModel", "IoNodeSpec"]

@@ -3,10 +3,8 @@
 Each CU connects 12 I/O nodes to the Panasas PFS through the same
 Voltaire switch as the compute nodes (4 on the mixed lower crossbar,
 8 on the dedicated I/O crossbar).  The model captures the aggregate
-streaming capability and how it divides among concurrent clients —
-enough to answer the questions a Roadrunner application asks: how long
-to read an input deck, how long to write a checkpoint of some fraction
-of memory.
+streaming capability — enough to answer the question the resilience
+models ask: how long to write a checkpoint of some fraction of memory.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.network.cu_switch import IO_NODES_PER_CU
-from repro.units import GB_S, MB_S, MS
+from repro.units import MB_S, MS
 
 __all__ = ["IoNodeSpec", "PanasasModel"]
 
@@ -53,21 +51,6 @@ class PanasasModel:
     def aggregate_bandwidth(self) -> float:
         """Full-system streaming rate, B/s."""
         return self.io_node_count * self.node.bandwidth
-
-    def read_time(self, size_bytes: int, clients: int = 1) -> float:
-        """Time for ``clients`` concurrent readers to each pull
-        ``size_bytes`` (striped across all I/O nodes; aggregate-limited
-        once clients saturate the shelves)."""
-        if size_bytes < 0 or clients < 1:
-            raise ValueError("need size >= 0 and clients >= 1")
-        if size_bytes == 0:
-            return 0.0
-        per_client = min(
-            self.node.bandwidth * self.io_node_count / clients,
-            # a single client cannot stripe wider than the I/O nodes
-            self.aggregate_bandwidth,
-        )
-        return self.node.request_latency + size_bytes / per_client
 
     def checkpoint_time(self, memory_fraction: float = 0.5) -> float:
         """Time to write ``memory_fraction`` of system memory — the

@@ -38,25 +38,22 @@ __all__ = ["ContendedFabric"]
 
 
 class _Flow:
-    """One message's countdown over the links it crosses, pooled per
-    fabric.  Each link calls :meth:`succeed` when the bytes have cleared
-    it; the last call fires the message's ``done`` event."""
+    """One message's countdown over the links it crosses, one per
+    message.  Each link calls :meth:`succeed` when the bytes have
+    cleared it; the last call fires the message's ``done`` event.  It
+    refers to no fabric, so a finished flow is freed by reference
+    counting."""
 
-    __slots__ = ("fabric", "done", "pending")
+    __slots__ = ("done", "pending")
 
-    def __init__(self, fabric: "ContendedFabric"):
-        self.fabric = fabric
+    def __init__(self, done: Event, pending: int):
+        self.done = done
+        self.pending = pending
 
     def succeed(self, now: float) -> None:
         self.pending -= 1
-        if self.pending:
-            return
-        done = self.done
-        self.done = None
-        free = self.fabric._free_flows
-        if len(free) < 64:
-            free.append(self)
-        done.succeed(now)
+        if not self.pending:
+            self.done.succeed(now)
 
 
 class ContendedFabric:
@@ -83,10 +80,6 @@ class ContendedFabric:
         #: every link: each records a ``link`` span per transfer it
         #: carries (t0 = transfer start, t1 = that link's bytes cleared)
         #: plus ``link.bytes`` counters — the profiler's per-link occupancy
-        if obs is not None:
-            from repro.obs.recorder import active
-
-            obs = active(obs)
         self.obs = obs
         self.topology = topology or RoadrunnerTopology(cu_count=1)
         self.latency = latency_model or IBLatencyModel()
@@ -103,8 +96,6 @@ class ContendedFabric:
         self._tx: dict[int, BandwidthLink] = {}
         self._rx: dict[int, BandwidthLink] = {}
         self._uplinks: dict[tuple, BandwidthLink] = {}
-        #: free-list of countdown records (see _Flow)
-        self._free_flows: list[_Flow] = []
 
     def _new_link(self, name: str) -> BandwidthLink:
         return BandwidthLink(self.sim, self.latency.bandwidth, name=name, obs=self.obs)
@@ -156,10 +147,7 @@ class ContendedFabric:
         links = [self._nic(self._tx, src.node), self._nic(self._rx, dst.node)]
         if self.model_uplinks:
             links.extend(self._route_uplinks(src.node, dst.node))
-        free = self._free_flows
-        flow = free.pop() if free else _Flow(self)
-        flow.done = done
-        flow.pending = len(links)
+        flow = _Flow(done, len(links))
         for link in links:
             link.transfer(size, flow)
         return done

@@ -1,8 +1,8 @@
 """Structured observability for the simulator.
 
 ``repro.obs`` records what a simulation *did* — spans (simulated-time
-intervals per rank / link), instant events (retries, faults,
-checkpoints), counters and gauges, and engine statistics —
+intervals per rank / link), instant events (retries, faults),
+counters and gauges, and engine statistics —
 and turns the record into per-rank, per-phase, per-link attributions and
 exportable traces:
 
@@ -41,13 +41,7 @@ from repro.obs.profiler import (
     profile,
     self_times,
 )
-from repro.obs.recorder import (
-    NULL_RECORDER,
-    NullRecorder,
-    ObsRecorder,
-    SpanRecord,
-    active,
-)
+from repro.obs.recorder import ObsRecorder, SpanRecord
 from repro.obs.scenarios import SCENARIOS, run_scenario
 from repro.obs.sinks import AggregatingSink
 
@@ -55,9 +49,6 @@ __all__ = [
     "AggregatingSink",
     "ObsRecorder",
     "SpanRecord",
-    "NullRecorder",
-    "NULL_RECORDER",
-    "active",
     "PHASES",
     "CATEGORY_PHASE",
     "RankProfile",

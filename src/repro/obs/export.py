@@ -258,8 +258,12 @@ def to_chrome_trace(rec: ObsRecorder) -> dict[str, Any]:
     a complete ("X") event with microsecond sim-time timestamps, and
     every recorded event an instant ("i") event under pid 1: an
     ``mpi.*`` event on its rank's thread, any other on a thread of its
-    own named ``"<category> <track>"`` (a fault's track is a node or
-    link, not a rank).
+    own named ``"<category> <track>"`` (a fault's track is a node, not
+    a rank).
+
+    No command calls it: ``profile --trace`` streams the same events
+    through :func:`write_chrome_trace`, whose bytes ``tests/test_obs.py``
+    checks against ``json.dumps(to_chrome_trace(rec))``.
     """
     return {"traceEvents": list(_trace_events(rec)), "displayTimeUnit": "ms"}
 

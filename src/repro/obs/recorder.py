@@ -10,7 +10,7 @@ simulation run:
   profiler (:mod:`repro.obs.profiler`) attributes each instant to the
   innermost enclosing span's category.
 * **Events** are instants on a track — facts with no duration (a
-  retry, a fault, a checkpoint).  They are kept apart from the spans:
+  retry, a fault).  They are kept apart from the spans:
   the profiler, the summary and the span stream never see them, and
   the Chrome trace shows them as instant markers.
 * **Counters** accumulate (messages, bytes, retries);
@@ -24,11 +24,11 @@ simulation run:
 Overhead contract
 -----------------
 Recording is **off by default** everywhere.  Every instrumented
-component takes ``obs=None`` and normalizes it with :func:`active`;
-the disabled hot paths pay one attribute load and an ``is None`` test,
-allocate nothing, and schedule no events — the simulated timeline is
-bit-identical to the uninstrumented code (asserted in
-``benchmarks/perf/perf_obs.py``).  With a recorder attached, recording
+component takes ``obs=None`` — no recorder, or an :class:`ObsRecorder`
+— and stores it as given; the disabled hot paths pay one attribute
+load and an ``is None`` test, allocate nothing, and schedule no events
+— the simulated timeline is bit-identical to the uninstrumented code
+(asserted in ``benchmarks/perf/perf_obs.py``).  With a recorder attached, recording
 still never *perturbs* the simulation: spans and counters are appended
 out-of-band, so the same seed produces the identical event timeline
 *and* the identical span stream, run after run.  Host wall-clock
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, NamedTuple
 
-__all__ = ["SpanRecord", "ObsRecorder", "NullRecorder", "NULL_RECORDER", "active"]
+__all__ = ["SpanRecord", "ObsRecorder"]
 
 
 def _ends_before(category, t0, t1) -> ValueError:
@@ -77,36 +77,6 @@ class SpanRecord(_SpanFields):
         return self.t1 - self.t0
 
 
-class _SpanScope:
-    """Context manager recording a span over its ``with`` block.
-
-    Reads the simulator clock at entry and exit; safe to hold across
-    generator yields (the block closes in simulated-time order within
-    its process).  The span is recorded even when the block raises, so
-    aborted receives still show up in the timeline.
-    """
-
-    __slots__ = ("_rec", "_sim", "_category", "_track", "_attrs", "_t0")
-
-    def __init__(self, rec, sim, category, track, attrs):
-        self._rec = rec
-        self._sim = sim
-        self._category = category
-        self._track = track
-        self._attrs = attrs
-        self._t0 = 0.0
-
-    def __enter__(self):
-        self._t0 = self._sim.now
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self._rec.span(
-            self._category, self._track, self._t0, self._sim.now, **self._attrs
-        )
-        return False
-
-
 class ObsRecorder:
     """Accumulates spans, events, counters, gauges and engine statistics.
 
@@ -132,9 +102,6 @@ class ObsRecorder:
     ``to_summary`` keep working via the sink's aggregate.
     """
 
-    #: instrumented components treat this recorder as attached
-    enabled = True
-
     def __init__(self, categories=None, *, sink: Any = None,
                  flush_threshold: int = 10_000):
         if not isinstance(flush_threshold, int) or isinstance(flush_threshold, bool):
@@ -154,7 +121,7 @@ class ObsRecorder:
         # recording (close) order
         self._columns: tuple[list, list, list, list, list] = ([], [], [], [], [])
         #: instant events (``t0 == t1``), in recording order; never flushed
-        #: to the sink — they are rare (retries, faults, checkpoints)
+        #: to the sink — they are rare (retries, faults)
         self.events: list[SpanRecord] = []
         #: ``(name, track)`` -> accumulated value; ``track=None`` is global
         self.counters: dict[tuple[str, Any], float] = {}
@@ -195,12 +162,6 @@ class ObsRecorder:
         self.events.append(
             SpanRecord(category, track, time, time, tuple(attrs.items()))
         )
-
-    def measure(self, sim, category: str, track: Any, **attrs) -> _SpanScope:
-        """Span context manager over the ``with`` block's sim-time."""
-        if self.categories is not None and category not in self.categories:
-            return _NULL_SCOPE
-        return _SpanScope(self, sim, category, track, attrs)
 
     def flush(self) -> None:
         """Hand any buffered spans to the sink now (no-op without one)."""
@@ -261,79 +222,5 @@ class ObsRecorder:
             host = self.host_time_by_process
             host[proc_name] = host.get(proc_name, 0.0) + host_dt
 
-    # -- bookkeeping -------------------------------------------------------
-    def clear(self) -> None:
-        """Drop everything recorded so far (including sink aggregate)."""
-        for column in self._columns:
-            column.clear()
-        self.events.clear()
-        if self.sink is not None:
-            self.sink.clear()
-        self.counters.clear()
-        self.gauges.clear()
-        self.events_by_class.clear()
-        self.resumes_by_process.clear()
-        self.host_time_by_process.clear()
-        self.host_run_time = 0.0
-
     def __len__(self) -> int:
         return len(self._columns[0])
-
-
-class NullRecorder:
-    """A recorder that keeps nothing.
-
-    ``enabled`` is False, so :func:`active` normalizes it to ``None``
-    and instrumented components skip their recording branches entirely —
-    passing ``NULL_RECORDER`` is exactly as cheap as passing ``None``.
-    The method surface still exists for callers that invoke a recorder
-    unconditionally.
-    """
-
-    enabled = False
-
-    def span(self, *args, **kwargs) -> None:
-        pass
-
-    def event(self, *args, **kwargs) -> None:
-        pass
-
-    def measure(self, sim, category, track, **attrs):
-        return _NULL_SCOPE
-
-    def count(self, *args, **kwargs) -> None:
-        pass
-
-    def gauge(self, *args, **kwargs) -> None:
-        pass
-
-    def _note_event(self, *args) -> None:
-        pass
-
-
-class _NullScope:
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_SCOPE = _NullScope()
-
-#: the shared no-op recorder (the default everywhere, via ``obs=None``)
-NULL_RECORDER = NullRecorder()
-
-
-def active(obs) -> ObsRecorder | None:
-    """Normalize an ``obs=`` argument: a live recorder, or ``None``.
-
-    Components call this once at construction so their hot paths test a
-    single ``is None`` — ``None`` and :data:`NULL_RECORDER` (or any
-    recorder with ``enabled`` False) both disable recording.
-    """
-    if obs is None or not getattr(obs, "enabled", True):
-        return None
-    return obs

@@ -291,13 +291,3 @@ class AggregatingSink:
             events_by_class=dict(rec.events_by_class),
             host_run_time=rec.host_run_time,
         )
-
-    def clear(self) -> None:
-        """Drop all aggregated state (``ObsRecorder.clear`` calls this)."""
-        self.flushed_spans = 0
-        self._frontier = float("-inf")
-        self._cat_self.clear()
-        self._records.clear()
-        self._carry.clear()
-        self._link_busy.clear()
-        self._link_transfers.clear()

@@ -8,7 +8,7 @@ package adds the failure axis the paper's measurements assume away:
     :class:`FabricHealth` — the shared ledger of failed nodes and links
     that the injector writes and every transport/routing layer reads.
 :mod:`repro.resilience.faults`
-    :class:`FaultInjector` — schedules node/link failures into a
+    :class:`FaultInjector` — schedules permanent node failures into a
     :class:`~repro.sim.engine.Simulator` from seeded MTBF draws and
     delivers them to victim processes via ``Process.interrupt``.
 :mod:`repro.resilience.policy`
@@ -24,8 +24,7 @@ package adds the failure axis the paper's measurements assume away:
     checkpoint/restart cost model, applied to the full-machine sweep
     by :func:`sweep_failure_study` (``python -m repro resilience``;
     ``python -m repro resilience-correlated`` prices power-domain burst
-    failures, and ``CheckpointModel.from_pfs`` derives the write cost
-    from the Panasas model).
+    failures), which derives the write cost from the Panasas model.
 :mod:`repro.resilience.recovery`
     :func:`run_with_recovery` — the end-to-end loop: a distributed
     sweep survives injected faults by re-placing around the health
@@ -42,7 +41,7 @@ receives and collectives) lives with the communicator in
 """
 
 from repro.resilience.checkpoint import CheckpointModel, sweep_failure_study
-from repro.resilience.faults import Fault, FaultInjector, checkpoint_clock
+from repro.resilience.faults import Fault, FaultInjector
 from repro.resilience.health import FabricHealth, edge_key
 from repro.resilience.policy import DeliveryPolicy, RetryPolicy
 from repro.resilience.recovery import (
@@ -60,7 +59,6 @@ __all__ = [
     "FaultInjector",
     "RecoveryOutcome",
     "RetryPolicy",
-    "checkpoint_clock",
     "draw_fault_plan",
     "edge_key",
     "placement_penalty",

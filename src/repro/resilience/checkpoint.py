@@ -54,12 +54,17 @@ class CheckpointModel:
     restart_time: float = 0.0
 
     def __post_init__(self):
-        if self.mtbf <= 0:
-            raise ValueError("mtbf must be positive")
-        if self.checkpoint_time <= 0:
-            raise ValueError("checkpoint_time must be positive")
-        if self.restart_time < 0:
-            raise ValueError("restart_time must be >= 0")
+        if not 0 < self.mtbf < math.inf:
+            raise ValueError(f"mtbf must be finite and positive, got {self.mtbf!r}")
+        if not 0 < self.checkpoint_time < math.inf:
+            raise ValueError(
+                "checkpoint_time must be finite and positive, "
+                f"got {self.checkpoint_time!r}"
+            )
+        if not 0 <= self.restart_time < math.inf:
+            raise ValueError(
+                f"restart_time must be finite and >= 0, got {self.restart_time!r}"
+            )
 
     @classmethod
     def from_node_mtbf(
@@ -79,8 +84,7 @@ class CheckpointModel:
         down per *event* — and checkpoint/restart pays per event, not
         per node, so the interrupting-event MTBF is ``node_mtbf *
         burst_size / nodes`` and the Daly optimum stretches by roughly
-        ``sqrt(burst_size)``.  Matches the event rate of
-        ``FaultInjector.schedule_correlated_node_faults``.
+        ``sqrt(burst_size)``.
         """
         if nodes < 1:
             raise ValueError("nodes must be >= 1")
@@ -90,31 +94,6 @@ class CheckpointModel:
             mtbf=node_mtbf * burst_size / nodes,
             checkpoint_time=checkpoint_time,
             restart_time=restart_time,
-        )
-
-    @classmethod
-    def from_pfs(
-        cls,
-        node_mtbf: float,
-        nodes: int,
-        pfs=None,
-        memory_fraction: float = 0.5,
-        restart_time: float = 0.0,
-        burst_size: int = 1,
-    ) -> "CheckpointModel":
-        """:meth:`from_node_mtbf` with ``delta`` priced by the Panasas
-        PFS model instead of guessed: the time to stream
-        ``memory_fraction`` of system memory through the 204 I/O nodes
-        (:meth:`repro.io.panasas.PanasasModel.checkpoint_time`)."""
-        from repro.io.panasas import PanasasModel
-
-        pfs = pfs if pfs is not None else PanasasModel()
-        return cls.from_node_mtbf(
-            node_mtbf=node_mtbf,
-            nodes=nodes,
-            checkpoint_time=pfs.checkpoint_time(memory_fraction),
-            restart_time=restart_time,
-            burst_size=burst_size,
         )
 
     # -- optimal intervals --------------------------------------------------
@@ -142,26 +121,23 @@ class CheckpointModel:
         ) - delta
 
     # -- expected cost ------------------------------------------------------
-    def expected_runtime(self, solve_time: float, interval: float | None = None) -> float:
-        """Expected wall clock of a ``solve_time`` job, checkpointing
-        every ``interval`` seconds (Daly-optimal when omitted)."""
-        if solve_time < 0:
-            raise ValueError("solve_time must be >= 0")
-        return solve_time * self.expected_slowdown(interval)
-
     def expected_slowdown(self, interval: float | None = None) -> float:
         """Expected wall clock per unit of useful work (>= 1)."""
         tau = self.daly_interval() if interval is None else float(interval)
-        if tau <= 0:
-            raise ValueError("checkpoint interval must be positive")
+        if not 0 < tau < math.inf:
+            raise ValueError(
+                f"checkpoint interval must be finite and positive, got {tau!r}"
+            )
         delta, M, R = self.checkpoint_time, self.mtbf, self.restart_time
         return (M / tau) * math.exp(R / M) * math.expm1((tau + delta) / M)
 
     def failure_free_overhead(self, interval: float | None = None) -> float:
         """Checkpoint tax alone (no failures): ``delta / tau``."""
         tau = self.daly_interval() if interval is None else float(interval)
-        if tau <= 0:
-            raise ValueError("checkpoint interval must be positive")
+        if not 0 < tau < math.inf:
+            raise ValueError(
+                f"checkpoint interval must be finite and positive, got {tau!r}"
+            )
         return self.checkpoint_time / tau
 
 

@@ -4,10 +4,10 @@ A :class:`FaultInjector` turns MTBF parameters into concrete failure
 times and plays them into a running :class:`~repro.sim.engine.Simulator`:
 at each failure instant it flips the shared
 :class:`~repro.resilience.health.FabricHealth` ledger, records a
-``"fault"`` event on an attached recorder, and — for node faults —
-delivers an :class:`~repro.sim.engine.Interrupt` to every process
-registered as living on the victim via ``Process.interrupt``, exactly
-the machinery the engine already exposes for cross-process signalling.
+``"fault"`` event on an attached recorder, and delivers an
+:class:`~repro.sim.engine.Interrupt` to every process registered as
+living on the failed node via ``Process.interrupt``, exactly the
+machinery the engine already exposes for cross-process signalling.
 
 Determinism
 -----------
@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import inf
 from typing import Any, Iterable
 
-from repro.obs.recorder import active
 from repro.resilience.health import FabricHealth
 from repro.sim.engine import Process, Simulator
 
-__all__ = ["Fault", "FaultInjector", "checkpoint_clock"]
+__all__ = ["Fault", "FaultInjector"]
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,6 @@ class Fault:
     kind: str
     #: global node id
     target: Any
-    #: seconds until the component returns to service (None: permanent)
-    repair_after: float | None = None
 
 
 class FaultInjector:
@@ -72,8 +70,8 @@ class FaultInjector:
         exact fault timetable.
     obs:
         Optional :class:`~repro.obs.recorder.ObsRecorder`; receives one
-        ``"fault"`` event per failure and per repair, on the failed
-        node's id as track.
+        ``"fault"`` event per failure, on the failed node's id as
+        track.
     """
 
     def __init__(
@@ -86,7 +84,7 @@ class FaultInjector:
         self.sim = sim
         self.health = health if health is not None else FabricHealth()
         self.rng = random.Random(seed)
-        self.obs = active(obs)
+        self.obs = obs
         #: every Fault scheduled, in scheduling order (the timetable)
         self.faults: list[Fault] = []
         self._victims: dict[int, list[Process]] = {}
@@ -98,88 +96,37 @@ class FaultInjector:
         self._victims.setdefault(node, []).append(process)
 
     # -- explicit scheduling ----------------------------------------------
-    def fail_node_at(
-        self, time: float, node: int, repair_after: float | None = None
-    ) -> Fault:
-        """Schedule a node failure at an explicit simulated time."""
-        fault = Fault(time=time, kind="node", target=node, repair_after=repair_after)
+    def fail_node_at(self, time: float, node: int) -> Fault:
+        """Schedule a permanent node failure at an explicit simulated
+        time."""
+        fault = Fault(time=time, kind="node", target=node)
         self.faults.append(fault)
         self.sim.process(self._node_fault(fault), name=f"fault-node{node}")
         return fault
 
     # -- MTBF-driven scheduling -------------------------------------------
     def schedule_node_faults(
-        self,
-        nodes: Iterable[int],
-        mtbf: float,
-        horizon: float,
-        repair_after: float | None = None,
+        self, nodes: Iterable[int], mtbf: float, horizon: float
     ) -> int:
-        """Draw exponential failure times for every node and schedule
+        """Draw one exponential failure time per node and schedule
         those landing before ``horizon``; returns how many were placed.
 
         ``mtbf`` is the per-node mean time between failures, so over
         ``n`` nodes the aggregate failure rate is ``n / mtbf`` — the
         scaling that makes failure a first-order term at 3,060 nodes.
+        A failure is permanent, so it ends that node's history.
         """
-        if mtbf <= 0:
-            raise ValueError("mtbf must be positive")
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < mtbf < inf:
+            raise ValueError(f"mtbf must be finite and positive, got {mtbf!r}")
+        if not 0 < horizon < inf:
+            raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
         placed = 0
         rate = 1.0 / mtbf
         for node in nodes:
             t = self.rng.expovariate(rate)
-            while t < horizon:
-                self.fail_node_at(t, node, repair_after=repair_after)
+            if t < horizon:
+                self.fail_node_at(t, node)
                 placed += 1
-                if repair_after is None:
-                    break  # a permanent failure ends this node's history
-                t += repair_after + self.rng.expovariate(rate)
-        return placed
-
-    def schedule_correlated_node_faults(
-        self,
-        nodes: Iterable[int],
-        mtbf: float,
-        horizon: float,
-        domain_size: int = 180,
-        repair_after: float | None = None,
-    ) -> int:
-        """Correlated failures by shared power domain: one exponential
-        stream per domain, each event failing *every* node of the
-        domain at once; returns node failures placed.
-
-        Domains are keyed on ``node // domain_size`` — 180 groups a
-        whole CU behind its power distribution, 2 pairs the triblades
-        that share a chassis power supply.  Against the independent
-        model of :meth:`schedule_node_faults`, the same per-node
-        ``mtbf`` now produces ``domain_size``-fold *fewer* interrupting
-        events (each taking down ``domain_size`` nodes), which is what
-        shifts the Daly-optimal checkpoint interval — see
-        ``CheckpointModel.from_node_mtbf(burst_size=...)``.
-        """
-        if mtbf <= 0:
-            raise ValueError("mtbf must be positive")
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if domain_size < 1:
-            raise ValueError("domain_size must be >= 1")
-        domains: dict[int, list[int]] = {}
-        for node in nodes:
-            domains.setdefault(node // domain_size, []).append(node)
-        placed = 0
-        rate = 1.0 / mtbf
-        for domain in sorted(domains):
-            members = sorted(domains[domain])
-            t = self.rng.expovariate(rate)
-            while t < horizon:
-                for node in members:
-                    self.fail_node_at(t, node, repair_after=repair_after)
-                placed += len(members)
-                if repair_after is None:
-                    break  # permanent: the domain's history ends here
-                t += repair_after + self.rng.expovariate(rate)
         return placed
 
     # -- the fault processes ----------------------------------------------
@@ -187,53 +134,12 @@ class FaultInjector:
         sim = self.sim
         yield sim.timeout(fault.time - sim.now)
         self.health.fail_node(fault.target)
-        self._record(fault, "fail", repair_after=fault.repair_after)
+        if self.obs is not None:
+            self.obs.event("fault", fault.target, sim.now,
+                           kind=fault.kind, action="fail")
         for victim in self._victims.get(fault.target, ()):
             if victim.is_alive:
                 # Defuse first: a victim that does not catch the
                 # Interrupt dies quietly instead of aborting the run.
                 victim.defused = True
                 victim.interrupt(fault)
-        if fault.repair_after is not None:
-            yield sim.timeout(fault.repair_after)
-            self.health.repair_node(fault.target)
-            self._record(fault, "repair")
-
-    def _record(self, fault: Fault, action: str, **attrs) -> None:
-        if self.obs is not None:
-            self.obs.event("fault", fault.target, self.sim.now,
-                           kind=fault.kind, action=action, **attrs)
-
-
-def checkpoint_clock(
-    sim: Simulator,
-    interval: float,
-    cost: float,
-    obs=None,
-    source: Any = "checkpoint",
-    horizon: float | None = None,
-):
-    """A periodic checkpoint process (generator): every ``interval``
-    simulated seconds it spends ``cost`` seconds writing and records a
-    ``"checkpoint"`` event (track ``source``, at the write's start) on
-    ``obs``.  Run it alongside a workload to surface the checkpoint
-    overhead the :class:`~repro.resilience.checkpoint.CheckpointModel`
-    accounts for analytically::
-
-        sim.process(checkpoint_clock(sim, interval=60.0, cost=2.0,
-                                     obs=obs, horizon=600.0))
-    """
-    if interval <= 0:
-        raise ValueError("interval must be positive")
-    if cost < 0:
-        raise ValueError("cost must be >= 0")
-    obs = active(obs)
-    n = 0
-    while horizon is None or sim.now + interval + cost <= horizon:
-        yield sim.timeout(interval)
-        start = sim.now
-        if cost > 0:
-            yield sim.timeout(cost)
-        n += 1
-        if obs is not None:
-            obs.event("checkpoint", source, start, n=n, cost=cost)

@@ -6,7 +6,7 @@ simulator dependency — so one instance can be shared by all layers that
 need a consistent view of the machine's state:
 
 * the :class:`~repro.resilience.faults.FaultInjector` writes failures
-  and repairs into it at simulated times;
+  into it at simulated times;
 * a :class:`~repro.resilience.policy.DeliveryPolicy` reads it per send
   attempt (a message to or from a failed node is never delivered);
 * :class:`~repro.network.simfabric.ContendedFabric` consults it before
@@ -56,10 +56,6 @@ class FabricHealth:
         """Mark ``node`` (global id) failed.  Idempotent."""
         self._failed_nodes.add(node)
 
-    def repair_node(self, node: int) -> None:
-        """Return ``node`` to service.  Repairing a healthy node is a no-op."""
-        self._failed_nodes.discard(node)
-
     def node_ok(self, node: int) -> bool:
         """Whether ``node`` is currently in service."""
         return node not in self._failed_nodes
@@ -73,10 +69,6 @@ class FabricHealth:
     def fail_link(self, u: Hashable, v: Hashable) -> None:
         """Mark the undirected link ``u — v`` failed.  Idempotent."""
         self._failed_links.add(edge_key(u, v))
-
-    def repair_link(self, u: Hashable, v: Hashable) -> None:
-        """Return the link to service."""
-        self._failed_links.discard(edge_key(u, v))
 
     def link_ok(self, u: Hashable, v: Hashable) -> bool:
         """Whether the undirected link ``u — v`` is in service."""
@@ -98,11 +90,6 @@ class FabricHealth:
     def degraded(self) -> bool:
         """True once anything at all has failed."""
         return bool(self._failed_nodes or self._failed_links)
-
-    def reset(self) -> None:
-        """Return the whole machine to service."""
-        self._failed_nodes.clear()
-        self._failed_links.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import inf
 
 from repro.resilience.health import FabricHealth
 from repro.units import US
@@ -71,12 +72,16 @@ class RetryPolicy:
     seed: int = 0
 
     def __post_init__(self):
-        if self.base_delay < 0:
-            raise ValueError("base_delay must be >= 0")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1")
-        if self.max_delay <= 0:
-            raise ValueError("max_delay must be positive")
+        if not 0 <= self.base_delay < inf:
+            raise ValueError(
+                f"base_delay must be finite and >= 0, got {self.base_delay!r}"
+            )
+        if not 1.0 <= self.backoff < inf:
+            raise ValueError(f"backoff must be finite and >= 1, got {self.backoff!r}")
+        if not 0 < self.max_delay < inf:
+            raise ValueError(
+                f"max_delay must be finite and positive, got {self.max_delay!r}"
+            )
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
         if self.max_retries < 0:
@@ -94,12 +99,6 @@ class RetryPolicy:
             u = random.Random(f"retry:{self.seed}:{attempt}").random()
             delay *= 1.0 + self.jitter * (2.0 * u - 1.0)
         return delay
-
-    def schedule(self, attempts: int | None = None) -> list[float]:
-        """The full delay schedule for ``attempts`` retries (defaults
-        to :attr:`max_retries`)."""
-        n = self.max_retries if attempts is None else attempts
-        return [self.delay(a) for a in range(n)]
 
 
 @dataclass
@@ -140,17 +139,14 @@ class DeliveryPolicy:
     def __post_init__(self):
         if not 0.0 <= self.drop_probability < 1.0:
             raise ValueError("drop_probability must be in [0, 1)")
-        if self.ack_timeout <= 0:
-            raise ValueError("ack_timeout must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1")
-        if self.max_delay <= 0:
-            raise ValueError("max_delay must be positive")
+        if not 0 < self.ack_timeout < inf:
+            raise ValueError(
+                f"ack_timeout must be finite and positive, got {self.ack_timeout!r}"
+            )
         self._rng = random.Random(self.seed)
         # Jitter-free: a retransmission schedule is part of the DES
         # timeline, which must stay bit-identical to the seed behavior.
+        # RetryPolicy checks backoff, max_delay and max_retries.
         self._retry = RetryPolicy(
             base_delay=self.ack_timeout, backoff=self.backoff,
             max_delay=self.max_delay, jitter=0.0,
@@ -174,8 +170,3 @@ class DeliveryPolicy:
         """Backoff wait before retransmission number ``attempt + 1``
         (delegates to the shared :class:`RetryPolicy` schedule)."""
         return self._retry.delay(attempt)
-
-    def reset(self) -> "DeliveryPolicy":
-        """Re-seed the loss RNG (for exact replay of a run); returns self."""
-        self._rng = random.Random(self.seed)
-        return self

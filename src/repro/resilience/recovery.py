@@ -30,6 +30,7 @@ reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 
 from repro.comm.mpi import Location
 from repro.resilience.faults import FaultInjector
@@ -70,8 +71,10 @@ def draw_fault_plan(
     """
     import random
 
-    if mtbf <= 0 or horizon <= 0:
-        raise ValueError("mtbf and horizon must be positive")
+    if not (0 < mtbf < inf and 0 < horizon < inf):
+        raise ValueError(
+            f"mtbf and horizon must be finite and positive, got {mtbf!r} and {horizon!r}"
+        )
     rng = random.Random(seed)
     rate = 1.0 / mtbf
     plan = []
@@ -164,8 +167,9 @@ def run_with_recovery(
     (``"aware"`` or ``"naive"``), restores to the last multiple of
     ``checkpoint_interval`` iterations, and continues.  Checkpoint
     writes cost ``checkpoint_time`` each (derive it from the PFS via
-    ``CheckpointModel.from_pfs`` for the full-machine number) and every
-    restart costs ``restart_time``.
+    ``PanasasModel.checkpoint_time`` for the full-machine number) and
+    every restart costs ``restart_time``.  ``recv_timeout`` is ``None``
+    (twice a fault-free iteration) or a finite number of seconds > 0.
 
     Fully deterministic: the outcome is a pure function of the
     arguments.  With an empty plan the wall clock equals the plain
@@ -176,8 +180,11 @@ def run_with_recovery(
         raise ValueError("iterations must be >= 1")
     if checkpoint_interval < 1:
         raise ValueError("checkpoint_interval must be >= 1")
-    if checkpoint_time < 0 or restart_time < 0:
-        raise ValueError("checkpoint_time and restart_time must be >= 0")
+    if not (0 <= checkpoint_time < inf and 0 <= restart_time < inf):
+        raise ValueError(
+            "checkpoint_time and restart_time must be finite and >= 0, "
+            f"got {checkpoint_time!r} and {restart_time!r}"
+        )
     health = FabricHealth()
     base = list(base_locations) if base_locations else spe_locations(decomp)
     fabric = fabric if fabric is not None else hop_aware_cell_fabric()

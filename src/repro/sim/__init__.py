@@ -2,13 +2,13 @@
 
 A compact, dependency-free process-oriented DES kernel in the style of
 SimPy: simulation processes are Python generators that ``yield`` events
-(timeouts, triggerable events, resource requests) and are resumed by the
+(timeouts, triggerable events, store gets) and are resumed by the
 :class:`~repro.sim.engine.Simulator` event loop when those events fire.
 
 The engine is the substrate on which all of the Roadrunner machine models
-run: links are bandwidth-shared resources, DMA engines and NICs are
-servers, and application ranks (e.g. the distributed Sweep3D sweep) are
-processes exchanging simulated messages.
+run: links and NICs are bandwidth-shared pipes, and application ranks
+(e.g. the distributed Sweep3D sweep) are processes exchanging simulated
+messages.
 """
 
 from repro.sim.engine import (
@@ -21,7 +21,7 @@ from repro.sim.engine import (
     Simulator,
     Timeout,
 )
-from repro.sim.resources import BandwidthLink, Resource, Store
+from repro.sim.resources import BandwidthLink, Store
 
 __all__ = [
     "AllOf",
@@ -30,7 +30,6 @@ __all__ = [
     "Event",
     "Interrupt",
     "Process",
-    "Resource",
     "SimulationError",
     "Simulator",
     "Store",

@@ -41,8 +41,8 @@ trades some repetition for speed:
   registration order — identical to the pre-fast-path wake order);
 * process bootstrap pushes a two-word :class:`_Bootstrap` marker on
   the heap instead of a full pre-succeeded :class:`Event`;
-* ``Timeout``/``succeed``/``fail`` inline the heap push instead of
-  calling :meth:`Simulator._schedule`;
+* ``Timeout``/``succeed`` inline the heap push instead of calling
+  :func:`_push`;
 * a processed :class:`Timeout` is recycled through a bounded
   per-simulator free-list (``Simulator(pool_size=...)``, default 64
   entries, 0 disables) when the run loop holds the only remaining
@@ -86,7 +86,7 @@ Example
 from __future__ import annotations
 
 from collections.abc import Generator, Iterable
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from sys import getrefcount
 from time import perf_counter
 from types import GeneratorType
@@ -156,6 +156,24 @@ def _push(sim: "Simulator", entry: tuple) -> None:
         heappush(sim._queue, entry)
 
 
+def _unpush(sim: "Simulator", event: Any) -> None:
+    """Take ``event``'s entry back out of the future-event set.
+
+    O(queue length); only the exception path of a bounded
+    :meth:`Simulator.run` calls it, to withdraw its horizon sentinel.
+    """
+    nxt = sim._next
+    if nxt is not None and nxt[3] is event:
+        sim._next = None
+        return
+    queue = sim._queue
+    for i, entry in enumerate(queue):
+        if entry[3] is event:
+            del queue[i]
+            heapify(queue)
+            return
+
+
 class Event:
     """A one-shot occurrence processes can wait on.
 
@@ -189,7 +207,7 @@ class Event:
         #: the run loop before any ``callbacks`` entries fire
         self._waiter: Process | None = None
         #: set True once some waiter consumed a failure; unhandled failures
-        #: are re-raised by the simulator at the end of the step.
+        #: are re-raised by the run loop once the event's callbacks ran.
         self.defused = False
 
     # -- state ------------------------------------------------------------
@@ -281,9 +299,9 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if not delay >= 0:  # rejects NaN too
             raise SimulationError(f"negative timeout delay: {delay!r}")
-        # Inline Event.__init__ + Simulator._schedule: a timeout is born
-        # triggered, and this constructor is the hottest allocation site
-        # in the repository.
+        # Inline Event.__init__ + _push: a timeout is born triggered, and
+        # this constructor is the hottest allocation site in the
+        # repository.
         self.sim = sim
         self.callbacks = []
         self._value = value
@@ -314,16 +332,10 @@ class _Bootstrap:
 
     Stands in for the pre-succeeded bootstrap :class:`Event` the kernel
     used to allocate per process: two words instead of a full event plus
-    callbacks list.  The class-level ``_ok``/``_value``/``defused``
-    attributes let the generic :meth:`Process._resume` treat it as a
-    succeeded event on the slow :meth:`Simulator.step` path.
+    callbacks list.  Only :meth:`Simulator.run` reads it.
     """
 
     __slots__ = ("process",)
-
-    _ok = True
-    _value = None
-    defused = True
 
     def __init__(self, process: "Process"):
         self.process = process
@@ -415,14 +427,14 @@ class Process(Event):
         evt._waiter = None
         evt.defused = True
         # Detach from the current target so its eventual firing is
-        # ignored.  A single guarded remove() replaces the former
-        # containment scan + remove (one O(n) pass instead of two when
-        # the target has many waiters).
+        # ignored.  A target that has already fired is left alone: its
+        # dispatch is under way, and this process gets that event before
+        # the interrupt, as the seed engine's callback snapshot did.
         target = self._target
-        if target is not None:
+        if target is not None and not target._processed:
             if target._waiter is self:
                 target._waiter = None
-            elif target.callbacks is not None:
+            else:
                 try:
                     target.callbacks.remove(self._resume)
                 except ValueError:
@@ -434,59 +446,55 @@ class Process(Event):
     # -- internal ---------------------------------------------------------
     def _resume(self, event: Event) -> None:
         sim = self.sim
-        sim._active_process = self
         send = self._send
-        try:
-            while True:
-                if event._ok:
-                    try:
-                        target = send(event._value)
-                    except StopIteration as stop:
-                        self._terminate(value=stop.value)
-                        return
-                    except BaseException as exc:
+        while True:
+            if event._ok:
+                try:
+                    target = send(event._value)
+                except StopIteration as stop:
+                    self._terminate(value=stop.value)
+                    return
+                except BaseException as exc:
+                    self._terminate(error=exc)
+                    return
+            else:
+                event.defused = True
+                try:
+                    target = self._throw(event._value)
+                except StopIteration as stop:
+                    self._terminate(value=stop.value)
+                    return
+                except BaseException as exc:
+                    if exc is event._value:
+                        # The process did not handle the failure; it
+                        # propagates as this process's own failure.
                         self._terminate(error=exc)
                         return
-                else:
-                    event.defused = True
-                    try:
-                        target = self._throw(event._value)
-                    except StopIteration as stop:
-                        self._terminate(value=stop.value)
-                        return
-                    except BaseException as exc:
-                        if exc is event._value:
-                            # The process did not handle the failure; it
-                            # propagates as this process's own failure.
-                            self._terminate(error=exc)
-                            return
-                        raise
-                if not isinstance(target, Event):
-                    exc = SimulationError(
-                        f"process {self.name!r} yielded non-event {target!r}"
-                    )
-                    try:
-                        self._throw(exc)
-                    except StopIteration as stop:
-                        self._terminate(value=stop.value)
-                        return
-                    except SimulationError as err:
-                        self._terminate(error=err)
-                        return
-                if target.sim is not sim:
-                    raise SimulationError("cannot wait on an event from another simulator")
-                if target._processed:
-                    # Already fired: loop and resume immediately with its value.
-                    event = target
-                    continue
-                self._target = target
-                if target._waiter is None and not target.callbacks:
-                    target._waiter = self
-                else:
-                    target.callbacks.append(self._resume)
-                return
-        finally:
-            sim._active_process = None
+                    raise
+            if not isinstance(target, Event):
+                exc = SimulationError(
+                    f"process {self.name!r} yielded non-event {target!r}"
+                )
+                try:
+                    self._throw(exc)
+                except StopIteration as stop:
+                    self._terminate(value=stop.value)
+                    return
+                except SimulationError as err:
+                    self._terminate(error=err)
+                    return
+            if target.sim is not sim:
+                raise SimulationError("cannot wait on an event from another simulator")
+            if target._processed:
+                # Already fired: loop and resume immediately with its value.
+                event = target
+                continue
+            self._target = target
+            if target._waiter is None and not target.callbacks:
+                target._waiter = self
+            else:
+                target.callbacks.append(self._resume)
+            return
 
     def _park_slow(self, target: Any) -> None:
         """Handle a non-fast-path yield from the inlined run loop.
@@ -502,23 +510,18 @@ class Process(Event):
             # parked inline by the run loop): consume it immediately.
             self._resume(target)
             return
-        sim = self.sim
-        sim._active_process = self
+        exc = SimulationError(
+            f"process {self.name!r} yielded non-event {target!r}"
+        )
         try:
-            exc = SimulationError(
-                f"process {self.name!r} yielded non-event {target!r}"
-            )
-            try:
-                self._throw(exc)
-            except StopIteration as stop:
-                self._terminate(value=stop.value)
-                return
-            except SimulationError as err:
-                self._terminate(error=err)
-                return
-            raise exc
-        finally:
-            sim._active_process = None
+            self._throw(exc)
+        except StopIteration as stop:
+            self._terminate(value=stop.value)
+            return
+        except SimulationError as err:
+            self._terminate(error=err)
+            return
+        raise exc
 
     def _terminate(self, value: Any = None, error: BaseException | None = None) -> None:
         self._target = None
@@ -596,9 +599,10 @@ _AFTER = 2
 class _Stop:
     """Run-horizon sentinel pushed on the heap by bounded :meth:`Simulator.run`.
 
-    Popping the current run's sentinel ends the loop with no per-event
-    horizon comparison.  A sentinel orphaned by a run that raised is
-    recognized by identity and skipped by later runs.
+    Popping it ends the loop with no per-event horizon comparison.  A
+    run that raises takes its sentinel back out of the queue, so no
+    later run pops it and moves the clock to a horizon nothing happened
+    at.
     """
 
     __slots__ = ()
@@ -623,7 +627,6 @@ class Simulator:
         "_queue",
         "_next",
         "_seq",
-        "_active_process",
         "_free_timeout",
         "_free_timeouts",
         "_free_bootstrap",
@@ -638,7 +641,6 @@ class Simulator:
         #: single-slot min buffer in front of the heap (see _push)
         self._next: tuple[float, int, int, Event] | None = None
         self._seq = 0
-        self._active_process: Process | None = None
         #: one-deep first-level timeout free slot (the chain cadence
         #: recycles through this without touching the overflow list)
         self._free_timeout: Timeout | None = None
@@ -658,11 +660,6 @@ class Simulator:
         """Current simulated time in seconds."""
         return self._now
 
-    @property
-    def active_process(self) -> Process | None:
-        """The process currently being resumed, if any."""
-        return self._active_process
-
     # -- observability -------------------------------------------------------
     @property
     def observer(self):
@@ -678,15 +675,9 @@ class Simulator:
         changes the event timeline: the observed run takes the same
         loop as an unobserved one and only *reads* state — the
         determinism contract holds with or without an observer.
-        ``None`` (or an observer whose ``enabled`` is false) detaches.
+        ``None`` detaches.
         """
-        if observer is not None and not getattr(observer, "enabled", True):
-            observer = None
         self._observer = observer
-
-    def detach_observer(self) -> None:
-        """Stop reporting dispatches to the observer."""
-        self._observer = None
 
     # -- event construction -------------------------------------------------
     def event(self) -> Event:
@@ -729,54 +720,14 @@ class Simulator:
         return Process(self, generator, name=name)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Composite event firing when all ``events`` have fired."""
+        """Composite event firing when all ``events`` have fired.
+
+        No command runs it.  It stays for an oracle: the seed commit's
+        ``network/simfabric.py``, which ``benchmarks/perf/perf_network.py``
+        runs on today's engine to check ``ContendedFabric`` bit for bit,
+        joins its link transfers with it.
+        """
         return AllOf(self, events)
-
-    # -- scheduling ----------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
-        if not delay >= 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
-        self._seq += 1
-        _push(self, (self._now + delay, priority, self._seq, event))
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        nxt = self._next
-        if nxt is not None:
-            return nxt[0]
-        return self._queue[0][0] if self._queue else float("inf")
-
-    def step(self) -> None:
-        """Process exactly one event (the slow, single-step path)."""
-        nxt = self._next
-        if nxt is not None:
-            self._next = None
-            time, _prio, _seq, event = nxt
-        elif self._queue:
-            time, _prio, _seq, event = heappop(self._queue)
-        else:
-            raise SimulationError("step() on an empty event queue")
-        if time < self._now:
-            raise SimulationError("event queue corrupted: time moved backwards")
-        self._now = time
-        cls = type(event)
-        if cls is _Bootstrap:
-            event.process._resume(event)
-            return
-        if cls is _Stop:
-            # Sentinel orphaned by a bounded run() that raised: skip it.
-            return
-        event._processed = True
-        waiter = event._waiter
-        if waiter is not None:
-            event._waiter = None
-            waiter._resume(event)
-        callbacks = event.callbacks
-        event.callbacks = None
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event.defused:
-            raise event._value
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the queue drains, time ``until``, or event ``until``.
@@ -793,11 +744,11 @@ class Simulator:
         obs = self._observer
         if obs is not None:
             t_run = t0 = perf_counter()
+        # NB: named stop_evt, not stop — the resume block's `except
+        # StopIteration as stop` clause deletes `stop` on block exit.
+        stop_evt = None
+        marker = None
         try:
-            # NB: named stop_evt, not stop — the resume block's `except
-            # StopIteration as stop` clause deletes `stop` on block exit.
-            stop_evt = None
-            marker = None
             if isinstance(until, Event):
                 # An awaited stop event runs through the same inlined hot
                 # loop as an unbounded run: one `stop_evt._processed`
@@ -815,20 +766,20 @@ class Simulator:
                 # behind every real event scheduled for that instant)
                 # replaces a per-iteration `queue[0][0] <= horizon` bound
                 # check.  The loop below cannot drain the queue without
-                # popping it: a bounded run always exits at its own marker
-                # (or by an exception, which orphans the marker — later
-                # runs recognize and skip orphans by identity).
+                # popping it: a bounded run always exits at its own marker,
+                # or by an exception, which takes the marker back out (the
+                # except clause below).
                 marker = _Stop()
                 self._seq = seq = self._seq + 1
                 _push(self, (horizon, _AFTER, seq, marker))
-            # The hot loop: step() inlined with queue/heappop bound to
-            # locals, dispatched on the event's concrete class (Timeout
-            # first — it dominates every workload in this repo), and the
-            # parked waiter resumed by one inline block shared by every
-            # class, with no _resume call frame.  Heap pops are monotone
-            # by construction (negative and NaN delays are rejected at
-            # scheduling time), so the corruption check lives only on
-            # the slow step() path.
+            # The hot loop: queue/heappop bound to locals, dispatched on
+            # the event's concrete class (Timeout first — it dominates
+            # every workload in this repo), and the parked waiter resumed
+            # by one inline block shared by every class, with no _resume
+            # call frame.  Heap pops are monotone by construction
+            # (negative and NaN delays are rejected at scheduling time),
+            # so the loop does not re-check that time moves forward; a
+            # checked mode is where that invariant would be asserted.
             queue = self._queue
             pop = heappop
             free = self._free_timeouts
@@ -867,10 +818,9 @@ class Simulator:
                     waiter = event.process
                     value = None
                 elif cls is _Stop:
-                    if event is marker:
-                        break
-                    # Sentinel orphaned by an earlier run that raised: skip.
-                    continue
+                    # The only sentinel queued is this run's: a run that
+                    # raises takes its own back out.
+                    break
                 else:
                     # Generic event (Process termination, bare Events,
                     # conditions).
@@ -903,13 +853,11 @@ class Simulator:
                         value = event._value
                 if waiter is not None:
                     # Resume the waiter inline with the event's value.
-                    self._active_process = waiter
                     send = waiter._send
                     while True:
                         try:
                             target = send(value)
                         except StopIteration as stop:
-                            self._active_process = None
                             waiter._target = None
                             # Inline Event.succeed + _push: process
                             # termination is the spawn/join hot path.
@@ -936,7 +884,6 @@ class Simulator:
                             target = None
                             break
                         except BaseException as exc:
-                            self._active_process = None
                             waiter._target = None
                             waiter.fail(exc)
                             target = None
@@ -966,10 +913,8 @@ class Simulator:
                             else:
                                 target.callbacks.append(waiter._resume)
                         else:
-                            self._active_process = None
                             waiter._park_slow(target)
                             break
-                        self._active_process = None
                         break
                 if cls is Timeout:
                     # Callbacks registered after the parked waiter fire
@@ -1030,6 +975,10 @@ class Simulator:
                     "simulation ran out of events before the awaited event fired"
                 )
             return None
+        except BaseException:
+            if marker is not None:
+                _unpush(self, marker)
+            raise
         finally:
             if obs is not None:
                 try:

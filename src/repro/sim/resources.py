@@ -1,11 +1,7 @@
 """Shared-resource primitives for the DES kernel.
 
-Three primitives cover every hardware sharing pattern in the Roadrunner
-models:
+Two primitives cover the sharing patterns of the Roadrunner models:
 
-:class:`Resource`
-    A counted FIFO server (e.g. a DMA engine with N channels, a NIC send
-    queue of depth 1).
 :class:`Store`
     An unbounded FIFO of items with blocking ``get`` (e.g. a message
     mailbox).
@@ -22,82 +18,9 @@ from collections import deque
 from math import inf
 from typing import Any
 
-from repro.sim.engine import Event, SimulationError, Simulator
+from repro.sim.engine import Event, Simulator
 
-__all__ = ["Resource", "Store", "BandwidthLink"]
-
-
-class Resource:
-    """A counted FIFO resource with ``capacity`` concurrent slots.
-
-    Usage from a process::
-
-        req = resource.request()
-        yield req
-        try:
-            ... hold the resource ...
-        finally:
-            resource.release(req)
-    """
-
-    __slots__ = ("sim", "capacity", "_users", "_waiting")
-
-    def __init__(self, sim: Simulator, capacity: int = 1):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self._users: set[Event] = set()
-        self._waiting: deque[Event] = deque()
-
-    @property
-    def count(self) -> int:
-        """Number of slots currently held."""
-        return len(self._users)
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._waiting)
-
-    def request(self) -> Event:
-        """Return an event that fires when a slot is granted (FIFO order)."""
-        req = Event(self.sim)
-        if len(self._users) < self.capacity and not self._waiting:
-            self._users.add(req)
-            req.succeed(self)
-        else:
-            self._waiting.append(req)
-        return req
-
-    def release(self, request: Event) -> None:
-        """Release the slot held by ``request``."""
-        try:
-            self._users.remove(request)
-        except KeyError:
-            raise SimulationError("release() of a request that does not hold the resource")
-        if self._waiting:
-            nxt = self._waiting.popleft()
-            self._users.add(nxt)
-            nxt.succeed(self)
-
-    def cancel(self, request: Event) -> None:
-        """Withdraw a request that is no longer wanted.
-
-        Required in a process's ``except Interrupt`` handler when it was
-        interrupted while queued: otherwise the orphaned request is
-        eventually granted a slot nobody will release.  Safe to call
-        whether the request is still waiting or was already granted;
-        a request unknown to the resource is ignored (it may have been
-        cancelled already).
-        """
-        try:
-            self._waiting.remove(request)
-            return
-        except ValueError:
-            pass
-        if request in self._users:
-            self.release(request)
+__all__ = ["Store", "BandwidthLink"]
 
 
 class Store:
@@ -165,7 +88,7 @@ class BandwidthLink:
     """
 
     __slots__ = ("sim", "bandwidth", "name", "obs", "_active", "_last_update",
-                 "_timer", "_fire", "bytes_transferred")
+                 "_timer", "bytes_transferred")
 
     def __init__(self, sim: Simulator, bandwidth: float, name: str = "link", obs=None):
         if bandwidth <= 0:
@@ -177,7 +100,6 @@ class BandwidthLink:
         self._active: list[_Transfer] = []
         self._last_update = 0.0
         self._timer: Event | None = None
-        self._fire = self._on_timer  # bound once, appended per reschedule
         #: cumulative bytes that have fully crossed the link
         self.bytes_transferred = 0.0
 
@@ -226,7 +148,7 @@ class BandwidthLink:
         next_done = min([t.remaining for t in active])
         delay = max(0.0, next_done / rate)
         self._timer = timer = self.sim.timeout(delay)
-        timer.callbacks.append(self._fire)
+        timer.callbacks.append(self._on_timer)
 
     def _on_timer(self, timer: Event) -> None:
         if timer is not self._timer:

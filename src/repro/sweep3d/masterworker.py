@@ -81,6 +81,10 @@ class MasterWorkerModel:
         bandwidth-bound at (approximately) the same time — the DES
         derivation of §V-B's "bounded by the available memory
         bandwidth".
+
+        A test oracle: no command runs it.
+        ``tests/test_sweep3d_models.py`` compares it with
+        :meth:`iteration_time` and :meth:`bandwidth_time`.
         """
         from repro.hardware.dma import DMAEngine, SharedMemoryController
         from repro.sim.engine import Simulator

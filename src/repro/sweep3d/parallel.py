@@ -321,7 +321,8 @@ class ParallelSweep:
         Survivability knobs (all default off — the default run is the
         seed timeline, bit for bit): a DeliveryPolicy for the
         communicator, a bound on every receive (the surface receives and
-        the solve's convergence allreduces), and a hook to wire a
+        the solve's convergence allreduces; ``None`` or a finite number
+        of seconds > 0), and a hook to wire a
         FaultInjector into the run's private Simulator.  With them
         enabled a mid-run fault surfaces as :class:`SweepAborted`; see
         :func:`repro.resilience.recovery.run_with_recovery`.
@@ -348,6 +349,12 @@ class ParallelSweep:
                 raise ValueError("need one grind time per rank")
         if not all(0 < g < np.inf for g in grinds):
             raise ValueError("grind_time must be positive and finite")
+        if recv_timeout is not None and not 0 < recv_timeout < np.inf:
+            # Checked here: inside the run a bad bound would surface as
+            # a fault (SweepAborted) instead of as a bad argument.
+            raise ValueError(
+                f"recv_timeout must be None or finite and positive, got {recv_timeout!r}"
+            )
         self.inp = inp
         self.decomp = decomp
         self.grind_times = grinds
@@ -377,10 +384,6 @@ class ParallelSweep:
         #: ``sweep.iteration`` / ``sweep.octant`` / ``sweep.compute``
         #: spans per rank, attaches to the run's private Simulator, and
         #: is handed to the communicator for send/recv/collective spans
-        if obs is not None:
-            from repro.obs.recorder import active
-
-            obs = active(obs)
         self.obs = obs
 
     # -- per-rank process -----------------------------------------------------

@@ -6,7 +6,6 @@ from repro.sim import (
     AnyOf,
     Event,
     Interrupt,
-    Resource,
     SimulationError,
     Simulator,
 )
@@ -50,42 +49,6 @@ def test_fail_requires_exception_instance():
     evt = sim.event()
     with pytest.raises(TypeError):
         evt.fail("not an exception")  # type: ignore[arg-type]
-
-
-def test_interrupt_during_resource_wait_releases_cleanly():
-    """A process interrupted while queued for a resource must not end
-    up holding it."""
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    got = []
-
-    def holder(sim):
-        req = res.request()
-        yield req
-        yield sim.timeout(10.0)
-        res.release(req)
-
-    def victim(sim):
-        req = res.request()
-        try:
-            yield req
-            got.append("acquired")
-            res.release(req)
-        except Interrupt:
-            res.cancel(req)
-            got.append("interrupted")
-
-    def interrupter(sim, proc):
-        yield sim.timeout(1.0)
-        proc.interrupt()
-
-    sim.process(holder(sim))
-    v = sim.process(victim(sim))
-    sim.process(interrupter(sim, v))
-    sim.run()
-    assert got == ["interrupted"]
-    # The holder still releases at t=10; nothing is wedged.
-    assert res.count == 0
 
 
 def test_anyof_with_prefailed_event():
@@ -139,20 +102,6 @@ def test_event_succeed_with_delay():
     sim.process(waiter(sim))
     sim.run()
     assert out == [(5.0, "later")]
-
-
-def test_active_process_visible_during_resume():
-    sim = Simulator()
-    seen = []
-
-    def proc(sim):
-        seen.append(sim.active_process)
-        yield sim.timeout(1.0)
-
-    p = sim.process(proc(sim))
-    sim.run()
-    assert seen == [p]
-    assert sim.active_process is None
 
 
 def test_interrupt_with_no_cause():

@@ -1,7 +1,7 @@
 """Tests for the observability subsystem (repro.obs).
 
 Covers the recorder primitives (spans, instant events, counters), the
-disabled-path bit-identity contract, span-stream determinism, the
+recording bit-identity contract, span-stream determinism, the
 acceptance criteria (16-rank attribution closure within 1e-9; Chrome
 trace schema), and the ``python -m repro profile`` command.
 """
@@ -20,10 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import (
-    NULL_RECORDER,
     ObsRecorder,
     SpanRecord,
-    active,
     format_profile,
     link_occupancy,
     phase_fractions,
@@ -84,9 +82,6 @@ def test_empty_categories_skips_span_retention_entirely():
     retained (flat memory), while counters and gauges still record."""
     rec = ObsRecorder(categories=frozenset())
     rec.span("any", 0, 0.0, 1.0)
-    scope = rec.measure(None, "any", 0)  # never touches the sim clock
-    with scope:
-        pass
     assert rec.spans == []
     assert rec.span_count == 0
     rec.count("msgs", track=0)
@@ -111,8 +106,6 @@ def test_events_are_instants_kept_apart_from_spans():
     summary = to_summary(rec, 1.0)
     assert summary["span_count"] == 1 and list(summary["ranks"]) == ["0"]
     assert [s["category"] for s in span_stream(rec)] == ["keep"]
-    rec.clear()
-    assert rec.events == []
 
 
 # -- streaming sinks ---------------------------------------------------------
@@ -133,7 +126,7 @@ def test_sink_flushes_past_threshold_and_keeps_the_census():
 
 def test_sink_profile_matches_unbounded_recorder():
     """The aggregated profile equals the unbounded recorder's on a real
-    scenario, and clear() resets the sink with the recorder."""
+    scenario."""
     from repro.obs import AggregatingSink
 
     rec_full, sim_time = run_scenario("sweep4")
@@ -157,73 +150,6 @@ def test_sink_profile_matches_unbounded_recorder():
         assert agg.links[name].busy_time == pytest.approx(
             lp.busy_time, rel=1e-9, abs=1e-15
         )
-    rec_sink.clear()
-    assert rec_sink.span_count == 0
-    assert sink.flushed_spans == 0
-
-
-def test_measure_context_manager_reads_the_sim_clock():
-    sim = Simulator()
-    rec = ObsRecorder()
-
-    def body(sim):
-        with rec.measure(sim, "work", 0, step=1):
-            yield sim.timeout(2.5)
-
-    sim.process(body(sim))
-    sim.run()
-    (span,) = rec.spans
-    assert (span.category, span.t0, span.t1) == ("work", 0.0, 2.5)
-    assert dict(span.attrs) == {"step": 1}
-
-
-def test_measure_records_even_when_the_block_raises():
-    sim = Simulator()
-    rec = ObsRecorder()
-
-    class Boom(Exception):
-        pass
-
-    def body(sim):
-        with rec.measure(sim, "work", 0):
-            yield sim.timeout(1.0)
-            raise Boom()
-
-    proc = sim.process(body(sim))
-    proc.defused = True
-    sim.run()
-    (span,) = rec.spans
-    assert span.t1 == 1.0
-
-
-def test_clear_and_len():
-    rec = ObsRecorder()
-    rec.span("x", 0, 0.0, 1.0)
-    rec.count("c")
-    rec.host_run_time = 1.0
-    assert len(rec) == 1
-    rec.clear()
-    assert len(rec) == 0
-    assert rec.counters == {} and rec.host_run_time == 0.0
-
-
-def test_active_normalization():
-    rec = ObsRecorder()
-    assert active(None) is None
-    assert active(NULL_RECORDER) is None
-    assert active(rec) is rec
-    rec.enabled = False
-    assert active(rec) is None
-
-
-def test_null_recorder_is_inert():
-    NULL_RECORDER.span("x", 0, 0.0, 1.0)
-    NULL_RECORDER.event("x", 0, 0.0, attempt=1)
-    NULL_RECORDER.count("c")
-    NULL_RECORDER.gauge("g", 1.0)
-    NULL_RECORDER._note_event("Timeout", None, 0.0)
-    with NULL_RECORDER.measure(None, "x", 0):
-        pass
 
 
 # -- profiler ----------------------------------------------------------------
@@ -252,15 +178,7 @@ def test_profile_of_empty_recorder():
         profile(ObsRecorder(), -1.0)
 
 
-# -- the disabled path is the seed path --------------------------------------
-
-def test_disabled_recording_is_bit_identical():
-    r_plain = _sweep().run(iterations=2)
-    r_null = _sweep(obs=NULL_RECORDER).run(iterations=2)
-    assert r_null.iteration_time == r_plain.iteration_time
-    assert r_null.messages == r_plain.messages
-    assert np.array_equal(r_null.phi, r_plain.phi)
-
+# -- recording never perturbs the run ---------------------------------------
 
 def test_enabled_recording_does_not_perturb():
     r_plain = _sweep().run(iterations=2)
@@ -453,10 +371,7 @@ def test_simulator_attach_detach_observer():
     rec = ObsRecorder()
     sim.attach_observer(rec)
     assert sim.observer is rec
-    sim.attach_observer(NULL_RECORDER)  # disabled recorder detaches
-    assert sim.observer is None
-    sim.attach_observer(rec)
-    sim.detach_observer()
+    sim.attach_observer(None)  # None detaches
     assert sim.observer is None
 
 

@@ -51,6 +51,31 @@ def test_draw_fault_plan_deterministic_sorted_truncated():
     assert plan != draw_fault_plan(4, nodes, mtbf=10.0, horizon=30.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_draw_fault_plan_rejects_non_finite_or_non_positive(bad):
+    """NaN passes a bare ``<= 0`` check and would yield an empty plan;
+    ``mtbf=inf`` would raise ZeroDivisionError."""
+    nodes = tuple(range(8))
+    with pytest.raises(ValueError, match="finite and positive"):
+        draw_fault_plan(1, nodes, bad, 10.0)
+    with pytest.raises(ValueError, match="finite and positive"):
+        draw_fault_plan(1, nodes, 10.0, bad)
+
+
+def test_run_with_recovery_rejects_bad_arguments_before_running():
+    """A NaN receive bound is refused as an argument, not retried as
+    a fault 8 times; NaN checkpoint and restart costs are refused
+    instead of giving a NaN wall clock."""
+    nan = float("nan")
+    with pytest.raises(ValueError, match="recv_timeout"):
+        run_with_recovery(INP, DECOMP, GRIND, recv_timeout=nan, iterations=2)
+    for kwargs in ({"checkpoint_time": nan}, {"restart_time": nan},
+                   {"checkpoint_time": float("inf")}):
+        with pytest.raises(ValueError, match="finite"):
+            run_with_recovery(INP, DECOMP, GRIND, recv_timeout=1.0,
+                              iterations=2, **kwargs)
+
+
 def test_draw_fault_plan_validation():
     with pytest.raises(ValueError):
         draw_fault_plan(0, (0,), mtbf=0.0, horizon=1.0)

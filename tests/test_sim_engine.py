@@ -45,8 +45,6 @@ def test_nan_delays_rejected():
         sim.event().succeed(delay=nan)
     with pytest.raises(SimulationError):
         sim.event().fail(RuntimeError("x"), delay=nan)
-    with pytest.raises(SimulationError):
-        sim._schedule(sim.event(), delay=nan)
 
     def ticker(sim):
         for _ in range(3):
@@ -351,20 +349,6 @@ def test_empty_allof_fires_immediately():
     sim.process(waiter(sim))
     sim.run()
     assert done == [(0.0, {})]
-
-
-def test_peek_reports_next_event_time():
-    sim = Simulator()
-    sim.timeout(7.0)
-    assert sim.peek() == pytest.approx(7.0)
-    sim.run()
-    assert sim.peek() == float("inf")
-
-
-def test_step_on_empty_queue_raises():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.step()
 
 
 def test_process_requires_generator():

@@ -1,79 +1,8 @@
-"""Unit tests for Resource, Store, and BandwidthLink."""
+"""Unit tests for Store and BandwidthLink."""
 
 import pytest
 
-from repro.sim import BandwidthLink, Resource, SimulationError, Simulator, Store
-
-
-# ---------------------------------------------------------------------------
-# Resource
-# ---------------------------------------------------------------------------
-
-def test_resource_grants_up_to_capacity():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    log = []
-
-    def user(sim, name, hold):
-        req = res.request()
-        yield req
-        log.append(("acq", name, sim.now))
-        yield sim.timeout(hold)
-        res.release(req)
-        log.append(("rel", name, sim.now))
-
-    sim.process(user(sim, "a", 2.0))
-    sim.process(user(sim, "b", 2.0))
-    sim.process(user(sim, "c", 1.0))
-    sim.run()
-    acquires = [(n, t) for op, n, t in log if op == "acq"]
-    # a and b acquire immediately; c waits until one releases at t=2.
-    assert acquires == [("a", 0.0), ("b", 0.0), ("c", 2.0)]
-
-
-def test_resource_fifo_ordering():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    order = []
-
-    def user(sim, name):
-        req = res.request()
-        yield req
-        order.append(name)
-        yield sim.timeout(1.0)
-        res.release(req)
-
-    for name in "abcd":
-        sim.process(user(sim, name))
-    sim.run()
-    assert order == list("abcd")
-
-
-def test_resource_release_without_hold_raises():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    bogus = sim.event()
-    with pytest.raises(SimulationError):
-        res.release(bogus)
-
-
-def test_resource_counts():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    r1 = res.request()
-    res.request()
-    res.request()
-    assert res.count == 1
-    assert res.queue_length == 2
-    res.release(r1)
-    assert res.count == 1
-    assert res.queue_length == 1
-
-
-def test_resource_invalid_capacity():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Resource(sim, capacity=0)
+from repro.sim import BandwidthLink, Simulator, Store
 
 
 # ---------------------------------------------------------------------------
@@ -268,34 +197,3 @@ def test_bandwidth_link_no_livelock_on_tiny_residuals():
     sim.run()
     assert all(e.processed for e in events)
     assert link.bytes_transferred == pytest.approx(sum(sizes) * 5, rel=1e-6)
-
-
-def test_cancel_waiting_request_prevents_slot_leak():
-    """An interrupted waiter cancels its request; the slot is never
-    orphaned (regression for the leak Resource.cancel exists to fix)."""
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    r1 = res.request()
-    r2 = res.request()
-    assert res.queue_length == 1
-    res.cancel(r2)
-    assert res.queue_length == 0
-    res.release(r1)
-    assert res.count == 0
-
-
-def test_cancel_granted_request_releases():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    r1 = res.request()
-    r2 = res.request()
-    res.cancel(r1)  # already granted -> behaves like release
-    assert res.count == 1  # r2 was promoted
-    res.cancel(r2)
-    assert res.count == 0
-
-
-def test_cancel_unknown_request_ignored():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    res.cancel(sim.event())  # no-op

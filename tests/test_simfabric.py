@@ -463,3 +463,25 @@ def test_one_flow_record_per_message(monkeypatch):
     assert "AllOf" not in obs.events_by_class
     assert "fabric-transfer" not in obs.resumes_by_process
     assert sum(fabric.nic_bytes(0)) > 0
+
+
+def test_finished_exchange_leaves_no_cyclic_garbage():
+    """Once an op's result is dropped, reference counting frees its
+    simulator, fabric, communicator, recorder and sink: no delivery
+    cohort, flow record or link timer keeps a reference cycle for the
+    cyclic garbage collector to find."""
+    import gc
+
+    gc.collect()
+    gc.disable()
+    try:
+        obs = ObsRecorder(sink=AggregatingSink())
+        result = seeded_exchange(
+            11, 2, 4, [0, 8 * KIB, 64 * KIB],
+            nodes=[5 * i for i in range(64)], obs=obs)
+        assert sum(result[1].sent_counts) == 64 * 4
+        assert obs.span_count > 0
+        del result, obs
+    finally:
+        gc.enable()
+    assert gc.collect() == 0

@@ -137,6 +137,19 @@ def test_parallel_validates_arguments():
         sweep.run(source=np.ones((1, 1, 1)))
 
 
+@pytest.mark.parametrize(
+    "timeout", [float("nan"), float("inf"), 0.0, -1.0, -float("inf")]
+)
+def test_recv_timeout_checked_at_construction(timeout):
+    """A bad receive bound is a bad argument, refused by the
+    constructor; inside the run it would surface as a fault (a
+    ``SweepAborted`` at t=0) or only from the first bounded receive."""
+    inp = SweepInput(it=2, jt=2, kt=4, mk=2, mmi=2)
+    with pytest.raises(ValueError, match="recv_timeout"):
+        ParallelSweep(inp, Decomposition2D(2, 2), 1e-9, FREE_FABRIC,
+                      recv_timeout=timeout)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_parallel_rejects_non_finite_source(value):
     """One bad cell would otherwise spread to every flux cell, with no
