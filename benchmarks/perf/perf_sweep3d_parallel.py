@@ -8,6 +8,10 @@ flux field, simulated iteration time and traced MPI event timeline.
 A second seed oracle runs the distributed source iteration,
 ``solve_distributed()``, on a smaller tile through both layers and
 compares flux, iteration count, simulated time and message count.
+The dispatch-order oracle logs every engine dispatch of a 64-rank
+sweep as ``(class, process, sim time)``, with and without a recorder
+(bare receives versus ``Rank.recv`` generators), and pins the log's
+hash: SimMPI's fast paths may cut host time, never move an event.
 The measured tier times the same configuration against the seed
 commit's ``parallel.py`` with the seed-commit ``sweep_octant`` injected
 into it — the genuine pre-PR numeric stack, not the seed sweep layer
@@ -16,6 +20,8 @@ running over today's kernel — and records both wall-clock times in
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 
@@ -30,6 +36,8 @@ from benchmarks.framework import (
     perftest,
 )
 from benchmarks.framework.pytest_bridge import install_pytest_tests
+from repro.comm.mpi import UniformFabric
+from repro.comm.transport import Transport
 from repro.hardware.cell import POWERXCELL_8I
 from repro.obs import ObsRecorder, span_stream
 from repro.sweep3d import parallel as current_parallel
@@ -47,6 +55,16 @@ MIN_E2E_SPEEDUP = 2.0
 #: the solve oracle: converges in 18 sweeps, each cheap in the seed layer
 SOLVE_INP = SweepInput(it=3, jt=3, kt=8, mk=2, mmi=3)
 SOLVE_DECOMP = Decomposition2D(3, 2)
+
+#: the dispatch-order oracle: the full-machine tile on 8x8 ranks over
+#: IB (2 us, 2 GB/s), one computed and one replayed iteration
+DISPATCH_INP = SweepInput(it=2, jt=2, kt=8, mk=4, mmi=2)
+DISPATCH_DECOMP = Decomposition2D(8, 8)
+#: SHA-256 of that run's 11,784-dispatch log, recorded before the cost
+#: table, the straight-line send and the bare surface receives
+DISPATCH_LOG_SHA256 = (
+    "c8c11f31567ce6aec4bc3d35b0f1a5d7828ed919bf3c3cfe60f5068d79a12bff"
+)
 
 
 def _run(mod, **kwargs):
@@ -72,6 +90,38 @@ def _solve(mod):
     return sweep.solve_distributed()
 
 
+class _DispatchLog:
+    """Engine observer logging ``(class, process, sim time)`` per
+    dispatch: the event order itself, not only the times."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.entries: list[tuple[str, str | None, float]] = []
+
+    def _note_event(self, cls_name, proc_name, _host_dt):
+        self.entries.append((cls_name, proc_name, self.sim.now))
+
+
+def _dispatch_log(obs) -> list[tuple[str, str | None, float]]:
+    logs = []
+
+    def hook(sim, _procs, _locations):
+        # replaces the recorder as the engine's observer; the sweep and
+        # the communicator still report to it
+        logs.append(_DispatchLog(sim))
+        sim.attach_observer(logs[-1])
+
+    current_parallel.ParallelSweep(
+        DISPATCH_INP,
+        DISPATCH_DECOMP,
+        1e-6,
+        UniformFabric(Transport("ib", latency=2e-6, bandwidth=2e9)),
+        fault_hook=hook,
+        obs=obs,
+    ).run(iterations=2)
+    return logs[0].entries
+
+
 def _load_seed_layer():
     seed = load_seed_module(
         "src/repro/sweep3d/parallel.py", "_seed_sweep3d_parallel"
@@ -88,7 +138,7 @@ class ParallelSweepDeterminism(PerfTest):
     name = "sweep3d_parallel_determinism"
     title = "sweep3d parallel: bit-identical runs and seed-layer identity"
     tiers = ("smoke",)
-    params = {"oracle": ["twice", "seed", "seed_solve"]}
+    params = {"oracle": ["twice", "seed", "seed_solve", "dispatch_order"]}
 
     def sanity(self, case: Case):
         if case.oracle == "twice":
@@ -110,6 +160,14 @@ class ParallelSweepDeterminism(PerfTest):
             assert r_now.iteration_time == r_seed.iteration_time
             assert r_now.messages == r_seed.messages
             assert np.array_equal(r_now.phi, r_seed.phi)
+        elif case.oracle == "dispatch_order":
+            # Without a recorder the sweep posts bare receives; with one
+            # it runs Rank.recv generators.  Both dispatch the same
+            # events in the same order, and so did the sweep before.
+            bare = _dispatch_log(None)
+            assert bare == _dispatch_log(ObsRecorder(categories=()))
+            log = "\n".join(f"{c} {p} {t!r}" for c, p, t in bare)
+            assert hashlib.sha256(log.encode()).hexdigest() == DISPATCH_LOG_SHA256
         else:
             # The distributed source iteration: the flux feeds back into
             # the next sweep's source, and the convergence test decides

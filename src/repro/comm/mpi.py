@@ -55,6 +55,15 @@ class DeliveryError(Exception):
     """
 
 
+def _check_timeout(timeout: float | None) -> None:
+    """A receive bound is ``None`` or finite and > 0, checked before
+    anything is posted: a NaN bound would strand a posted waiter."""
+    if timeout is not None and not 0 < timeout < inf:
+        raise ValueError(
+            f"recv timeout must be None or finite and positive, got {timeout!r}"
+        )
+
+
 class Location(NamedTuple):
     """Where a rank physically lives in the machine."""
 
@@ -258,7 +267,11 @@ class _Cohort:
 
 
 class SimMPI:
-    """A simulated communicator over ``len(locations)`` ranks."""
+    """A simulated communicator over ``len(locations)`` ranks.
+
+    Sends are priced from one cost table, keyed ``(src rank, dest rank,
+    size)`` and filled and checked on first use by :meth:`_price`.
+    """
 
     #: tag space reserved for collectives
     _COLL_TAG = 1 << 20
@@ -288,12 +301,11 @@ class SimMPI:
         #: in-flight batch deliveries keyed by arrival instant (see
         #: :class:`_Cohort`)
         self._cohorts: dict[float, _Cohort] = {}
-        #: zero-byte latency memoized per (src_rank, dest_rank) — rank
-        #: locations are fixed for the communicator's lifetime
-        self._lat_cache: dict[tuple[int, int], float] = {}
-        #: full one-way time memoized per (src_rank, dest_rank, size) —
-        #: a sweep sends the same few payload sizes millions of times
-        self._time_cache: dict[tuple[int, int, int], float] = {}
+        #: the cost table: (src rank, dest rank, size) -> (latency,
+        #: serialize), filled by :meth:`_price` on first use
+        self._costs: dict[tuple[int, int, int], tuple[float, float | None]] = {}
+        #: one shared tuple per distinct cost (see :meth:`_price`)
+        self._cost_tuples: dict[tuple[float, float | None], tuple[float, float | None]] = {}
         self._contended = hasattr(fabric, "transfer")
         #: statistics: (messages, bytes) sent per rank
         self.sent_counts = [0] * len(locations)
@@ -316,6 +328,24 @@ class SimMPI:
         if not 0 <= index < self.size:
             raise ValueError(f"rank {index} out of range 0..{self.size - 1}")
         return Rank(self, index)
+
+    def _price(self, index: int, dest: int, size: int) -> tuple[float, float | None]:
+        """Check a send's ``dest`` and ``size`` and enter its cost,
+        ``(latency, serialize)``, in the table; serialize is ``None`` on
+        a contended fabric, whose links time the bytes.  Only checked
+        keys enter, so a bad argument raises on every call."""
+        if not 0 <= dest < self.size:
+            raise ValueError(f"destination rank {dest} out of range")
+        if not 0 <= size < inf:
+            raise ValueError(f"message size must be finite and >= 0, got {size!r}")
+        fabric, src, dst = self.fabric, self.locations[index], self.locations[dest]
+        latency = fabric.zero_byte_latency(src, dst)
+        serialize = None if self._contended else max(
+            0.0, fabric.one_way_time(src, dst, size) - latency)
+        cost = (latency, serialize)
+        # A sweep prices thousands of keys at a handful of distinct costs.
+        cost = self._costs[index, dest, size] = self._cost_tuples.setdefault(cost, cost)
+        return cost
 
 
 class Rank:
@@ -342,6 +372,10 @@ class Rank:
         """Blocking send (generator): the sender is busy for its
         serialization time; delivery happens one wire latency later.
 
+        The cost comes from the communicator's table
+        (:meth:`SimMPI._price`); with no policy and an analytic fabric
+        the send then runs straight through, with no attempt loop.
+
         Under a :class:`~repro.resilience.policy.DeliveryPolicy` each
         transmission is an attempt: a lost one (dropped, or refused by
         a contended fabric because an endpoint's node is down) records
@@ -354,71 +388,58 @@ class Rank:
         of no policy — same spans less their ``attempts`` attribute, no
         RNG draws — which ``tests/test_resilience.py`` pins.
         """
-        if not 0 <= dest < self.comm.size:
-            raise ValueError(f"destination rank {dest} out of range")
-        if not 0 <= size < inf:
-            raise ValueError(f"message size must be finite and >= 0, got {size!r}")
         comm, sim, index = self.comm, self.sim, self.index
-        src_loc = comm.locations[index]
-        dst_loc = comm.locations[dest]
-        pair = (index, dest)
-        latency = comm._lat_cache.get(pair)
-        if latency is None:
-            latency = comm.fabric.zero_byte_latency(src_loc, dst_loc)
-            comm._lat_cache[pair] = latency
-        contended = comm._contended
-        if not contended:  # a contended fabric times its links instead
-            tkey = (index, dest, size)
-            total = comm._time_cache.get(tkey)
-            if total is None:
-                total = comm.fabric.one_way_time(src_loc, dst_loc, size)
-                comm._time_cache[tkey] = total
-            serialize = max(0.0, total - latency)
-        sent_at = sim.now
+        cost = comm._costs.get((index, dest, size))
+        if cost is None:
+            cost = comm._price(index, dest, size)
+        latency, serialize = cost
+        sent_at = sim._now
         comm.sent_counts[index] += 1
         comm.sent_bytes[index] += size
         policy = comm.delivery
         attempt = 0
-        while True:
-            try:
-                if contended:
-                    # Contended fabric: the bandwidth phase runs through
-                    # shared link resources; the sender is occupied
-                    # until its payload clears them (conservative
-                    # store-and-forward semantics).
-                    yield comm.fabric.transfer(src_loc, dst_loc, size)
-                elif serialize > 0:
-                    yield sim.timeout(serialize)
-            except DeliveryError:
-                # The fabric refused: an endpoint's node is down.
-                if policy is None:
-                    raise
-            else:
-                if policy is None or policy.delivered(src_loc, dst_loc, size):
-                    break
-            obs = comm.obs
-            if attempt >= policy.max_retries:
+        if policy is None and serialize is not None:
+            if serialize > 0:
+                yield sim.timeout(serialize)
+        else:
+            src_loc = comm.locations[index]
+            dst_loc = comm.locations[dest]
+            while True:
+                try:
+                    if serialize is None:
+                        # Contended fabric: the bandwidth phase runs
+                        # through shared link resources; the sender is
+                        # occupied until its payload clears them
+                        # (conservative store-and-forward semantics).
+                        yield comm.fabric.transfer(src_loc, dst_loc, size)
+                    elif serialize > 0:
+                        yield sim.timeout(serialize)
+                except DeliveryError:
+                    # The fabric refused: an endpoint's node is down.
+                    if policy is None:
+                        raise
+                else:
+                    if policy is None or policy.delivered(src_loc, dst_loc, size):
+                        break
+                obs = comm.obs
+                if attempt >= policy.max_retries:
+                    if obs is not None:
+                        obs.span("mpi.send", index, sent_at, sim.now,
+                                 dest=dest, size=size, tag=tag,
+                                 attempts=attempt + 1, delivered=False)
+                    raise DeliveryError(
+                        f"rank {index} -> rank {dest}: {size}-byte message "
+                        f"undeliverable after {attempt + 1} attempts"
+                    )
+                comm.retry_counts[index] += 1
                 if obs is not None:
-                    obs.span("mpi.send", index, sent_at, sim.now,
-                             dest=dest, size=size, tag=tag,
-                             attempts=attempt + 1, delivered=False)
-                raise DeliveryError(
-                    f"rank {index} -> rank {dest}: {size}-byte message "
-                    f"undeliverable after {attempt + 1} attempts"
-                )
-            comm.retry_counts[index] += 1
-            if obs is not None:
-                obs.event("mpi.retry", index, sim.now, dest=dest,
-                          size=size, tag=tag, attempt=attempt + 1)
-                obs.count("mpi.retries", track=index)
-            yield sim.timeout(policy.retry_delay(attempt))
-            attempt += 1
-        when = sim.now + latency
-        msg = Message(
-            source=index, dest=dest, tag=tag, size=size,
-            payload=payload, sent_at=sent_at,
-            delivered_at=when,
-        )
+                    obs.event("mpi.retry", index, sim.now, dest=dest,
+                              size=size, tag=tag, attempt=attempt + 1)
+                    obs.count("mpi.retries", track=index)
+                yield sim.timeout(policy.retry_delay(attempt))
+                attempt += 1
+        when = sim._now + latency
+        msg = Message(index, dest, tag, size, payload, sent_at, when)
         cohorts = comm._cohorts
         rec = cohorts.get(when)
         if rec is None:
@@ -451,6 +472,7 @@ class Rank:
         of the collectives' abort contract.  ``timeout=None`` (the
         default) is the historical unbounded receive.
         """
+        _check_timeout(timeout)
         obs = self.comm.obs
         t0 = self.sim.now if obs is not None else 0.0
         if timeout is not None:
@@ -467,8 +489,6 @@ class Rank:
         event against a timer; on expiry deregister the waiter (so a
         later matching message is not silently consumed by the stale
         event) and raise :class:`DeliveryError`."""
-        if timeout <= 0:
-            raise ValueError("recv timeout must be positive")
         sim = self.sim
         evt = self.irecv(source=source, tag=tag)
         if evt._triggered:  # already matched against pending messages
@@ -531,6 +551,7 @@ class Rank:
 
     def barrier(self, timeout: float | None = None):
         """Dissemination barrier (generator)."""
+        _check_timeout(timeout)
         return (
             yield from self._collective_span(
                 "barrier", self._barrier_impl(timeout=timeout)
@@ -561,6 +582,7 @@ class Rank:
         timeout: float | None = None,
     ):
         """Binomial-tree broadcast (generator); returns the value."""
+        _check_timeout(timeout)
         return (
             yield from self._collective_span(
                 "bcast",
@@ -612,6 +634,7 @@ class Rank:
     ):
         """Binomial-tree reduction (generator); root returns the result,
         other ranks return ``None``."""
+        _check_timeout(timeout)
         return (
             yield from self._collective_span(
                 "reduce",
@@ -658,6 +681,7 @@ class Rank:
     ):
         """Reduce-to-root then broadcast (generator); all ranks return
         the reduced value."""
+        _check_timeout(timeout)
         return (
             yield from self._collective_span(
                 "allreduce",

@@ -472,17 +472,9 @@ class Process(Event):
                         return
                     raise
             if not isinstance(target, Event):
-                exc = SimulationError(
-                    f"process {self.name!r} yielded non-event {target!r}"
-                )
-                try:
-                    self._throw(exc)
-                except StopIteration as stop:
-                    self._terminate(value=stop.value)
-                    return
-                except SimulationError as err:
-                    self._terminate(error=err)
-                    return
+                # One error for one mistake, whichever path resumed it.
+                self._park_slow(target)
+                return
             if target.sim is not sim:
                 raise SimulationError("cannot wait on an event from another simulator")
             if target._processed:
@@ -500,8 +492,8 @@ class Process(Event):
         """Handle a non-fast-path yield from the inlined run loop.
 
         Covers non-event yields, events of another simulator, and
-        already-processed targets; mirrors the corresponding branches
-        of :meth:`_resume`.
+        already-processed targets.  :meth:`_resume` hands its non-event
+        yields here too, so both paths end the run with one error.
         """
         if isinstance(target, Event):
             if target.sim is not self.sim:

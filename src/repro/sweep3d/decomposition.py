@@ -9,7 +9,10 @@ and forwards downstream.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+
+from repro.sweep3d.quadrature import OCTANTS
 
 __all__ = ["Decomposition2D"]
 
@@ -65,6 +68,22 @@ class Decomposition2D:
         pi, pj = self.coords(rank)
         down = pj + sy
         return self.rank_of(pi, down) if 0 <= down < self.npe_j else None
+
+    def neighbours(self, rank: int) -> Iterator[tuple[int | None, ...]]:
+        """Yield ``(octant id, up_i, dn_i, up_j, dn_j)`` per octant of
+        :data:`~repro.sweep3d.quadrature.OCTANTS`, in that order: the
+        four neighbour helpers' answers from one ``divmod``.  Lazily: a
+        sweep holds this across its octants, and 3,060 lists of eight
+        tuples would be megabytes of live memory."""
+        pi, pj = self.coords(rank)
+        nj = self.npe_j
+        i_lo = rank - nj if pi > 0 else None
+        i_hi = rank + nj if pi < self.npe_i - 1 else None
+        j_lo = rank - 1 if pj > 0 else None
+        j_hi = rank + 1 if pj < nj - 1 else None
+        for o in OCTANTS:
+            yield (o.id, *((i_lo, i_hi) if o.sx > 0 else (i_hi, i_lo)),
+                   *((j_lo, j_hi) if o.sy > 0 else (j_hi, j_lo)))
 
     @property
     def pipeline_depth(self) -> int:

@@ -444,8 +444,11 @@ class ParallelSweep:
         byte counts; payloads carry ``None``) but records nothing —
         simulated time never depends on payload values, so the DES
         timeline is identical by construction.
+
+        A receive with no bound and no recorder is posted bare (MPI's
+        Irecv-then-wait): the very event ``Rank.recv`` would yield.
         """
-        inp, dec = self.inp, self.decomp
+        inp = self.inp
         it, jt, mk = inp.it, inp.jt, inp.mk
         M = self.angles.n_angles
         kb = inp.k_blocks
@@ -454,46 +457,48 @@ class ParallelSweep:
         j_surface = it * mk * M * 8
         timeout = self.recv_timeout
         obs = self.obs
+        # Looked up per sweep: instrumentation may wrap the method.
+        irecv = rank.irecv if timeout is None and obs is None else None
+        sim = rank.sim
         node = None
-        for octant in OCTANTS:
-            oid = octant.id
-            up_i = dec.upstream_i(rank.index, octant.sx)
-            dn_i = dec.downstream_i(rank.index, octant.sx)
-            up_j = dec.upstream_j(rank.index, octant.sy)
-            dn_j = dec.downstream_j(rank.index, octant.sy)
+        for oid, up_i, dn_i, up_j, dn_j in self.decomp.neighbours(rank.index):
             # consumers of a block's faces: the two downstream ranks
             # and, below the last K-block, this rank's next block
             sends = (dn_i is not None) + (dn_j is not None)
             prev = _VACUUM
-            t_oct = rank.sim.now if obs is not None else 0.0
+            t_oct = sim.now if obs is not None else 0.0
             for b in range(kb):
                 tag_i = _TAG_I + oid * kb + b
                 tag_j = _TAG_J + oid * kb + b
-                if up_i is not None:
+                if up_i is None:
+                    in_x = _VACUUM
+                elif irecv is not None:
+                    in_x = (yield irecv(up_i, tag_i)).payload
+                else:
                     msg = yield from rank.recv(source=up_i, tag=tag_i, timeout=timeout)
                     in_x = msg.payload
+                if up_j is None:
+                    in_y = _VACUUM
+                elif irecv is not None:
+                    in_y = (yield irecv(up_j, tag_j)).payload
                 else:
-                    in_x = _VACUUM
-                if up_j is not None:
                     msg = yield from rank.recv(source=up_j, tag=tag_j, timeout=timeout)
                     in_y = msg.payload
-                else:
-                    in_y = _VACUUM
-                start = rank.sim.now
-                yield rank.sim.timeout(block_time)
+                start = sim.now if obs is not None else 0.0
+                yield sim.timeout(block_time)
                 if obs is not None:
-                    obs.span("sweep.compute", rank.index, start, rank.sim.now,
+                    obs.span("sweep.compute", rank.index, start, sim.now,
                              octant=oid, block=b)
                 if acc is not None:
                     node = prev = graph.record(
                         acc, oid, b, in_x, in_y, prev, sends + (b < kb - 1)
                     )
                 if dn_i is not None:
-                    yield from rank.send(dn_i, i_surface, tag=tag_i, payload=node)
+                    yield from rank.send(dn_i, i_surface, tag_i, node)
                 if dn_j is not None:
-                    yield from rank.send(dn_j, j_surface, tag=tag_j, payload=node)
+                    yield from rank.send(dn_j, j_surface, tag_j, node)
             if obs is not None:
-                obs.span("sweep.octant", rank.index, t_oct, rank.sim.now,
+                obs.span("sweep.octant", rank.index, t_oct, sim.now,
                          octant=oid)
 
     def _rank_body(

@@ -157,6 +157,31 @@ def test_send_rejects_negative_size():
         run_ranks(sim, comm, body)
 
 
+def test_send_checks_arguments_after_the_key_is_priced():
+    """A bad ``dest`` or ``size`` raises on every call, also once a
+    valid key of the same rank is in the cost table."""
+    sim, comm = make_comm(2)
+    bad = [(2, 8), (-1, 8), (1, float("nan")), (1, -8), (1, float("inf"))]
+    raised = []
+
+    def body(rank):
+        if rank.index == 0:
+            for _ in range(2):
+                yield from rank.send(1, size=8)
+                for dest, size in bad:
+                    with pytest.raises(ValueError):
+                        yield from rank.send(dest, size=size)
+                    raised.append(dest)
+        else:
+            for _ in range(2):
+                yield from rank.recv(source=0)
+
+    run_ranks(sim, comm, body)
+    assert len(raised) == 2 * len(bad)
+    assert comm.sent_counts == [2, 0]
+    assert comm.sent_bytes == [16, 0]
+
+
 def test_rank_handle_range_checked():
     _, comm = make_comm(2)
     with pytest.raises(ValueError):

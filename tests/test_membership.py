@@ -54,6 +54,67 @@ def test_recv_timeout_must_be_positive():
     assert not proc.is_alive
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_recv_rejects_a_bad_timeout_before_posting(bad):
+    """The bad bound raises ValueError and posts nothing: the next
+    plain receive still gets the message, and the clock stays finite."""
+    sim, comm = make_comm(2)
+    errors, got = [], []
+
+    def receiver(rank):
+        try:
+            yield from rank.recv(source=0, timeout=bad)
+        except Exception as err:
+            errors.append(type(err))
+        msg = yield from rank.recv(source=0)
+        got.append(msg.payload)
+
+    def sender(rank):
+        yield from rank.send(1, size=8, payload="x")
+
+    sim.process(receiver(comm.rank(1)))
+    sim.process(sender(comm.rank(0)))
+    sim.run()
+    assert errors == [ValueError]
+    assert got == ["x"]
+    assert sim.now == pytest.approx(LATENCY + 8 / 1e9)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_allreduce_rejects_a_bad_timeout_on_every_rank(bad):
+    """Every rank raises at entry, before the collective takes a tag
+    or posts a receive, so the next allreduce still completes."""
+    sim, comm = make_comm(4)
+    errors = []
+
+    def body(rank):
+        try:
+            yield from rank.allreduce(1, op=max, timeout=bad)
+        except ValueError:
+            errors.append(rank.index)
+        return (yield from rank.allreduce(rank.index, op=max))
+
+    done, failed = collect(sim, comm, body, ranks=range(4))
+    assert not failed
+    assert sorted(errors) == [0, 1, 2, 3]
+    assert all(v == 3 for v, _t in done.values())
+
+
+def test_reduce_leaf_checks_its_timeout():
+    """A leaf of the reduction tree only sends, so only the entry
+    check can see its bound."""
+    sim, comm = make_comm(2)
+
+    def body(rank):
+        yield from rank.reduce(1, op=max, timeout=float("nan"))
+
+    proc = sim.process(body(comm.rank(1)))
+    with pytest.raises(ValueError):
+        sim.run()
+    assert not proc.is_alive
+    assert comm.sent_counts == [0, 0]
+
+
 def test_recv_timeout_unchanged_timeline_when_message_wins():
     """A timeout that never fires must not perturb delivery times."""
     times = {}

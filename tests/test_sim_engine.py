@@ -251,6 +251,35 @@ def test_yield_non_event_raises_simulation_error():
     with pytest.raises(SimulationError):
         sim.run()
 
+    # A victim that catches the error and yields a real event still
+    # ends the run with that error, whether the run loop resumed it or
+    # an interrupt did (Process._resume).
+    def catching(sim, interrupted):
+        if interrupted:
+            try:
+                yield sim.timeout(10.0)
+            except Interrupt:
+                pass
+        else:
+            yield sim.timeout(1.0)
+        try:
+            yield 42
+        except SimulationError:
+            yield sim.timeout(1.0)
+
+    def interrupter(sim, victim):
+        yield sim.timeout(1.0)
+        victim.interrupt()
+
+    for interrupted in (False, True):
+        sim = Simulator()
+        victim = sim.process(catching(sim, interrupted), name="victim")
+        if interrupted:
+            sim.process(interrupter(sim, victim))
+        with pytest.raises(SimulationError,
+                           match="process 'victim' yielded non-event 42"):
+            sim.run()
+
 
 def test_interrupt_delivers_cause():
     sim = Simulator()

@@ -15,7 +15,7 @@ from repro.sweep3d.kernel import bind_octant_kernel, sweep_octant
 from repro.sweep3d.parallel import ParallelSweep, SweepAborted
 from repro.sweep3d.perfmodel import SweepMachineParams, WavefrontModel
 from repro.sweep3d.plan import get_plan
-from repro.sweep3d.quadrature import make_angle_set
+from repro.sweep3d.quadrature import OCTANTS, make_angle_set
 from repro.sweep3d.solver import sweep_all_octants
 from repro.units import US
 
@@ -57,6 +57,19 @@ def test_decomposition_neighbours():
     assert dec.upstream_i(corner, +1) is None
     assert dec.upstream_j(corner, +1) is None
     assert dec.downstream_i(dec.rank_of(2, 0), +1) is None
+
+
+@pytest.mark.parametrize("npe_i,npe_j", [(1, 1), (1, 5), (4, 3), (60, 51)])
+def test_neighbours_match_the_four_helpers(npe_i, npe_j):
+    dec = Decomposition2D(npe_i, npe_j)
+    for rank in range(dec.size):
+        assert list(dec.neighbours(rank)) == [
+            (o.id, dec.upstream_i(rank, o.sx), dec.downstream_i(rank, o.sx),
+             dec.upstream_j(rank, o.sy), dec.downstream_j(rank, o.sy))
+            for o in OCTANTS
+        ]
+    with pytest.raises(ValueError):
+        list(dec.neighbours(dec.size))
 
 
 def test_near_square_factorization():
