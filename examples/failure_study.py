@@ -426,8 +426,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--write-bands", action="store_true",
                         help="write BENCH_campaign.json instead of checking it")
     parser.add_argument("--workers", type=int, default=1,
-                        help="campaign worker processes (default 1 = the "
-                             "historical in-process loop, byte-identical)")
+                        help="campaign worker processes (default 1; the "
+                             "output is byte-identical at any count)")
     parser.add_argument("--cache-dir", metavar="PATH", default=None,
                         help="campaign artifact cache; a rerun against a "
                              "warm cache performs zero simulations")

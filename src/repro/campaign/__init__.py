@@ -11,21 +11,23 @@ crashes, cache corruption, and disk-full, and a resumed campaign
 produces the identical report an uninterrupted one would have.
 
 * :mod:`~repro.campaign.jobs` — frozen :class:`JobSpec` with a
-  canonical-JSON SHA-256 content address;
+  canonical-JSON SHA-256 content address, and :class:`JobOutcome`, the
+  one record of a job's final state;
 * :mod:`~repro.campaign.store` — the on-disk, content-addressed,
   self-verifying, self-healing :class:`ArtifactStore` (fsync'd atomic
   writes);
 * :mod:`~repro.campaign.scenarios` — registered tenants
   (``sweep``, ``sweep3060``, ``placement-penalty``);
-* :mod:`~repro.campaign.workers` — the process pool: long-lived
-  workers with one pipe each, so a dead worker is blamed for exactly
-  the job it held; per-job timeouts, seeded backoff retries,
-  deterministic result order;
+* :mod:`~repro.campaign.workers` — the process pool (``workers=1`` is
+  a pool of one): long-lived workers with one pipe each, so a dead
+  worker is blamed for exactly the job it held; per-job timeouts,
+  seeded backoff retries, outcomes in submission order;
 * :mod:`~repro.campaign.journal` — the append-only :class:`Journal`
   of job-state transitions and its reader;
-* :mod:`~repro.campaign.service` — :class:`CampaignService`:
-  cache-first execution, completion-time persistence,
-  :meth:`~CampaignService.resume`, streamed
+* :mod:`~repro.campaign.service` — :class:`CampaignService`: one run
+  loop over each job's prior state (cache-first execution,
+  completion-time persistence; :meth:`~CampaignService.resume` passes
+  the journal's states), streamed
   :class:`ProgressEvent`\\ s with obs counter snapshots,
   :class:`CampaignReport` aggregation;
 * :mod:`~repro.campaign.chaos` — the real-fault injection harness
@@ -46,6 +48,7 @@ from repro.campaign.jobs import (
     PENDING,
     RUNNING,
     TERMINAL_STATES,
+    JobOutcome,
     JobSpec,
     canonical_json,
     content_digest,
@@ -56,12 +59,11 @@ from repro.campaign.scenarios import SCENARIOS, Scenario, job_config, run_job
 from repro.campaign.service import (
     CampaignReport,
     CampaignService,
-    JobOutcome,
     ProgressEvent,
     grid,
 )
 from repro.campaign.store import ArtifactStore
-from repro.campaign.workers import JobResult, run_specs
+from repro.campaign.workers import run_specs
 
 __all__ = [
     "PENDING",
@@ -71,6 +73,7 @@ __all__ = [
     "JOB_STATES",
     "TERMINAL_STATES",
     "JobSpec",
+    "JobOutcome",
     "canonical_json",
     "content_digest",
     "default_code_version",
@@ -79,7 +82,6 @@ __all__ = [
     "SCENARIOS",
     "job_config",
     "run_job",
-    "JobResult",
     "run_specs",
     "Journal",
     "JournalState",
@@ -87,7 +89,6 @@ __all__ = [
     "ChaosPlan",
     "draw_plan",
     "ProgressEvent",
-    "JobOutcome",
     "CampaignReport",
     "CampaignService",
     "grid",

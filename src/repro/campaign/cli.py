@@ -18,9 +18,9 @@ Durability: ``--journal PATH`` (requires ``--cache-dir``) write-ahead
 logs every job-state transition; if the campaign process dies,
 ``--resume PATH`` finishes it — done jobs are restored from the cache,
 never recomputed, and the final report matches an uninterrupted run
-byte for byte.  With ``--workers N`` (N >= 2), ``--timeout S`` fails a
-job after S host seconds and ``--max-retries K`` bounds the retries of
-a job whose worker died.  Bad pool arguments exit 2 before any job
+byte for byte.  ``--timeout S`` fails a job after S host seconds and
+``--max-retries K`` bounds the retries of a job whose worker died, at
+any ``--workers`` count.  Bad pool arguments exit 2 before any job
 runs::
 
     python -m repro campaign sweep --seeds 100 --workers 4 --timeout 60 \\
@@ -38,7 +38,7 @@ from typing import Any, Callable
 
 from repro.campaign.jobs import DONE
 from repro.campaign.journal import read_journal
-from repro.campaign.scenarios import SCENARIOS, public_scenarios
+from repro.campaign.scenarios import public_scenarios
 from repro.campaign.service import CampaignService, ProgressEvent, grid
 
 __all__ = ["main"]
@@ -77,12 +77,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--first-seed", type=int, default=0,
                         help="first seed of the sweep (default 0)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes (default 1 = inline)")
+                        help="worker processes (default 1)")
     parser.add_argument("--cache-dir", metavar="PATH",
                         help="artifact cache directory (default: no cache)")
     parser.add_argument("--timeout", type=float, default=None,
-                        help="per-job timeout in host seconds "
-                             "(needs --workers >= 2)")
+                        help="per-job timeout in host seconds")
     parser.add_argument("--max-retries", type=int, default=1,
                         help="extra attempts after a worker crash (default 1)")
     parser.add_argument("--journal", metavar="PATH",
@@ -124,12 +123,10 @@ def main(argv: list[str] | None = None) -> int:
     if not args.scenario:
         print("a scenario is required (see --list)", file=sys.stderr)
         return 2
-    if args.scenario not in SCENARIOS or not SCENARIOS[args.scenario].public:
-        print(
-            f"unknown scenario {args.scenario!r}; "
-            f"choose from {', '.join(s.name for s in public_scenarios())}",
-            file=sys.stderr,
-        )
+    public = [s.name for s in public_scenarios()]
+    if args.scenario not in public:
+        print(f"unknown scenario {args.scenario!r}; "
+              f"choose from {', '.join(public)}", file=sys.stderr)
         return 2
     try:
         specs = grid(

@@ -1,4 +1,4 @@
-"""The campaign job model: specs, states, and content addressing.
+"""The campaign job model: specs, states, outcomes, and content addressing.
 
 A campaign is a list of :class:`JobSpec`\\ s — frozen descriptions of
 one simulation run: *which* scenario, with *what* configuration, under
@@ -30,6 +30,7 @@ the new code.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -46,6 +47,7 @@ __all__ = [
     "content_digest",
     "default_code_version",
     "JobSpec",
+    "JobOutcome",
 ]
 
 #: job lifecycle states (a job moves pending -> running -> done/failed;
@@ -132,7 +134,7 @@ class JobSpec:
             code_version=data["code_version"],
         )
 
-    @property
+    @functools.cached_property
     def digest(self) -> str:
         """The content address: SHA-256 over the canonical spec JSON."""
         return content_digest(self.to_dict())
@@ -141,3 +143,30 @@ class JobSpec:
     def short(self) -> str:
         """First 12 hex chars of :attr:`digest` (log/event labels)."""
         return self.digest[:12]
+
+
+@dataclass
+class JobOutcome:
+    """Final state of one submitted job: what the pool settles, what a
+    cache hit or a journal restore yields, and one row of the report."""
+
+    spec: JobSpec
+    digest: str
+    state: str                  # done | failed
+    cached: bool = False
+    attempts: int = 0           # executor attempts (0 for a cache hit)
+    error: str | None = None
+    artifact: dict | None = None
+    artifact_sha256: str | None = None
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "spec": self.spec.to_dict(),
+            "digest": self.digest,
+            "state": self.state,
+            "cached": self.cached,
+            "attempts": self.attempts,
+            "error": self.error,
+            "artifact_sha256": self.artifact_sha256,
+            "artifact": self.artifact,
+        }

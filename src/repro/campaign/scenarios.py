@@ -29,8 +29,9 @@ Registered tenants
     mirror that study's 64-rank communication-heavy job.
 ``_selftest``
     A no-simulation harness tenant for exercising the worker pool
-    (controlled success / failure / crash-once / sleep); not listed by
-    the CLI.
+    (controlled success / seed-selective failure / crash-once / counted,
+    optionally stalled execution).  A leading underscore keeps a
+    scenario out of the CLI.
 """
 
 from __future__ import annotations
@@ -50,8 +51,6 @@ class Scenario:
     fn: Callable[[dict[str, Any], int], dict[str, Any]]
     defaults: Mapping[str, Any]
     help: str
-    #: hidden scenarios (harness tenants) stay out of CLI listings
-    public: bool = True
 
 
 def _phi_sha256(phi) -> str:
@@ -174,9 +173,9 @@ def _placement_penalty(config: dict[str, Any], seed: int) -> dict[str, Any]:
 # -- the worker-pool harness tenant ------------------------------------------
 
 _SELFTEST_DEFAULTS = {
-    "mode": "ok",       # ok | fail | fail-seeds | crash-once | sleep | count
-    "marker": "",       # crash-once/count: sentinel/tally file path
-    "sleep_s": 0.0,     # sleep/count: host seconds to stall (timeout testing)
+    "mode": "ok",       # ok | fail-seeds | crash-once | count
+    "marker": "",       # crash-once: sentinel; count: optional tally file
+    "sleep_s": 0.0,     # count: host seconds to stall (timeout testing)
     "fail_seeds": (),   # fail-seeds: seeds that raise (failed-job testing)
     "value": 0,
 }
@@ -184,13 +183,9 @@ _SELFTEST_DEFAULTS = {
 
 def _selftest(config: dict[str, Any], seed: int) -> dict[str, Any]:
     mode = config["mode"]
-    if mode == "ok":
-        return {"seed": seed, "value": config["value"]}
-    if mode == "fail":
+    if mode == "fail-seeds" and seed in tuple(config["fail_seeds"]):
         raise ValueError(f"selftest job failed deliberately (seed {seed})")
-    if mode == "fail-seeds":
-        if seed in tuple(config["fail_seeds"]):
-            raise ValueError(f"selftest job failed deliberately (seed {seed})")
+    if mode in ("ok", "fail-seeds"):
         return {"seed": seed, "value": config["value"]}
     if mode == "crash-once":
         import os
@@ -201,25 +196,21 @@ def _selftest(config: dict[str, Any], seed: int) -> dict[str, Any]:
             marker.write_text(str(seed))
             os._exit(3)  # hard worker death, not an exception
         return {"seed": seed, "recovered": True}
-    if mode == "sleep":
-        import time
-
-        time.sleep(config["sleep_s"])
-        return {"seed": seed, "slept_s": config["sleep_s"]}
     if mode == "count":
-        # Append one line per execution to the tally file (O_APPEND is
-        # atomic for small writes), then optionally stall — proves how
-        # many times a job actually ran, e.g. that a sibling's timeout
-        # didn't discard this job's in-flight work.
+        # Append one line per execution to the tally file, if one is
+        # named (O_APPEND is atomic for small writes), then optionally
+        # stall — proves how many times a job actually ran, e.g. that a
+        # sibling's timeout didn't discard this job's in-flight work.
         import os
         import time
 
-        fd = os.open(config["marker"],
-                     os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, f"{seed}\n".encode())
-        finally:
-            os.close(fd)
+        if config["marker"]:
+            fd = os.open(config["marker"],
+                         os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+            try:
+                os.write(fd, f"{seed}\n".encode())
+            finally:
+                os.close(fd)
         if config["sleep_s"]:
             time.sleep(config["sleep_s"])
         return {"seed": seed, "counted": True}
@@ -244,15 +235,16 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         Scenario(
             "_selftest", _selftest, _SELFTEST_DEFAULTS,
-            "worker-pool harness tenant (no simulation)", public=False,
+            "worker-pool harness tenant (no simulation)",
         ),
     )
 }
 
 
 def public_scenarios() -> list[Scenario]:
-    """The CLI-visible tenants, name-sorted."""
-    return [SCENARIOS[n] for n in sorted(SCENARIOS) if SCENARIOS[n].public]
+    """The CLI-visible tenants, name-sorted: every name without a
+    leading underscore (harness tenants stay hidden)."""
+    return [SCENARIOS[n] for n in sorted(SCENARIOS) if not n.startswith("_")]
 
 
 def job_config(

@@ -17,14 +17,13 @@ Pass ``journal=<path>`` (requires a store) and every job-state
 transition is appended to a :class:`~repro.campaign.journal.Journal`
 write-ahead log as it happens.  If the campaign process dies,
 :meth:`CampaignService.resume` rebuilds the service from the journal
-header, restores every already-decided job (artifacts come back from
-the store by recorded hash — **done jobs are never recomputed**),
-re-queues jobs that were in flight, and finishes the campaign; the
-resulting report is byte-identical to the report an uninterrupted run
-would have produced.  Store hit/miss counters are primed from the
-journal so even ``store_stats`` matches, and re-queued in-flight jobs
-bypass the cache probe (their artifact may have landed before the
-crash; serving it would misreport them as cache hits).
+header and runs the campaign again from the journal's per-job states:
+decided jobs are restored (artifacts come back from the store by
+recorded hash — **done jobs are never recomputed**), jobs that were in
+flight re-run, and the rest run as in a fresh campaign.  The resulting
+report is byte-identical to the report an uninterrupted run would have
+produced, ``store_stats`` included: the report counts its cache hits
+and misses from its own outcomes.
 
 Disk-full on a store or journal write is absorbed (counted, never
 fatal): the report is built in memory and the journal simply
@@ -37,8 +36,8 @@ Every state change emits a :class:`ProgressEvent` (``queued`` /
 ``failed``) carrying the job's digest, scenario, and seed, plus a
 snapshot of the service's own obs counters (``campaign.*`` — queued,
 cached_hit, executed, failed, crash_attempts, timeouts, restored,
-resumed, journal/store write errors, and folded ``campaign.chaos.*``
-fault-ledger totals) via
+restore_misses, resumed, journal/store write errors, and folded
+``campaign.chaos.*`` fault-ledger totals) via
 :func:`repro.obs.export.counter_snapshot`, so a consumer can render a
 live gauge without holding any other state.  The final counter totals
 are on :attr:`CampaignReport.counters`.
@@ -53,18 +52,18 @@ from repro.campaign import chaos
 from repro.campaign.jobs import (
     DONE,
     FAILED,
-    RUNNING,
+    PENDING,
+    JobOutcome,
     JobSpec,
     content_digest,
     default_code_version,
 )
-from repro.campaign.journal import Journal, read_journal
+from repro.campaign.journal import JobState, Journal, read_journal
 from repro.campaign.scenarios import job_config
 from repro.campaign.store import ArtifactStore
 from repro.campaign.workers import check_pool_args, run_specs
 
-__all__ = ["ProgressEvent", "JobOutcome", "CampaignReport",
-           "CampaignService", "grid"]
+__all__ = ["ProgressEvent", "CampaignReport", "CampaignService", "grid"]
 
 
 @dataclass(frozen=True)
@@ -91,32 +90,6 @@ class ProgressEvent:
             "seed": self.seed,
             "detail": dict(self.detail),
             "counters": dict(self.counters),
-        }
-
-
-@dataclass
-class JobOutcome:
-    """Final state of one submitted job."""
-
-    spec: JobSpec
-    digest: str
-    state: str                  # done | failed
-    cached: bool = False
-    attempts: int = 0           # executor attempts (0 for a cache hit)
-    error: str | None = None
-    artifact: dict | None = None
-    artifact_sha256: str | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "spec": self.spec.to_dict(),
-            "digest": self.digest,
-            "state": self.state,
-            "cached": self.cached,
-            "attempts": self.attempts,
-            "error": self.error,
-            "artifact_sha256": self.artifact_sha256,
-            "artifact": self.artifact,
         }
 
 
@@ -190,7 +163,7 @@ class CampaignService:
         :func:`repro.campaign.workers.run_specs`.  Checked here, so a
         bad value fails before any job runs or any cache is read:
         ``workers >= 1``, ``max_retries >= 0``, and ``timeout`` (host
-        seconds) positive and only with ``workers >= 2``.
+        seconds) positive.  ``workers=1`` is a pool of one.
     """
 
     def __init__(
@@ -237,7 +210,7 @@ class CampaignService:
                 options={"workers": self.workers, "timeout": self.timeout,
                          "max_retries": self.max_retries},
             )
-        return self._run(specs, progress, journal=jr)
+        return self._run(specs, [JobState()] * len(specs), progress, jr)
 
     @classmethod
     def resume(
@@ -248,11 +221,9 @@ class CampaignService:
         """Finish a journaled campaign after a crash.
 
         Rebuilds the service from the journal header (same store, same
-        pool knobs), restores every job whose terminal record landed
-        (artifacts come back from the store — never recomputed),
-        re-queues in-flight jobs with their recorded attempt number,
-        reopens the journal at the end of its trusted prefix, and runs
-        the remainder.  The returned report is byte-identical to an
+        pool knobs), reopens the journal at the end of its trusted
+        prefix, and runs the campaign from each job's journaled state
+        (see :meth:`_run`).  The returned report is byte-identical to an
         uninterrupted run's.
         """
         from repro.obs.recorder import ObsRecorder
@@ -267,79 +238,38 @@ class CampaignService:
             timeout=opts.get("timeout"),
             max_retries=int(opts.get("max_retries", 1)),
         )
-        store = service.store
         rec = ObsRecorder()
         rec.count("campaign.resumed")
-
-        restored: dict[int, JobOutcome] = {}
-        bypass: set[int] = set()
-        initial: dict[int, int] = {}
-        for i, spec in enumerate(state.specs):
-            js = state.job(i)
-            if js.state == DONE:
-                artifact = store.peek(spec)
-                if artifact is None:
-                    # Terminal record landed but the artifact didn't
-                    # survive (crash beat the cache write, or the file
-                    # was corrupted since): recompute, keeping the
-                    # recorded attempt count.
-                    rec.count("campaign.restore_misses")
-                    bypass.add(i)
-                    initial[i] = max(1, js.attempts)
-                    store.misses += 1
-                    continue
-                rec.count("campaign.restored")
-                if js.cached:
-                    store.hits += 1
-                else:
-                    store.misses += 1
-                restored[i] = JobOutcome(
-                    spec, spec.digest, DONE, cached=js.cached,
-                    attempts=js.attempts, artifact=artifact,
-                    artifact_sha256=js.artifact_sha256,
-                )
-            elif js.state == FAILED:
-                rec.count("campaign.restored")
-                store.misses += 1
-                restored[i] = JobOutcome(
-                    spec, spec.digest, FAILED, attempts=js.attempts,
-                    error=js.error,
-                )
-            elif js.state == RUNNING:
-                # In flight at the crash: re-run with the same attempt
-                # number (the campaign died, not the job).  Bypass the
-                # cache probe — the artifact may have landed before the
-                # crash, and serving it would misreport the job as a
-                # cache hit.
-                bypass.add(i)
-                initial[i] = max(1, js.attempts)
-                store.misses += 1
         jr = Journal.reopen(journal, state)
-        return service._run(
-            state.specs, progress, journal=jr, restored=restored,
-            bypass=bypass, initial_attempts=initial, rec=rec,
-        )
+        prior = [state.job(i) for i in range(len(state.specs))]
+        return service._run(state.specs, prior, progress, jr, rec)
 
     # -- internals -----------------------------------------------------------
 
     def _run(
         self,
         specs: Sequence[JobSpec],
+        prior: Sequence[JobState],
         progress: Callable[[ProgressEvent], None] | None,
-        *,
         journal: Journal | None = None,
-        restored: Mapping[int, JobOutcome] | None = None,
-        bypass: frozenset[int] | set[int] = frozenset(),
-        initial_attempts: Mapping[int, int] | None = None,
         rec=None,
     ) -> CampaignReport:
+        """The one run loop.  ``prior[i]`` is job ``i``'s journaled
+        state, and decides what the run does with it:
+
+        * pending — probe the cache; a miss runs the job;
+        * running (in flight at a crash) — re-run at its recorded
+          attempt, without a probe: its artifact may have landed before
+          the crash, and serving it would misreport a cache hit;
+        * done — restore the artifact from the store; if it is gone or
+          corrupt, re-run at the recorded attempt;
+        * failed — restore the recorded error.
+        """
         from repro.obs.export import counter_snapshot
         from repro.obs.recorder import ObsRecorder
 
         if rec is None:
             rec = ObsRecorder()
-        restored = restored or {}
-        initial_attempts = initial_attempts or {}
 
         def emit(event: str, index: int, spec: JobSpec,
                  detail: Mapping[str, Any] | None = None) -> None:
@@ -351,61 +281,104 @@ class CampaignService:
                     counters=counter_snapshot(rec, prefix="campaign."),
                 ))
 
-        def jwrite(method: str, *args: Any, **kwargs: Any) -> None:
+        def jwrite(method: str, *args: Any) -> None:
             # A journal write failure (injected or real disk-full) is
             # absorbed: the run continues un-journaled for that record,
             # costing at most a recompute on resume.
             if journal is None:
                 return
             try:
-                getattr(journal, method)(*args, **kwargs)
+                getattr(journal, method)(*args)
             except OSError:
                 rec.count("campaign.journal.write_errors")
 
         digests = [spec.digest for spec in specs]
         outcomes: list[JobOutcome | None] = [None] * len(specs)
         to_run: list[int] = []
-        for i, spec in enumerate(specs):
+        attempts: list[int] = []
+        for i, (spec, job) in enumerate(zip(specs, prior)):
             rec.count("campaign.queued")
             emit("queued", i, spec)
-            if i in restored:
-                out = restored[i]
-                outcomes[i] = out
-                emit("restored", i, spec, {
-                    "state": out.state, "cached": out.cached,
-                    "attempts": out.attempts,
-                })
-                continue
-            if i in bypass:
-                to_run.append(i)
-                continue
-            cached = self.store.get(spec) if self.store is not None else None
-            if cached is not None:
+            artifact = None
+            if job.state in (PENDING, DONE) and self.store is not None:
+                artifact = self.store.get(spec)
+            if job.state == PENDING and artifact is not None:
                 rec.count("campaign.cached_hit")
+                sha = content_digest(artifact)
+                outcomes[i] = JobOutcome(spec, digests[i], DONE, cached=True,
+                                         artifact=artifact,
+                                         artifact_sha256=sha)
+                jwrite("record_cached_hit", i, sha)
+                emit("cached-hit", i, spec, {"artifact_sha256": sha})
+                continue
+            if job.state == FAILED or artifact is not None:
+                rec.count("campaign.restored")
                 outcomes[i] = JobOutcome(
-                    spec, digests[i], DONE, cached=True, artifact=cached,
-                    artifact_sha256=content_digest(cached),
+                    spec, digests[i], job.state, cached=job.cached,
+                    attempts=job.attempts, error=job.error,
+                    artifact=artifact, artifact_sha256=job.artifact_sha256,
                 )
-                jwrite("record_cached_hit", i, outcomes[i].artifact_sha256)
-                emit("cached-hit", i, spec,
-                     {"artifact_sha256": outcomes[i].artifact_sha256})
-            else:
-                to_run.append(i)
+                emit("restored", i, spec, {"state": job.state,
+                                           "cached": job.cached,
+                                           "attempts": job.attempts})
+                continue
+            if job.state == DONE:
+                rec.count("campaign.restore_misses")
+            to_run.append(i)
+            attempts.append(max(1, job.attempts))
 
-        if to_run:
-            self._run_pool(specs, to_run, outcomes, digests, rec,
-                           emit, jwrite, initial_attempts)
+        def on_result(k: int, out: JobOutcome) -> None:
+            # Fires at resolution time (completion order): persist the
+            # artifact and journal the terminal state as soon as they
+            # exist — a crash after this point never recomputes the job.
+            index = to_run[k]
+            if out.state == FAILED:
+                jwrite("record_failed", index, out.attempts, out.error)
+                return
+            if self.store is not None:
+                try:
+                    self.store.put(out.spec, out.artifact)
+                except OSError:
+                    rec.count("campaign.store.put_errors")
+            jwrite("record_finished", index, out.attempts,
+                   out.artifact_sha256)
 
-        final = [o for o in outcomes if o is not None]
+        def relay(event: str, k: int, spec: JobSpec, detail: dict) -> None:
+            # Counters move with the event, so the snapshot a consumer
+            # sees on a "finished" line already includes that finish.
+            index = to_run[k]
+            if event == "started":
+                jwrite("record_started", index, detail["attempt"])
+                if detail["attempt"] > 1:
+                    rec.count("campaign.crash_attempts")
+            elif event == "finished":
+                rec.count("campaign.executed")
+            elif event == "failed":
+                rec.count("campaign.failed")
+                if detail.get("timeout"):
+                    rec.count("campaign.timeouts")
+            emit(event, index, spec, detail)
+
+        ran = run_specs([specs[i] for i in to_run], workers=self.workers,
+                        timeout=self.timeout, max_retries=self.max_retries,
+                        progress=relay, on_result=on_result,
+                        initial_attempts=attempts)
+        for index, out in zip(to_run, ran):
+            outcomes[index] = out
+
+        hits = sum(1 for o in outcomes if o.cached)
         report = CampaignReport(
-            outcomes=final,
+            outcomes=outcomes,
             submitted=len(specs),
-            cached_hits=sum(1 for o in final if o.cached),
+            cached_hits=hits,
             executed=sum(
-                1 for o in final if o.state == DONE and not o.cached
+                1 for o in outcomes if o.state == DONE and not o.cached
             ),
-            failed=sum(1 for o in final if o.state == FAILED),
-            store_stats=self.store.stats() if self.store is not None else None,
+            failed=sum(1 for o in outcomes if o.state == FAILED),
+            store_stats=None if self.store is None else {
+                "hits": hits, "misses": len(specs) - hits,
+                **self.store.stats(),
+            },
         )
         jwrite("record_end", {
             "submitted": report.submitted,
@@ -421,60 +394,3 @@ class CampaignService:
                 rec.count(name, float(total))
         report.counters = counter_snapshot(rec, prefix="campaign.")
         return report
-
-    def _run_pool(self, specs, to_run, outcomes, digests, rec,
-                  emit, jwrite, initial_attempts) -> None:
-        """Fan the cache misses over the worker pool, wiring in
-        completion-time persistence and the journal."""
-        def on_result(pool_index: int, result) -> None:
-            # Fires at resolution time (completion order): persist the
-            # artifact and journal the terminal state as soon as they
-            # exist — a crash after this point never recomputes the job.
-            index = to_run[pool_index]
-            spec = result.spec
-            if result.state == DONE:
-                sha = content_digest(result.artifact)
-                if self.store is not None:
-                    try:
-                        self.store.put(spec, result.artifact)
-                    except OSError:
-                        rec.count("campaign.store.put_errors")
-                outcomes[index] = JobOutcome(
-                    spec, digests[index], DONE, attempts=result.attempts,
-                    artifact=result.artifact, artifact_sha256=sha,
-                )
-                jwrite("record_finished", index, result.attempts, sha)
-            else:
-                outcomes[index] = JobOutcome(
-                    spec, digests[index], FAILED, attempts=result.attempts,
-                    error=result.error,
-                )
-                if result.detail.get("timeout"):
-                    rec.count("campaign.timeouts")
-                jwrite("record_failed", index, result.attempts,
-                       result.error)
-
-        def relay(event: str, pool_index: int, spec: JobSpec,
-                  detail: dict) -> None:
-            # Counters move with the event, so the snapshot a consumer
-            # sees on a "finished" line already includes that finish.
-            index = to_run[pool_index]
-            if event == "started":
-                jwrite("record_started", index, detail.get("attempt", 1))
-                if detail.get("attempt", 1) > 1:
-                    rec.count("campaign.crash_attempts")
-            elif event == "finished":
-                rec.count("campaign.executed")
-            elif event == "failed":
-                rec.count("campaign.failed")
-            emit(event, index, spec, detail)
-
-        run_specs(
-            [specs[i] for i in to_run],
-            workers=self.workers, timeout=self.timeout,
-            max_retries=self.max_retries, progress=relay,
-            on_result=on_result,
-            initial_attempts=[
-                initial_attempts.get(i, 1) for i in to_run
-            ],
-        )

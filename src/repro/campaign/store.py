@@ -21,7 +21,8 @@ longer hashes to its recorded ``spec_digest``, or whose payload no
 longer matches its recorded ``artifact_sha256`` is treated as a cache
 **miss** (and counted in :attr:`ArtifactStore.corrupt` when it existed
 but failed verification) — the service then recomputes and atomically
-rewrites it, which counts as a **heal**.  Writes go through a
+rewrites it, which counts as a **heal**.  Hits and misses are counted
+by the campaign report, from its own outcomes.  Writes go through a
 same-directory temp file that is ``fsync``\\ ed (and the directory
 after the rename) before the write is considered durable, so a crashed
 or power-cut writer can lose the entry at worst, never tear a verified
@@ -60,16 +61,14 @@ class ArtifactStore:
 
     The store never judges freshness — the content address already
     encodes scenario, config, seed, and code version, so an entry is
-    valid for as long as its bytes verify.  Hit/miss/corrupt/healed
-    counters accumulate over the store's lifetime (the service
-    snapshots them into progress events and obs counters).
+    valid for as long as its bytes verify.  The corrupt and healed
+    counters accumulate over the store's lifetime and reach the
+    campaign report through :meth:`stats`.
     """
 
     def __init__(self, root: str | os.PathLike):
         self.root = pathlib.Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
         self.corrupt = 0
         self.healed = 0
         #: digests whose last read failed verification; a subsequent
@@ -111,21 +110,10 @@ class ArtifactStore:
     def get(self, spec: JobSpec) -> dict[str, Any] | None:
         """The verified cached artifact for ``spec``, or ``None``."""
         artifact, was_corrupt = self._read(spec)
-        if artifact is not None:
-            self.hits += 1
-            return artifact
-        self.misses += 1
         if was_corrupt:
             # Existed but failed verification: corrupt/truncated/foreign.
             self.corrupt += 1
             self._corrupt_digests.add(spec.digest)
-        return None
-
-    def peek(self, spec: JobSpec) -> dict[str, Any] | None:
-        """Like :meth:`get` but with **no counter side effects** — the
-        resume path uses it to restore journaled artifacts without
-        perturbing the hit/miss accounting it is reconstructing."""
-        artifact, _ = self._read(spec)
         return artifact
 
     def put(self, spec: JobSpec, artifact: dict[str, Any]) -> pathlib.Path:
@@ -173,10 +161,9 @@ class ArtifactStore:
         return sum(1 for _ in self.root.glob("??/*.json"))
 
     def stats(self) -> dict[str, int]:
-        """Lifetime hit/miss/corruption/heal counters (JSON-able)."""
+        """Lifetime corruption/heal counters and the entry count
+        (JSON-able)."""
         return {
-            "hits": self.hits,
-            "misses": self.misses,
             "corrupt": self.corrupt,
             "healed": self.healed,
             "entries": len(self),

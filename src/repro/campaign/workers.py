@@ -1,12 +1,12 @@
 """The campaign worker pool: long-lived worker processes, one pipe each.
 
 Every DES run is single-threaded and a pure function of its spec, so
-the pool is the whole parallelization story.  ``workers=1`` runs inline
-in the calling process.  ``workers=N`` starts up to ``N`` workers, each
-with its own pipe and at most one job, so the supervisor always knows
-which job each worker holds.  It waits on every pipe and process
-sentinel (:func:`multiprocessing.connection.wait`), with the nearest
-job deadline or retry backoff as its timeout.
+the pool is the whole parallelization story.  ``workers=N`` starts up
+to ``N`` workers (``workers=1`` is a pool of one), each with its own
+pipe and at most one job, so the supervisor always knows which job
+each worker holds.  It waits on every pipe and process sentinel
+(:func:`multiprocessing.connection.wait`), with the nearest job
+deadline or retry backoff as its timeout.
 
 * A worker that dies (SIGKILL, ``os._exit``, OOM) is blamed for
   exactly the job it held and replaced.  The job retries after a
@@ -20,7 +20,8 @@ job deadline or retry backoff as its timeout.
   closes the supervisor-side pipe ends it inherited: its own and its
   elder siblings'.
 
-Results and outcome events (``finished`` / ``failed``) come in
+Each job settles into a :class:`~repro.campaign.jobs.JobOutcome`.
+Outcomes and outcome events (``finished`` / ``failed``) come in
 submission order at any worker count.  ``on_result`` fires at
 resolution, in completion order: the service's hook for caching
 artifacts and journaling terminal states as soon as they exist.
@@ -33,37 +34,26 @@ import heapq
 import math
 import multiprocessing
 import time
-from dataclasses import dataclass, field
 from multiprocessing.connection import wait
 from typing import Any, Callable, Sequence
 
 from repro.campaign import chaos
-from repro.campaign.jobs import DONE, FAILED, JobSpec
+from repro.campaign.jobs import (
+    DONE, FAILED, JobOutcome, JobSpec, content_digest,
+)
 from repro.campaign.scenarios import run_job
 from repro.resilience.policy import RetryPolicy
 
-__all__ = ["JobResult", "RETRY_BACKOFF", "check_pool_args", "run_specs"]
+__all__ = ["RETRY_BACKOFF", "check_pool_args", "run_specs"]
 
 #: progress callback signature: (event, index, spec, detail)
 ProgressFn = Callable[[str, int, JobSpec, dict], None]
-#: completion-order result hook: (index, result) at resolution time
-ResultFn = Callable[[int, "JobResult"], None]
+#: completion-order result hook: (index, outcome) at resolution time
+ResultFn = Callable[[int, JobOutcome], None]
 
 #: crash-retry backoff: short, capped, jittered, seeded
 RETRY_BACKOFF = RetryPolicy(base_delay=0.05, backoff=2.0, max_delay=2.0,
                             jitter=0.25, seed=0)
-
-
-@dataclass
-class JobResult:
-    """Outcome of one executed spec (cache hits never reach the pool)."""
-
-    spec: JobSpec
-    state: str                      # DONE or FAILED
-    artifact: dict | None = None
-    error: str | None = None
-    attempts: int = 1
-    detail: dict = field(default_factory=dict)
 
 
 def check_pool_args(workers: int, timeout: float | None,
@@ -76,23 +66,17 @@ def check_pool_args(workers: int, timeout: float | None,
     if timeout is not None and not (timeout > 0 and math.isfinite(timeout)):
         raise ValueError(
             f"timeout must be a positive number of seconds, got {timeout}")
-    if timeout is not None and workers == 1:
-        raise ValueError("timeout needs workers >= 2: the inline path "
-                         "(workers=1) has no supervisor to enforce it")
 
 
-def _attempt(spec: JobSpec, attempt: int, inject: bool) -> tuple[bool, Any]:
-    """Run one attempt: ``(True, artifact)`` or ``(False, error)``.
-    ``inject`` (pool workers only) arms the chaos worker-kill hooks;
-    inline they would kill the campaign itself."""
+def _attempt(spec: JobSpec, attempt: int) -> tuple[bool, Any]:
+    """Run one attempt in a worker, between the chaos worker-kill
+    hooks: ``(True, artifact)`` or ``(False, error)``."""
     try:
-        if inject:
-            chaos.maybe_kill_worker(spec.digest, attempt, "before")
+        chaos.maybe_kill_worker(spec.digest, attempt, "before")
         artifact = run_job(spec)
-        if inject:
-            chaos.maybe_kill_worker(spec.digest, attempt, "after")
+        chaos.maybe_kill_worker(spec.digest, attempt, "after")
         return True, artifact
-    except Exception as exc:  # noqa: BLE001 — job errors become results
+    except Exception as exc:  # noqa: BLE001 — job errors become outcomes
         return False, f"{type(exc).__name__}: {exc}"
 
 
@@ -104,7 +88,7 @@ def _serve(conn, inherited) -> None:
     while True:
         try:
             spec, attempt = conn.recv()
-            conn.send(_attempt(spec, attempt, inject=True))
+            conn.send(_attempt(spec, attempt))
         except (EOFError, OSError):
             return
 
@@ -140,8 +124,8 @@ def run_specs(specs: Sequence[JobSpec], *, workers: int = 1,
               progress: ProgressFn | None = None,
               on_result: ResultFn | None = None,
               initial_attempts: Sequence[int] | None = None,
-              ) -> list[JobResult]:
-    """Execute every spec; one :class:`JobResult` per spec, in
+              ) -> list[JobOutcome]:
+    """Execute every spec; one :class:`JobOutcome` per spec, in
     submission order.  ``max_retries`` bounds *extra* attempts after a
     worker crash.  ``initial_attempts`` seeds per-job attempt numbers:
     resume passes those recovered from the journal, so a resumed job
@@ -149,9 +133,8 @@ def run_specs(specs: Sequence[JobSpec], *, workers: int = 1,
     check_pool_args(workers, timeout, max_retries)
     if initial_attempts is not None and len(initial_attempts) != len(specs):
         raise ValueError("initial_attempts must match specs length")
-    run = _Run(specs, workers, timeout, max_retries, progress, on_result,
-               initial_attempts)
-    return run.pooled() if workers > 1 and specs else run.inline()
+    return _Run(specs, workers, timeout, max_retries, progress, on_result,
+                initial_attempts).pooled()
 
 
 class _Run:
@@ -166,7 +149,9 @@ class _Run:
         #: crash strikes per job (attempt number = crashes + 1)
         self.crashes = [max(0, int(a) - 1) for a in
                         (initial_attempts or [1] * len(specs))]
-        self.results: list[JobResult | None] = [None] * len(specs)
+        self.outcomes: list[JobOutcome | None] = [None] * len(specs)
+        #: per-job outcome-event flags (``timeout`` / ``crash``)
+        self.details: list[dict] = [{}] * len(specs)
         self._emitted = 0     # outcome events emitted, in submission order
 
     def _settle(self, index: int, attempts: int, ok: bool, value: Any,
@@ -175,32 +160,25 @@ class _Run:
         fires now; the outcome event waits for every earlier job."""
         spec = self.specs[index]
         if ok:
-            result = JobResult(spec, DONE, artifact=value, attempts=attempts)
+            out = JobOutcome(spec, spec.digest, DONE, attempts=attempts,
+                             artifact=value,
+                             artifact_sha256=content_digest(value))
         else:
-            result = JobResult(spec, FAILED, error=value, attempts=attempts,
-                               detail=detail)
-        self.results[index] = result
-        self.on_result(index, result)
-        while (self._emitted < len(self.results)
-               and self.results[self._emitted] is not None):
-            r = self.results[self._emitted]
-            info = {"attempts": r.attempts, **r.detail}
-            if r.state == FAILED:
-                info["error"] = r.error
-            self.progress("finished" if r.state == DONE else "failed",
-                          self._emitted, r.spec, info)
+            out = JobOutcome(spec, spec.digest, FAILED, attempts=attempts,
+                             error=value)
+        self.outcomes[index], self.details[index] = out, detail
+        self.on_result(index, out)
+        while (self._emitted < len(self.outcomes)
+               and self.outcomes[self._emitted] is not None):
+            o = self.outcomes[self._emitted]
+            info = {"attempts": o.attempts, **self.details[self._emitted]}
+            if o.state == FAILED:
+                info["error"] = o.error
+            self.progress("finished" if o.state == DONE else "failed",
+                          self._emitted, o.spec, info)
             self._emitted += 1
 
-    def inline(self) -> list[JobResult]:
-        """Serial in-process execution; a crash here is a campaign
-        crash, which the journal survives."""
-        for i, spec in enumerate(self.specs):
-            attempt = self.crashes[i] + 1
-            self.progress("started", i, spec, {"attempt": attempt})
-            self._settle(i, attempt, *_attempt(spec, attempt, inject=False))
-        return self.results
-
-    def pooled(self) -> list[JobResult]:
+    def pooled(self) -> list[JobOutcome]:
         self.ready = collections.deque(range(len(self.specs)))
         self.delayed: list[tuple[float, int]] = []   # (not_before, index)
         self.pool: list[_Worker] = []
@@ -220,7 +198,7 @@ class _Run:
         finally:
             for w in self.pool:
                 w.stop()
-        return self.results
+        return self.outcomes
 
     def _hand(self, w: _Worker, index: int, now: float) -> None:
         """Give job ``index`` to idle worker ``w``."""

@@ -9,18 +9,22 @@ The load-bearing contracts, in test order:
   a ``code_version`` change misses; corrupt/truncated/tampered entries
   are detected, reported as misses, and healed by recomputation.
 * **The service** — a warm-cache rerun of an identical campaign
-  performs *zero* simulations (every job streams ``cached-hit``).
+  performs *zero* simulations (every job streams ``cached-hit``), and
+  each report counts its own cache hits and misses.
 * **The pool** — crashes retry (bounded), deterministic job
-  exceptions fail fast, timeouts don't wedge the campaign, and
-  arguments the pool cannot honour are rejected before anything runs.
+  exceptions fail fast, timeouts don't wedge the campaign, a pool of
+  one honours timeouts and retries like any other, and arguments the
+  pool cannot honour are rejected before anything runs.
 * **The journal** — resume cuts a torn tail, restores cache hits as
-  cache hits, and reproduces the uninterrupted report.
+  cache hits, heals a corrupt done artifact, and reproduces the
+  uninterrupted report.
 * **The CLI** — ``python -m repro --help`` lists the subcommand table;
   the ``campaign`` subcommand runs end to end, streams JSON-lines,
   exits 2 on bad pool flags, and ``--resume`` reproduces the report.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -83,6 +87,20 @@ def test_digest_sensitive_to_every_field():
     assert other.digest != base.digest
 
 
+def test_digest_is_computed_once_per_spec(monkeypatch):
+    from repro.campaign import jobs
+
+    calls = []
+    real = jobs.content_digest
+    monkeypatch.setattr(jobs, "content_digest",
+                        lambda obj: calls.append(obj) or real(obj))
+    spec = _spec()
+    digest = spec.digest
+    assert [spec.digest, spec.short, spec.digest] == [
+        digest, digest[:12], digest]
+    assert len(calls) == 1
+
+
 def test_spec_roundtrips_through_wire_format():
     spec = _spec(seed=9)
     again = JobSpec.from_dict(json.loads(canonical_json(spec.to_dict())))
@@ -115,7 +133,7 @@ def test_store_hit_is_bitwise_identical(tmp_path):
     cached = store.get(spec)
     assert cached == artifact
     assert canonical_json(cached) == canonical_json(artifact)
-    assert store.hits == 1 and store.corrupt == 0
+    assert store.corrupt == 0
     assert len(store) == 1
 
 
@@ -124,7 +142,7 @@ def test_store_misses_on_code_version_change(tmp_path):
     spec = _spec()
     store.put(spec, run_job(spec))
     assert store.get(_spec(code_version="test-v2")) is None
-    assert store.misses == 1
+    assert store.corrupt == 0
 
 
 @pytest.mark.parametrize("damage", ["truncate", "garbage", "tamper"])
@@ -190,6 +208,16 @@ def test_progress_stream_order_and_counters(tmp_path):
         assert json.loads(line)["job"] == e.digest[:12]
 
 
+def test_shared_store_reports_each_runs_own_hits_and_misses(tmp_path):
+    specs = [_selftest_spec(s, mode="ok", value=s) for s in range(3)]
+    service = CampaignService(tmp_path / "cache")
+    first = service.run(specs[:2])
+    second = service.run(specs)
+    assert (first.store_stats["hits"], first.store_stats["misses"]) == (0, 2)
+    assert (second.store_stats["hits"], second.store_stats["misses"]) == (2, 1)
+    assert second.store_stats["entries"] == 3
+
+
 def test_service_without_store_executes_everything():
     specs = grid("sweep", 2, TINY, code_version="test-v1")
     report = CampaignService(store=None).run(specs)
@@ -230,7 +258,7 @@ def test_pool_crash_retries_are_bounded(tmp_path):
 
 
 def test_pool_fails_fast_on_job_exception():
-    bad = _selftest_spec(0, mode="fail")
+    bad = _selftest_spec(0, mode="fail-seeds", fail_seeds=[0])
     ok = _selftest_spec(1, mode="ok", value=1)
     results = run_specs([bad, ok], workers=2)
     assert results[0].state == FAILED
@@ -240,7 +268,7 @@ def test_pool_fails_fast_on_job_exception():
 
 
 def test_pool_timeout_does_not_wedge_the_campaign():
-    sleepy = _selftest_spec(0, mode="sleep", sleep_s=1.5)
+    sleepy = _selftest_spec(0, mode="count", sleep_s=1.5)
     ok = [_selftest_spec(s, mode="ok", value=s) for s in (1, 2)]
     results = run_specs([sleepy, *ok], workers=2, timeout=0.4)
     assert results[0].state == FAILED
@@ -252,27 +280,64 @@ def test_pool_timeout_abandons_only_the_offender(tmp_path):
     """Regression: one job's lease expiry must not discard or re-run
     its siblings' work.  The tally files prove every sibling executed
     exactly once while the wedged worker sat abandoned."""
-    sleepy = _selftest_spec(0, mode="sleep", sleep_s=3.0)
+    sleepy = _selftest_spec(0, mode="count", sleep_s=3.0)
     siblings = [
         _selftest_spec(s, mode="count", sleep_s=0.3,
                        marker=str(tmp_path / f"tally-{s}"))
         for s in (1, 2, 3)
     ]
-    results = run_specs([sleepy, *siblings], workers=2, timeout=0.8)
+    events = []
+    results = run_specs([sleepy, *siblings], workers=2, timeout=0.8,
+                        progress=lambda *event: events.append(event))
+    failed = {i: detail for kind, i, _, detail in events if kind == "failed"}
     assert results[0].state == FAILED
-    assert results[0].detail.get("timeout") is True
+    assert failed[0].get("timeout") is True
     assert [r.state for r in results[1:]] == [DONE] * 3
     for s in (1, 2, 3):
         tally = (tmp_path / f"tally-{s}").read_text().splitlines()
         assert tally == [str(s)], f"sibling {s} ran {len(tally)} times"
 
 
-def test_inline_and_pool_agree_on_results():
+def test_pool_of_one_and_two_agree_on_results():
     specs = [_selftest_spec(s, mode="ok", value=s * s) for s in range(4)]
-    inline = run_specs(specs, workers=1)
+    one = run_specs(specs, workers=1)
     pooled = run_specs(specs, workers=2)
-    assert [r.artifact for r in inline] == [r.artifact for r in pooled]
-    assert [r.state for r in inline] == [r.state for r in pooled]
+    assert [r.artifact for r in one] == [r.artifact for r in pooled]
+    assert [r.state for r in one] == [r.state for r in pooled]
+
+
+def test_pool_of_one_honours_timeout():
+    sleepy = _selftest_spec(0, mode="count", sleep_s=1.5)
+    ok = [_selftest_spec(s, mode="ok", value=s) for s in (1, 2)]
+    results = run_specs([sleepy, *ok], workers=1, timeout=0.4)
+    assert results[0].state == FAILED
+    assert "timeout" in results[0].error
+    assert [r.state for r in results[1:]] == [DONE, DONE]
+    assert [r.artifact["value"] for r in results[1:]] == [1, 2]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_pool_of_one_retries_a_killed_worker(tmp_path):
+    """A crash-once job dies in its worker and finishes at attempt 2,
+    with one worker too.  Run in a forked child: were the job to run in
+    the campaign process itself, its death would end only the child."""
+    crash = _selftest_spec(0, mode="crash-once",
+                           marker=str(tmp_path / "marker"))
+    out = tmp_path / "outcome.json"
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            [result] = run_specs([crash], workers=1, max_retries=1)
+            out.write_text(json.dumps(result.to_dict()))
+            code = 0
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, status
+    result = json.loads(out.read_text())
+    assert result["state"] == DONE and result["attempts"] == 2
+    assert result["artifact"] == {"seed": 0, "recovered": True}
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -280,9 +345,7 @@ def test_inline_and_pool_agree_on_results():
     ({"workers": 2, "max_retries": -1}, "max_retries must be >= 0"),
     ({"workers": 2, "timeout": -1.0}, "timeout must be a positive"),
     ({"workers": 2, "timeout": 0.0}, "timeout must be a positive"),
-    ({"workers": 1, "timeout": 5.0}, "timeout needs workers >= 2"),
-], ids=["no-workers", "negative-retries", "negative-timeout", "zero-timeout",
-        "inline-timeout"])
+], ids=["no-workers", "negative-retries", "negative-timeout", "zero-timeout"])
 def test_pool_arguments_are_checked_up_front(tmp_path, kwargs, match):
     with pytest.raises(ValueError, match=match):
         CampaignService(tmp_path / "cache", **kwargs)
@@ -377,6 +440,30 @@ def test_resume_restores_cache_hits_from_the_journal(tmp_path):
     assert resumed.store_stats == ref.store_stats
     assert resumed.counters["campaign.restored"] == 2
     assert read_journal(journal).complete
+
+
+def test_resume_counts_and_heals_a_corrupt_done_artifact(tmp_path):
+    """A done job whose artifact was corrupted before the resume is
+    counted corrupt, re-run at its recorded attempt, and healed."""
+    specs = [_selftest_spec(s, mode="ok", value=s) for s in range(3)]
+    journal = tmp_path / "journal"
+    service = CampaignService(tmp_path / "cache")
+    ref = service.run(specs, journal=str(journal))
+    # the crash: every job done, the end record not yet written
+    lines = journal.read_text().splitlines(keepends=True)
+    journal.write_text("".join(lines[:-1]))
+    path = service.store.path_for(specs[1])
+    clean = path.read_bytes()
+    path.write_text("not json at all {{{")
+
+    resumed = CampaignService.resume(str(journal))
+    assert canonical_json(resumed.to_dict()["jobs"]) == canonical_json(
+        ref.to_dict()["jobs"])
+    assert resumed.store_stats == {**ref.store_stats,
+                                   "corrupt": 1, "healed": 1}
+    assert resumed.counters["campaign.restored"] == 2
+    assert resumed.counters["campaign.restore_misses"] == 1
+    assert path.read_bytes() == clean
 
 
 def test_journal_rejects_missing_or_alien_header(tmp_path):
@@ -474,9 +561,7 @@ def test_campaign_cli_rejects_unknown_scenario_and_keys(tmp_path):
     (("--workers", "0"), "workers must be >= 1"),
     (("--workers", "2", "--max-retries", "-1"), "max_retries must be >= 0"),
     (("--workers", "2", "--timeout", "-1"), "timeout must be a positive"),
-    (("--timeout", "5"), "timeout needs workers >= 2"),
-], ids=["no-workers", "negative-retries", "negative-timeout",
-        "inline-timeout"])
+], ids=["no-workers", "negative-retries", "negative-timeout"])
 def test_campaign_cli_rejects_bad_worker_flags(tmp_path, flags, match):
     # a warm cache must not hide the error either
     cache = str(tmp_path / "cache")

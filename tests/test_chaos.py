@@ -289,7 +289,7 @@ def test_cache_corruption_detected_and_healed(tmp_path):
     stats = service.store.stats()
     assert stats["corrupt"] == len(damaged)
     assert stats["healed"] == len(damaged)
-    assert stats["hits"] == len(specs) - len(damaged)
+    assert rerun.store_stats["hits"] == len(specs) - len(damaged)
     # the store is fully repaired: bytes match the clean run again
     assert _cache_bytes(cache) == clean
     assert chaos.ledger_counts(tmp_path / "ledger") == {
