@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import emit
-from repro.comm.cml import INTRANODE_CELL_PATH
+from repro.comm.cml import INTRANODE_CELL_PATH, CellMessagePath
 from repro.core.report import format_table
 from repro.sweep3d.cellport import grind_time
 from repro.hardware.cell import POWERXCELL_8I
@@ -19,7 +19,7 @@ from repro.sweep3d.decomposition import Decomposition2D
 from repro.sweep3d.input import SweepInput
 from repro.sweep3d.parallel import ParallelSweep
 from repro.sweep3d.perfmodel import SweepMachineParams, WavefrontModel
-from repro.sweep3d.placement import cell_fabric, spe_locations
+from repro.sweep3d.placement import spe_locations
 from repro.sweep3d.quadrature import make_angle_set
 from repro.sweep3d.solver import sweep_all_octants
 
@@ -34,7 +34,7 @@ def _run_des():
         INP,
         decomp,
         grind_time=grind_time(POWERXCELL_8I),
-        fabric=cell_fabric(),
+        fabric=CellMessagePath(),
         locations=spe_locations(decomp),
     )
     return decomp, sweep.run()

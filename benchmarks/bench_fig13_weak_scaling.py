@@ -4,7 +4,7 @@ Cell (measured) vs Cell (best achievable)."""
 import time
 
 from benchmarks.conftest import emit
-from repro.comm.cml import INTERNODE_CELL_PATH, INTRANODE_CELL_PATH
+from repro.comm.cml import INTERNODE_CELL_PATH, INTRANODE_CELL_PATH, CellMessagePath
 from repro.core.artifacts import ARTIFACTS
 from repro.core.report import format_table
 from repro.hardware.cell import POWERXCELL_8I
@@ -13,7 +13,7 @@ from repro.sweep3d.decomposition import Decomposition2D
 from repro.sweep3d.input import SweepInput
 from repro.sweep3d.parallel import ParallelSweep
 from repro.sweep3d.perfmodel import SweepMachineParams, WavefrontModel
-from repro.sweep3d.placement import cell_fabric, spe_locations
+from repro.sweep3d.placement import spe_locations
 
 #: Reduced per-rank probe grid for the multi-node DES cross-check: the
 #: physics fidelity of the full DES is already pinned at 32 ranks by
@@ -72,7 +72,7 @@ def test_fig13_des_crosscheck_at_scale():
             PROBE_INP,
             decomp,
             grind_time=g,
-            fabric=cell_fabric(),
+            fabric=CellMessagePath(),
             locations=spe_locations(decomp),
         ).run()
         wall = time.perf_counter() - t0

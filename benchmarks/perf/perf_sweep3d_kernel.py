@@ -34,6 +34,7 @@ from benchmarks.framework import (
     perftest,
 )
 from benchmarks.framework.pytest_bridge import install_pytest_tests
+from repro.comm.cml import CellMessagePath
 from repro.hardware.cell import POWERXCELL_8I
 from repro.obs import ObsRecorder, span_stream
 from repro.sweep3d.cellport import grind_time
@@ -41,7 +42,7 @@ from repro.sweep3d.decomposition import Decomposition2D
 from repro.sweep3d.input import SweepInput
 from repro.sweep3d.kernel import sweep_octant
 from repro.sweep3d.parallel import ParallelSweep
-from repro.sweep3d.placement import cell_fabric, spe_locations
+from repro.sweep3d.placement import spe_locations
 from repro.sweep3d.quadrature import make_angle_set
 from repro.sweep3d.solver import ALL_REFLECTIVE, solve, sweep_all_octants
 
@@ -160,7 +161,7 @@ def _replay_run(replay: bool, iterations: int = 3):
         SweepInput(it=3, jt=3, kt=8, mk=2, mmi=2),
         Decomposition2D(4, 2),
         grind_time=grind_time(POWERXCELL_8I),
-        fabric=cell_fabric(),
+        fabric=CellMessagePath(),
         locations=spe_locations(Decomposition2D(4, 2)),
         obs=rec,
     )
@@ -235,7 +236,7 @@ def _parallel_replay_run():
         REPLAY_INP,
         REPLAY_DECOMP,
         grind_time=grind_time(POWERXCELL_8I),
-        fabric=cell_fabric(),
+        fabric=CellMessagePath(),
         locations=spe_locations(REPLAY_DECOMP),
     )
     return sweep.run(iterations=8, replay=True)

@@ -36,6 +36,7 @@ from benchmarks.framework import (
     perftest,
 )
 from benchmarks.framework.pytest_bridge import install_pytest_tests
+from repro.comm.cml import CellMessagePath
 from repro.comm.mpi import UniformFabric
 from repro.comm.transport import Transport
 from repro.hardware.cell import POWERXCELL_8I
@@ -44,7 +45,7 @@ from repro.sweep3d import parallel as current_parallel
 from repro.sweep3d.cellport import grind_time
 from repro.sweep3d.decomposition import Decomposition2D
 from repro.sweep3d.input import SweepInput
-from repro.sweep3d.placement import cell_fabric, spe_locations
+from repro.sweep3d.placement import spe_locations
 
 #: one simulated triblade: 8x4 SPE tile, reduced K extent
 INP = SweepInput(it=5, jt=5, kt=40, mk=20, mmi=6)
@@ -72,7 +73,7 @@ def _run(mod, **kwargs):
         INP,
         DECOMP,
         grind_time=grind_time(POWERXCELL_8I),
-        fabric=cell_fabric(),
+        fabric=CellMessagePath(),
         locations=spe_locations(DECOMP),
         **kwargs,
     )
@@ -84,7 +85,7 @@ def _solve(mod):
         SOLVE_INP,
         SOLVE_DECOMP,
         grind_time=grind_time(POWERXCELL_8I),
-        fabric=cell_fabric(),
+        fabric=CellMessagePath(),
         locations=spe_locations(SOLVE_DECOMP),
     )
     return sweep.solve_distributed()

@@ -74,7 +74,7 @@ from repro.sim.engine import Interrupt
 from repro.sweep3d.decomposition import Decomposition2D
 from repro.sweep3d.input import SweepInput
 from repro.sweep3d.parallel import ParallelSweep
-from repro.sweep3d.placement import hop_aware_cell_fabric, spe_locations
+from repro.sweep3d.placement import HopAwareFabric, spe_locations
 from repro.units import US
 
 RANKS = 8
@@ -254,8 +254,8 @@ def derated_sweep_study() -> None:
     locations = spe_locations(CAMPAIGN_DECOMP)
     times = {}
     for label, fabric in (
-        ("healthy", hop_aware_cell_fabric()),
-        ("derated", hop_aware_cell_fabric(degraded_path)),
+        ("healthy", HopAwareFabric()),
+        ("derated", HopAwareFabric(degraded_path)),
     ):
         sweep = ParallelSweep(
             CAMPAIGN_INP, CAMPAIGN_DECOMP, CAMPAIGN_GRIND, fabric,

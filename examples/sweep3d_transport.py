@@ -20,7 +20,7 @@ from repro.sweep3d import (
 )
 from repro.sweep3d.cellport import grind_time
 from repro.hardware.cell import POWERXCELL_8I
-from repro.sweep3d.placement import boundary_classes, cell_fabric, spe_locations
+from repro.sweep3d.placement import boundary_classes, spe_locations
 from repro.sweep3d.quadrature import make_angle_set
 from repro.sweep3d.solver import sweep_all_octants
 from repro.units import to_ms
@@ -45,7 +45,7 @@ def main() -> None:
         sub,
         decomp,
         grind_time=grind_time(POWERXCELL_8I),
-        fabric=cell_fabric(),
+        fabric=CellMessagePath(),
         locations=spe_locations(decomp),
     )
     parallel = sweep.run()

@@ -89,13 +89,14 @@ def default_code_version() -> str:
     return f"repro-{repro.__version__}"
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False)
 class JobSpec:
     """One deterministic simulation request.
 
-    ``config`` is stored as a plain dict (JSON-native values only) and
-    compared by value, so two specs built from differently ordered
-    dicts are equal and share a digest.  Specs are frozen: the digest
+    ``config`` is stored as a plain dict (JSON-native values only).  Two
+    specs are equal exactly when their digests are: differently ordered
+    dicts, or a tuple and the list its wire form carries, are the same
+    spec, while ``1`` and ``1.0`` are not.  Specs are frozen: the digest
     is computed once on first access and describes the spec forever.
     """
 
@@ -112,8 +113,13 @@ class JobSpec:
         # Fail at construction, not at hash time, on non-JSON config.
         canonical_json(dict(self.config))
 
-    # dicts are unhashable, so the generated __hash__ would raise; the
-    # content digest *is* the identity the campaign layer uses.
+    # The content digest *is* the identity the campaign layer uses.
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, JobSpec):
+            return NotImplemented
+        return self.digest == other.digest
+
+    # unhashable, like the dict it carries; key by ``digest`` instead
     __hash__ = None  # type: ignore[assignment]
 
     def to_dict(self) -> dict[str, Any]:

@@ -55,7 +55,6 @@ from repro.campaign.jobs import (
     PENDING,
     JobOutcome,
     JobSpec,
-    content_digest,
     default_code_version,
 )
 from repro.campaign.journal import JobState, Journal, read_journal
@@ -299,12 +298,11 @@ class CampaignService:
         for i, (spec, job) in enumerate(zip(specs, prior)):
             rec.count("campaign.queued")
             emit("queued", i, spec)
-            artifact = None
+            artifact = sha = None
             if job.state in (PENDING, DONE) and self.store is not None:
-                artifact = self.store.get(spec)
+                artifact, sha = self.store.get(spec) or (None, None)
             if job.state == PENDING and artifact is not None:
                 rec.count("campaign.cached_hit")
-                sha = content_digest(artifact)
                 outcomes[i] = JobOutcome(spec, digests[i], DONE, cached=True,
                                          artifact=artifact,
                                          artifact_sha256=sha)
@@ -337,7 +335,8 @@ class CampaignService:
                 return
             if self.store is not None:
                 try:
-                    self.store.put(out.spec, out.artifact)
+                    self.store.put(out.spec, out.artifact,
+                                   out.artifact_sha256)
                 except OSError:
                     rec.count("campaign.store.put_errors")
             jwrite("record_finished", index, out.attempts,

@@ -80,46 +80,43 @@ class ArtifactStore:
         digest = spec.digest
         return self.root / digest[:2] / f"{digest}.json"
 
-    def _read(self, spec: JobSpec) -> tuple[dict[str, Any] | None, bool]:
-        """Verified read: ``(artifact, existed_but_corrupt)``.
+    def get(self, spec: JobSpec) -> tuple[dict[str, Any], str] | None:
+        """Verified read: ``spec``'s cached artifact with the
+        ``artifact_sha256`` it was verified against, or ``None``.
 
         Verification covers the envelope format, the key (``spec_digest``
         must match the requesting spec), the embedded spec (must hash
         back to ``spec_digest`` — catches bit-flips in the audit copy),
-        and the payload (must hash to ``artifact_sha256``).
+        and the payload (must hash to ``artifact_sha256``).  A file that
+        exists but fails it counts as corrupt.
         """
         path = self.path_for(spec)
         try:
-            raw = path.read_text()
-        except (FileNotFoundError, OSError, UnicodeDecodeError):
-            # Missing, unreadable, or bit-flipped into invalid UTF-8.
-            return None, path.exists()
-        try:
-            data = json.loads(raw)
+            data = json.loads(path.read_text())
             if (
                 data["format"] == STORE_FORMAT
                 and data["spec_digest"] == spec.digest
                 and content_digest(data["spec"]) == data["spec_digest"]
                 and content_digest(data["artifact"]) == data["artifact_sha256"]
             ):
-                return data["artifact"], False
-        except (ValueError, KeyError, TypeError):
-            pass
-        return None, True
+                return data["artifact"], data["artifact_sha256"]
+        except (OSError, ValueError, KeyError, TypeError):
+            # Missing, unreadable, bit-flipped into invalid UTF-8, or
+            # not a JSON envelope.
+            if not path.exists():
+                return None
+        # Existed but failed verification: corrupt/truncated/foreign.
+        self.corrupt += 1
+        self._corrupt_digests.add(spec.digest)
+        return None
 
-    def get(self, spec: JobSpec) -> dict[str, Any] | None:
-        """The verified cached artifact for ``spec``, or ``None``."""
-        artifact, was_corrupt = self._read(spec)
-        if was_corrupt:
-            # Existed but failed verification: corrupt/truncated/foreign.
-            self.corrupt += 1
-            self._corrupt_digests.add(spec.digest)
-        return artifact
-
-    def put(self, spec: JobSpec, artifact: dict[str, Any]) -> pathlib.Path:
+    def put(self, spec: JobSpec, artifact: dict[str, Any],
+            artifact_sha256: str) -> pathlib.Path:
         """Durably and atomically cache ``artifact`` under ``spec``'s
         address: temp file in the same directory, fsync the file,
-        ``os.replace``, fsync the directory."""
+        ``os.replace``, fsync the directory.  ``artifact_sha256`` is the
+        content digest the caller computed; a wrong one fails the next
+        read's verification, and the recompute heals the entry."""
         chaos.check_write("store")
         path = self.path_for(spec)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -127,7 +124,7 @@ class ArtifactStore:
             "format": STORE_FORMAT,
             "spec": spec.to_dict(),
             "spec_digest": spec.digest,
-            "artifact_sha256": content_digest(artifact),
+            "artifact_sha256": artifact_sha256,
             "artifact": artifact,
         }
         payload = canonical_json(envelope)

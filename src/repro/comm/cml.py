@@ -12,6 +12,9 @@ crosses a location-dependent chain of transports:
 Staging copies at the four relay points reproduce Fig 7's internode
 unidirectional rate (~268 MB/s, i.e. half of the published 536 MB/s
 two-times-unidirectional figure).
+
+:class:`CellMessagePath` picks the chain for a pair of endpoints and is
+itself the fabric SimMPI prices SPE-centric runs with.
 """
 
 from __future__ import annotations
@@ -110,7 +113,9 @@ class CellMessagePath:
     """Resolve the transport chain between two SPE-centric endpoints.
 
     An endpoint is ``(node, cell, spe)``; ``cell`` indexes the four
-    PowerXCell 8i chips of a triblade.
+    PowerXCell 8i chips of a triblade.  A
+    :class:`~repro.comm.mpi.Location` is such a tuple, so an instance is
+    a SimMPI fabric: it charges EIB, PCIe or InfiniBand by placement.
     """
 
     intra_socket: Transport = CML_EIB_PAIR
@@ -139,9 +144,3 @@ class CellMessagePath:
         if kind == "intranode":
             return self.intranode.one_way_time(size_bytes)
         return self.internode.one_way_time(size_bytes)
-
-    def zero_byte_latency(
-        self, src: tuple[int, int, int], dst: tuple[int, int, int]
-    ) -> float:
-        """Zero-byte latency between two SPEs."""
-        return self.one_way_time(src, dst, 0)

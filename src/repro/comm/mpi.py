@@ -8,10 +8,15 @@ destination mailbox after the path's one-way time.  ``recv`` matches on
 (barrier, broadcast, reduce, allreduce) are binomial trees built from
 the point-to-point layer, mirroring how CML implements them on the SPEs.
 
-The *fabric* maps a pair of :class:`Location` endpoints to a transport
-cost; :class:`UniformFabric` applies one transport everywhere, while
-Sweep3D's runs use location-aware fabrics from :mod:`repro.comm.cml`
-and :mod:`repro.network.latency`.
+A *fabric* is one method, ``one_way_time(src, dst, size)``: the time
+``size`` bytes take between two :class:`Location` endpoints, whose
+zero-byte value is the wire latency.  The communicator asks it once per
+``(src rank, dest rank, size)`` and keeps the answer in its cost table,
+the only memo on the price path.  :class:`UniformFabric` applies one
+transport everywhere; :class:`~repro.comm.cml.CellMessagePath` charges
+EIB, PCIe or InfiniBand by placement, and
+:class:`~repro.sweep3d.placement.HopAwareFabric` and
+:class:`~repro.network.simfabric.ContendedFabric` add crossbar hops.
 
 On an unhealthy machine a run aborts instead of hanging: ``timeout=``
 on ``recv`` and the collectives bounds every receive, so a dead partner
@@ -36,7 +41,6 @@ __all__ = [
     "Location",
     "Message",
     "UniformFabric",
-    "TransportMapFabric",
     "SimMPI",
     "Rank",
 ]
@@ -124,55 +128,6 @@ class UniformFabric:
         if src == dst:
             return 0.0
         return self.transport.one_way_time(size)
-
-    def zero_byte_latency(self, src: Location, dst: Location) -> float:
-        return self.one_way_time(src, dst, 0)
-
-
-_MISSING = object()
-
-
-class TransportMapFabric:
-    """Location-aware fabric: a classifier picks the transport.
-
-    ``classify(src, dst)`` returns a key into ``transports`` (or
-    ``None`` for free self-messages).  Classification is memoized per
-    location pair — the classifier is pure in the endpoints, and a
-    Sweep3D run resolves the same few pairs millions of times.
-    """
-
-    #: cap on memoized location pairs (3060-node all-to-all patterns
-    #: stay bounded; typical communicators use far fewer)
-    _PAIR_CACHE_MAX = 1 << 17
-
-    def __init__(
-        self,
-        transports: dict[str, Transport | PipelinePath],
-        classify: Callable[[Location, Location], str | None],
-    ):
-        self.transports = transports
-        self.classify = classify
-        self._pair_cache: dict[tuple[Location, Location], Transport | PipelinePath | None] = {}
-
-    def _transport_for(self, src: Location, dst: Location):
-        cache = self._pair_cache
-        key = (src, dst)
-        transport = cache.get(key, _MISSING)
-        if transport is _MISSING:
-            kind = self.classify(src, dst)
-            transport = None if kind is None else self.transports[kind]
-            if len(cache) < self._PAIR_CACHE_MAX:
-                cache[key] = transport
-        return transport
-
-    def one_way_time(self, src: Location, dst: Location, size: int) -> float:
-        transport = self._transport_for(src, dst)
-        if transport is None:
-            return 0.0
-        return transport.one_way_time(size)
-
-    def zero_byte_latency(self, src: Location, dst: Location) -> float:
-        return self.one_way_time(src, dst, 0)
 
 
 class _Mailbox:
@@ -331,15 +286,17 @@ class SimMPI:
 
     def _price(self, index: int, dest: int, size: int) -> tuple[float, float | None]:
         """Check a send's ``dest`` and ``size`` and enter its cost,
-        ``(latency, serialize)``, in the table; serialize is ``None`` on
-        a contended fabric, whose links time the bytes.  Only checked
-        keys enter, so a bad argument raises on every call."""
+        ``(latency, serialize)``, in the table: the latency is the
+        fabric's zero-byte ``one_way_time`` and serialize the rest of
+        the sized one; serialize is ``None`` on a contended fabric,
+        whose links time the bytes.  Only checked keys enter, so a bad
+        argument raises on every call."""
         if not 0 <= dest < self.size:
             raise ValueError(f"destination rank {dest} out of range")
         if not 0 <= size < inf:
             raise ValueError(f"message size must be finite and >= 0, got {size!r}")
         fabric, src, dst = self.fabric, self.locations[index], self.locations[dest]
-        latency = fabric.zero_byte_latency(src, dst)
+        latency = fabric.one_way_time(src, dst, 0)
         serialize = None if self._contended else max(
             0.0, fabric.one_way_time(src, dst, size) - latency)
         cost = (latency, serialize)

@@ -19,10 +19,6 @@ from math import inf
 
 __all__ = ["Transport", "PipelinePath"]
 
-#: cap on each instance's memoized size -> time curve points; real
-#: workloads use a handful of message sizes, so this is generous
-_TIME_CACHE_MAX = 4096
-
 
 @dataclass(frozen=True)
 class Transport:
@@ -45,41 +41,29 @@ class Transport:
     bidirectional_factor: float = 1.0
 
     def __post_init__(self):
-        if self.latency < 0 or self.rendezvous_latency < 0:
-            raise ValueError(f"{self.name}: latencies must be >= 0")
-        if self.bandwidth <= 0:
-            raise ValueError(f"{self.name}: bandwidth must be positive")
-        if self.eager_bandwidth is not None and self.eager_bandwidth <= 0:
-            raise ValueError(f"{self.name}: eager bandwidth must be positive")
+        if not (0 <= self.latency < inf and 0 <= self.rendezvous_latency < inf):
+            raise ValueError(f"{self.name}: latencies must be finite and >= 0")
+        if not 0 < self.bandwidth < inf:
+            raise ValueError(f"{self.name}: bandwidth must be finite and positive")
+        if self.eager_bandwidth is not None and not 0 < self.eager_bandwidth < inf:
+            raise ValueError(f"{self.name}: eager bandwidth must be finite and positive")
         if not 0 < self.bidirectional_factor <= 1:
             raise ValueError(f"{self.name}: bidirectional factor in (0, 1]")
-        # Per-instance size -> time cache (the instance is frozen, so the
-        # curve never changes).  SimMPI sends the same handful of message
-        # sizes millions of times; this turns the piecewise evaluation
-        # into one dict hit.  Excluded from dataclass eq/hash/repr.
-        object.__setattr__(self, "_time_cache", {})
 
     # -- core cost model ----------------------------------------------------
     def one_way_time(self, size_bytes: int) -> float:
         """One-way delivery time of a ``size_bytes`` message, seconds."""
-        cache = self._time_cache
-        cached = cache.get(size_bytes)
-        if cached is not None:
-            return cached
         if not 0 <= size_bytes < inf:
             raise ValueError(f"message size must be finite and >= 0, got {size_bytes!r}")
         eager_bw = self.eager_bandwidth or self.bandwidth
         if size_bytes <= self.eager_threshold:
-            result = self.latency + size_bytes / eager_bw
-        else:
-            result = self.latency + self.rendezvous_latency + size_bytes / self.bandwidth
-            if self.eager_threshold > 0:
-                # Monotonicity across the protocol knee: a message one byte
-                # over the threshold cannot be cheaper than one at it.
-                at_knee = self.latency + self.eager_threshold / eager_bw
-                result = max(result, at_knee)
-        if len(cache) < _TIME_CACHE_MAX:
-            cache[size_bytes] = result
+            return self.latency + size_bytes / eager_bw
+        result = self.latency + self.rendezvous_latency + size_bytes / self.bandwidth
+        if self.eager_threshold > 0:
+            # Monotonicity across the protocol knee: a message one byte
+            # over the threshold cannot be cheaper than one at it.
+            at_knee = self.latency + self.eager_threshold / eager_bw
+            result = max(result, at_knee)
         return result
 
     def effective_bandwidth(self, size_bytes: int) -> float:
@@ -136,12 +120,10 @@ class PipelinePath:
     def __post_init__(self):
         if not self.legs:
             raise ValueError(f"path {self.name!r} needs at least one leg")
-        if self.relay_copy_bandwidth < 0:
-            raise ValueError(f"path {self.name!r}: copy bandwidth must be >= 0")
+        if not 0 <= self.relay_copy_bandwidth < inf:
+            raise ValueError(f"path {self.name!r}: copy bandwidth must be finite and >= 0")
         if not 0 < self.bidirectional_factor <= 1:
             raise ValueError(f"path {self.name!r}: bidirectional factor in (0, 1]")
-        # Same per-instance memoization as Transport.one_way_time.
-        object.__setattr__(self, "_time_cache", {})
 
     @property
     def zero_byte_latency(self) -> float:
@@ -154,16 +136,10 @@ class PipelinePath:
 
     def one_way_time(self, size_bytes: int) -> float:
         """Store-and-forward delivery time for ``size_bytes``."""
-        cache = self._time_cache
-        cached = cache.get(size_bytes)
-        if cached is not None:
-            return cached
         total = sum(leg.one_way_time(size_bytes) for leg in self.legs)
         if self.relay_copy_bandwidth > 0 and len(self.legs) > 1:
             relays = len(self.legs) - 1
             total += relays * size_bytes / self.relay_copy_bandwidth
-        if len(cache) < _TIME_CACHE_MAX:
-            cache[size_bytes] = total
         return total
 
     def effective_bandwidth(self, size_bytes: int) -> float:

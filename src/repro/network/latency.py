@@ -32,6 +32,12 @@ class IBLatencyModel:
     #: 1.6 GB/s with pinned buffers — §IV-C)
     bandwidth: float = 980e6
 
+    def __post_init__(self):
+        if not (0 <= self.software_overhead < inf and 0 <= self.hop_latency < inf):
+            raise ValueError("IB latencies must be finite and >= 0")
+        if not 0 < self.bandwidth < inf:
+            raise ValueError("IB bandwidth must be finite and positive")
+
     def zero_byte_latency(self, topo: RoadrunnerTopology, src: NodeId, dst: NodeId) -> float:
         """Zero-byte one-way latency between two compute nodes."""
         if src == dst:

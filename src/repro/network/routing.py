@@ -70,25 +70,26 @@ def _node_tables(topo: RoadrunnerTopology) -> tuple[np.ndarray, np.ndarray, np.n
     return cu, xbar, side
 
 
-@lru_cache(maxsize=1 << 16)
-def _hop_count_cached(topo: RoadrunnerTopology, src: NodeId, dst: NodeId) -> int:
-    cu_s, local_s = topo.split(src)
-    cu_d, local_d = topo.split(dst)
-    xbar_s = topo.lower_xbar(src).index
-    xbar_d = topo.lower_xbar(dst).index
-    if cu_s == cu_d:
-        return 1 if xbar_s == xbar_d else 3
-    if topo.same_side(cu_s, cu_d):
-        return 3 if xbar_s == xbar_d else 5
-    return 5 if xbar_s == xbar_d else 7
-
-
 def hop_count(topo: RoadrunnerTopology, src: NodeId, dst: NodeId) -> int:
-    """Crossbar hops between two compute nodes (closed form, LRU-cached
-    per ``(topology, src, dst)``)."""
+    """Crossbar hops between two compute nodes: the closed form above,
+    computed on the node ids on every call (no per-pair state).  This is
+    the one scalar form of the hop rule; :func:`hop_vector` is its
+    vectorized twin."""
+    per_cu = topo.nodes_per_cu
+    count = topo.cu_count * per_cu
+    if not (0 <= src < count and 0 <= dst < count):
+        bad = dst if 0 <= src < count else src
+        raise ValueError(f"node {bad} out of range 0..{count - 1}")
     if src == dst:
         return 0
-    return _hop_count_cached(topo, src, dst)
+    cu_s, local_s = divmod(src, per_cu)
+    cu_d, local_d = divmod(dst, per_cu)
+    same_xbar = lower_xbar_of_local_node(local_s) == lower_xbar_of_local_node(local_d)
+    if cu_s == cu_d:
+        return 1 if same_xbar else 3
+    if (cu_s < FIRST_SIDE_CUS) == (cu_d < FIRST_SIDE_CUS):
+        return 3 if same_xbar else 5
+    return 5 if same_xbar else 7
 
 
 def hop_vector(topo: RoadrunnerTopology, src: NodeId = 0) -> np.ndarray:
@@ -112,10 +113,22 @@ def hop_vector(topo: RoadrunnerTopology, src: NodeId = 0) -> np.ndarray:
     return hops
 
 
-@lru_cache(maxsize=1 << 16)
-def _route_cached(
-    topo: RoadrunnerTopology, src: NodeId, dst: NodeId, spread: bool
-) -> tuple[XbarId, ...]:
+def route(
+    topo: RoadrunnerTopology, src: NodeId, dst: NodeId, spread: bool = False
+) -> list[XbarId]:
+    """The deterministic crossbar path from ``src`` to ``dst``.
+
+    With ``spread=False`` the route always takes uplink 0 and upper
+    crossbar 0 — simple, but it concentrates load.  ``spread=True``
+    selects the uplink and upper crossbar by destination (the
+    destination-based deterministic routing InfiniBand subnet managers
+    program), spreading flows across the CU's 4 uplinks and 12 upper
+    crossbars without changing any path length.  Either way the length
+    equals :func:`hop_count` and every consecutive pair is a wired edge.
+    Each call builds a fresh list.
+    """
+    if src == dst:
+        return []
     cu_s, _ = topo.split(src)
     cu_d, local_d = topo.split(dst)
     lx_s = topo.lower_xbar(src)
@@ -124,8 +137,8 @@ def _route_cached(
     upper = local_d % 12 if spread else 0
     if cu_s == cu_d:
         if lx_s == lx_d:
-            return (lx_s,)
-        return (lx_s, XbarId("U", cu_s, upper), lx_d)
+            return [lx_s]
+        return [lx_s, XbarId("U", cu_s, upper), lx_d]
     # Leave the source CU through the destination-selected uplink.
     exit_xbar = uplink_target(cu_s, lx_s.index, uplink)
     path: list[XbarId] = [lx_s, exit_xbar]
@@ -140,28 +153,7 @@ def _route_cached(
     path.append(landing)
     if landing != lx_d:
         path += [XbarId("U", cu_d, upper), lx_d]
-    return tuple(path)
-
-
-def route(
-    topo: RoadrunnerTopology, src: NodeId, dst: NodeId, spread: bool = False
-) -> list[XbarId]:
-    """The deterministic crossbar path from ``src`` to ``dst``.
-
-    With ``spread=False`` the route always takes uplink 0 and upper
-    crossbar 0 — simple, but it concentrates load.  ``spread=True``
-    selects the uplink and upper crossbar by destination (the
-    destination-based deterministic routing InfiniBand subnet managers
-    program), spreading flows across the CU's 4 uplinks and 12 upper
-    crossbars without changing any path length.  Either way the length
-    equals :func:`hop_count` and every consecutive pair is a wired edge.
-
-    Paths are memoized per ``(topology, src, dst, spread)``; the
-    returned list is a fresh copy the caller may mutate.
-    """
-    if src == dst:
-        return []
-    return list(_route_cached(topo, src, dst, bool(spread)))
+    return path
 
 
 @lru_cache(maxsize=None)

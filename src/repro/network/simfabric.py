@@ -10,9 +10,10 @@ worst-performing pair when all Cell-Opteron pairs are in use".
 
 Usage: construct with the :class:`~repro.sim.engine.Simulator` that
 will run the communicator, then pass it to
-:class:`~repro.comm.mpi.SimMPI` as the fabric.  The zero-byte latency
-part stays analytic (hop count x 220 ns + software overhead); only the
-bandwidth phase contends.
+:class:`~repro.comm.mpi.SimMPI` as the fabric.  The latency part stays
+analytic: SimMPI prices it as ``one_way_time(src, dst, 0)``, software
+overhead plus 220 ns per crossbar hop.  Only the bandwidth phase
+contends.
 
 A message's bytes cross its links concurrently.  The fabric starts one
 transfer per link and hands every link the same countdown record
@@ -29,7 +30,7 @@ from math import inf
 
 from repro.comm.mpi import DeliveryError, Location
 from repro.network.latency import IBLatencyModel
-from repro.network.routing import hop_count, route_uplinks
+from repro.network.routing import route_uplinks
 from repro.network.topology import RoadrunnerTopology
 from repro.sim.engine import Event, Simulator
 from repro.sim.resources import BandwidthLink
@@ -59,8 +60,8 @@ class _Flow:
 class ContendedFabric:
     """Per-node NIC contention over the Roadrunner fabric.
 
-    Implements both the analytic fabric protocol (``one_way_time`` /
-    ``zero_byte_latency`` for latency bookkeeping) and an extended
+    Implements both the analytic fabric protocol (``one_way_time``,
+    whose zero-byte value SimMPI takes as the latency) and an extended
     ``transfer`` hook that SimMPI-compatible callers can use to route a
     message's bandwidth phase through the shared tx/rx links.
     """
@@ -108,11 +109,6 @@ class ContendedFabric:
         return link
 
     # -- analytic protocol (used by SimMPI for latency bookkeeping) --------
-    def zero_byte_latency(self, src: Location, dst: Location) -> float:
-        if src.node == dst.node:
-            return 0.0
-        return self.latency.zero_byte_latency(self.topology, src.node, dst.node)
-
     def one_way_time(self, src: Location, dst: Location, size: int) -> float:
         """Uncontended one-way time (the floor the DES enforces)."""
         if src.node == dst.node:
@@ -170,10 +166,6 @@ class ContendedFabric:
                 link = uplinks[edge] = self._new_link(f"uplink-{edge}")
             out.append(link)
         return out
-
-    def hops(self, src: Location, dst: Location) -> int:
-        """Crossbar hops between the endpoints' nodes."""
-        return hop_count(self.topology, src.node, dst.node)
 
     # -- instrumentation -------------------------------------------------------
     def nic_bytes(self, node: int) -> tuple[float, float]:

@@ -40,8 +40,8 @@ from repro.sweep3d.decomposition import Decomposition2D
 from repro.sweep3d.input import SweepInput
 from repro.sweep3d.parallel import ParallelSweep, SweepAborted
 from repro.sweep3d.placement import (
+    HopAwareFabric,
     failure_aware_locations,
-    hop_aware_cell_fabric,
     naive_respawn_locations,
     spe_locations,
 )
@@ -187,7 +187,7 @@ def run_with_recovery(
         )
     health = FabricHealth()
     base = list(base_locations) if base_locations else spe_locations(decomp)
-    fabric = fabric if fabric is not None else hop_aware_cell_fabric()
+    fabric = fabric if fabric is not None else HopAwareFabric()
     if recv_timeout is None:
         # Generous failure-detection bound: longer than any legitimate
         # wavefront-fill wait (a full iteration), so a timeout always
@@ -309,7 +309,7 @@ def placement_penalty(
     baseline.  Same seed in, same numbers out, bit for bit.
     """
     base = spe_locations(decomp)
-    fabric = hop_aware_cell_fabric()
+    fabric = HopAwareFabric()
     clean = ParallelSweep(inp, decomp, grind_time, fabric, locations=base)
     iteration_time = clean.run(iterations=1).iteration_time
     baseline = iteration_time * iterations

@@ -6,26 +6,29 @@ internode communication".  This module provides the standard placement:
 the logical 2-D process array is tiled by node tiles of 8 x 4 ranks
 (8 SPEs per Cell along i, the node's 4 Cells along j), so most
 i-boundaries stay on-chip, j-boundaries stay in-node, and only tile
-edges cross InfiniBand — plus the location-aware fabric that charges
-each boundary its class.
+edges cross InfiniBand.  :class:`~repro.comm.cml.CellMessagePath` is the
+fabric that charges each boundary its class; :class:`HopAwareFabric`
+adds the crossbar hops between nodes, for placement studies.
 """
 
 from __future__ import annotations
 
+from math import inf
+
 from repro.comm.cml import CellMessagePath
-from repro.comm.mpi import Location, TransportMapFabric
+from repro.comm.mpi import Location
+from repro.network.routing import hop_count
+from repro.network.topology import RoadrunnerTopology
 from repro.sweep3d.decomposition import Decomposition2D
 
 __all__ = [
     "SPE_TILE",
     "spe_locations",
-    "cell_fabric",
     "boundary_classes",
     "unusable_nodes",
     "failure_aware_locations",
     "naive_respawn_locations",
     "HopAwareFabric",
-    "hop_aware_cell_fabric",
 ]
 
 #: Ranks per node tile: 8 SPEs (i) x 4 Cells (j).
@@ -47,27 +50,6 @@ def spe_locations(decomp: Decomposition2D) -> list[Location]:
         node = (pi // ti) * tiles_j + (pj // tj)
         locations.append(Location(node=node, cell=pj % tj, spe=pi % ti))
     return locations
-
-
-def cell_fabric(path: CellMessagePath | None = None) -> TransportMapFabric:
-    """The location-aware fabric charging EIB / PCIe / IB by placement."""
-    path = path or CellMessagePath()
-
-    def classify(src: Location, dst: Location):
-        if src == dst:
-            return None
-        return path.classify(
-            (src.node, src.cell, src.spe), (dst.node, dst.cell, dst.spe)
-        )
-
-    return TransportMapFabric(
-        {
-            "intra-socket": path.intra_socket,
-            "intranode": path.intranode,
-            "internode": path.internode,
-        },
-        classify,
-    )
 
 
 # -- failure-aware placement ------------------------------------------------
@@ -187,72 +169,38 @@ def naive_respawn_locations(
     ]
 
 
-def _node_hops(a: int, b: int) -> int:
-    """Crossbar hops between two compute nodes — the closed form of
-    ``repro.network.routing.hop_count`` on raw node ids (validated
-    against it in ``tests/test_recovery.py``)."""
-    from repro.network.cu_switch import MIXED_XBAR, NODES_PER_LOWER_XBAR
-    from repro.network.intercu import FIRST_SIDE_CUS
-
-    if a == b:
-        return 0
-    cu_a, local_a = divmod(a, NODES_PER_CU)
-    cu_b, local_b = divmod(b, NODES_PER_CU)
-    xbar_a = local_a // NODES_PER_LOWER_XBAR if local_a < 176 else MIXED_XBAR
-    xbar_b = local_b // NODES_PER_LOWER_XBAR if local_b < 176 else MIXED_XBAR
-    if cu_a == cu_b:
-        return 1 if xbar_a == xbar_b else 3
-    same_side = (cu_a < FIRST_SIDE_CUS) == (cu_b < FIRST_SIDE_CUS)
-    if same_side:
-        return 3 if xbar_a == xbar_b else 5
-    return 5 if xbar_a == xbar_b else 7
+#: the machine :class:`HopAwareFabric` counts hops on (its graph stays unbuilt)
+_MACHINE = RoadrunnerTopology()
 
 
 class HopAwareFabric:
-    """``cell_fabric``'s class costs plus per-hop latency on internode
-    messages.
+    """:class:`~repro.comm.cml.CellMessagePath`'s costs plus per-hop
+    latency on internode messages.
 
-    The flat ``internode`` transport of :func:`cell_fabric` charges the
-    same cost to every off-node pair, which makes placement quality
-    invisible to the DES.  This fabric adds ``hop_latency`` for each
-    crossbar traversed beyond the first (the baseline transport already
-    represents a nearest-neighbour, same-crossbar path), so moving a
-    tile across the machine costs simulated time — the quantity the
+    The flat ``internode`` path charges every off-node pair the same,
+    which makes placement quality invisible to the DES.  This fabric
+    adds ``hop_latency`` (default: the switch latency of
+    :class:`~repro.network.latency.IBLatencyModel`) per crossbar beyond
+    the first (the flat path already stands for a same-crossbar pair),
+    counted by :func:`~repro.network.routing.hop_count` on the
+    3,060-node machine; a node off it raises ``ValueError``.  So moving
+    a tile across the machine costs simulated time — what the
     failure-aware vs. naive placement study measures.
     """
 
     def __init__(self, path: CellMessagePath | None = None,
                  hop_latency: float = 220e-9):
-        if hop_latency < 0:
-            raise ValueError("hop_latency must be >= 0")
-        self.inner = cell_fabric(path)
+        if not 0 <= hop_latency < inf:
+            raise ValueError(
+                f"hop_latency must be finite and >= 0, got {hop_latency!r}")
+        self.inner = path or CellMessagePath()
         self.hop_latency = hop_latency
-        self._extra: dict[tuple[int, int], float] = {}
-
-    def _extra_for(self, a: int, b: int) -> float:
-        key = (a, b)
-        extra = self._extra.get(key)
-        if extra is None:
-            extra = self.hop_latency * max(0, _node_hops(a, b) - 1)
-            self._extra[key] = extra
-        return extra
 
     def one_way_time(self, src: Location, dst: Location, size: int) -> float:
         t = self.inner.one_way_time(src, dst, size)
         if src.node != dst.node:
-            t += self._extra_for(src.node, dst.node)
+            t += self.hop_latency * max(0, hop_count(_MACHINE, src.node, dst.node) - 1)
         return t
-
-    def zero_byte_latency(self, src: Location, dst: Location) -> float:
-        return self.one_way_time(src, dst, 0)
-
-
-def hop_aware_cell_fabric(path: CellMessagePath | None = None,
-                          hop_latency: float = 220e-9) -> HopAwareFabric:
-    """The standard fabric for placement studies (see
-    :class:`HopAwareFabric`); ``hop_latency`` defaults to the IB
-    switch latency of :class:`repro.network.latency.IBLatencyModel`."""
-    return HopAwareFabric(path, hop_latency)
 
 
 def boundary_classes(decomp: Decomposition2D) -> dict[str, int]:
@@ -269,8 +217,5 @@ def boundary_classes(decomp: Decomposition2D) -> dict[str, int]:
         if pj + 1 < decomp.npe_j:
             neighbours.append(decomp.rank_of(pi, pj + 1))
         for other in neighbours:
-            a, b = locations[rank], locations[other]
-            census[path.classify(
-                (a.node, a.cell, a.spe), (b.node, b.cell, b.spe)
-            )] += 1
+            census[path.classify(locations[rank], locations[other])] += 1
     return census

@@ -108,6 +108,18 @@ def test_spec_roundtrips_through_wire_format():
     assert again.digest == spec.digest
 
 
+def test_spec_equality_is_digest_equality():
+    # a tuple comes back from the wire as a list: same digest, same spec
+    spec = grid("_selftest", [1])[0]
+    again = JobSpec.from_dict(json.loads(canonical_json(spec.to_dict())))
+    assert again.digest == spec.digest
+    assert again == spec
+    # 1 and 1.0 serialize differently: different digests, different specs
+    one, one_float = JobSpec("sweep", {"x": 1}, 0), JobSpec("sweep", {"x": 1.0}, 0)
+    assert one.digest != one_float.digest
+    assert one != one_float
+
+
 def test_spec_rejects_non_json_config_and_nan():
     with pytest.raises(TypeError):
         JobSpec("sweep", {"bad": object()}, 0, "v1")
@@ -129,9 +141,10 @@ def test_store_hit_is_bitwise_identical(tmp_path):
     store = ArtifactStore(tmp_path)
     spec = _spec()
     artifact = run_job(spec)
-    store.put(spec, artifact)
-    cached = store.get(spec)
-    assert cached == artifact
+    sha = content_digest(artifact)
+    store.put(spec, artifact, sha)
+    cached, cached_sha = store.get(spec)
+    assert cached == artifact and cached_sha == sha
     assert canonical_json(cached) == canonical_json(artifact)
     assert store.corrupt == 0
     assert len(store) == 1
@@ -140,7 +153,8 @@ def test_store_hit_is_bitwise_identical(tmp_path):
 def test_store_misses_on_code_version_change(tmp_path):
     store = ArtifactStore(tmp_path)
     spec = _spec()
-    store.put(spec, run_job(spec))
+    artifact = run_job(spec)
+    store.put(spec, artifact, content_digest(artifact))
     assert store.get(_spec(code_version="test-v2")) is None
     assert store.corrupt == 0
 
@@ -150,7 +164,7 @@ def test_store_detects_corruption_and_service_heals_it(tmp_path, damage):
     store = ArtifactStore(tmp_path)
     spec = _spec()
     artifact = run_job(spec)
-    path = store.put(spec, artifact)
+    path = store.put(spec, artifact, content_digest(artifact))
     if damage == "truncate":
         path.write_text(path.read_text()[: len(path.read_text()) // 2])
     elif damage == "garbage":
@@ -164,7 +178,47 @@ def test_store_detects_corruption_and_service_heals_it(tmp_path, damage):
     # the service recomputes and atomically rewrites the entry
     report = CampaignService(store).run([spec])
     assert report.executed == 1 and report.cached_hits == 0
-    assert store.get(spec) == artifact
+    assert store.get(spec) == (artifact, content_digest(artifact))
+
+
+def test_store_heals_an_entry_put_with_a_wrong_hash(tmp_path):
+    store = ArtifactStore(tmp_path)
+    spec = _spec()
+    artifact = run_job(spec)
+    store.put(spec, artifact, "0" * 64)
+    assert store.get(spec) is None
+    assert store.corrupt == 1
+    report = CampaignService(store).run([spec])
+    assert report.executed == 1 and store.healed == 1
+    assert store.get(spec) == (artifact, content_digest(artifact))
+
+
+def test_campaign_hashes_each_artifact_once_per_run(tmp_path, monkeypatch):
+    """A cold run digests each spec and each fresh artifact once; a warm
+    run only the two hashes its verified read checks.  The store keeps
+    the hash it wrote or verified, so nothing is hashed twice."""
+    import repro.campaign
+
+    calls = []
+    real = content_digest
+
+    def counting(obj):
+        calls.append(obj)
+        return real(obj)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("repro.campaign")
+                and getattr(module, "content_digest", None) is real):
+            monkeypatch.setattr(module, "content_digest", counting)
+    assert repro.campaign.content_digest is counting
+    specs = grid("sweep", range(16), TINY, code_version="test-v1")
+    cold = CampaignService(ArtifactStore(tmp_path), workers=2).run(specs)
+    assert cold.executed == 16 and len(calls) == 32
+    del calls[:]
+    warm = CampaignService(ArtifactStore(tmp_path), workers=2).run(specs)
+    assert warm.cached_hits == 16 and len(calls) == 32
+    assert ([o.artifact_sha256 for o in warm.outcomes]
+            == [o.artifact_sha256 for o in cold.outcomes])
 
 
 # -- the service -------------------------------------------------------------

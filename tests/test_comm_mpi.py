@@ -307,23 +307,8 @@ def test_bcast_takes_logarithmic_rounds():
 
 def test_location_aware_fabric_charges_by_distance():
     from repro.comm.cml import CellMessagePath
-    from repro.comm.mpi import TransportMapFabric
 
-    path = CellMessagePath()
-
-    def classify(src, dst):
-        if src == dst:
-            return None
-        return path.classify((src.node, src.cell, src.spe), (dst.node, dst.cell, dst.spe))
-
-    fabric = TransportMapFabric(
-        {
-            "intra-socket": path.intra_socket,
-            "intranode": path.intranode,
-            "internode": path.internode,
-        },
-        classify,
-    )
+    fabric = CellMessagePath()
     sim = Simulator()
     locations = [
         Location(node=0, cell=0, spe=0),

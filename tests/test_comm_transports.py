@@ -46,6 +46,22 @@ def test_transport_validation():
         t.one_way_time(-1)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", [
+    "latency", "rendezvous_latency", "bandwidth", "eager_bandwidth",
+])
+def test_transport_rejects_non_finite_parameters(field, value):
+    params = {"latency": 1e-6, "bandwidth": 1e9, field: value}
+    with pytest.raises(ValueError, match="finite"):
+        Transport("bad", **params)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_pipeline_rejects_non_finite_copy_bandwidth(value):
+    with pytest.raises(ValueError, match="finite"):
+        PipelinePath("bad", (LOCAL_LEG,), relay_copy_bandwidth=value)
+
+
 @pytest.mark.parametrize("size", [float("nan"), float("inf")])
 def test_one_way_time_rejects_nan_and_infinite_sizes(size):
     with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from benchmarks.framework.gitseed import load_seed_engine
+from repro.comm.cml import CellMessagePath
 from repro.comm.mpi import Location, SimMPI, UniformFabric
 from repro.comm.transport import Transport
 from repro.hardware.cell import POWERXCELL_8I
@@ -25,7 +26,7 @@ from repro.sweep3d.cellport import grind_time
 from repro.sweep3d.decomposition import Decomposition2D
 from repro.sweep3d.input import SweepInput
 from repro.sweep3d.parallel import ParallelSweep
-from repro.sweep3d.placement import cell_fabric, spe_locations
+from repro.sweep3d.placement import spe_locations
 from repro.units import US
 
 N_RANKS = 8
@@ -87,7 +88,7 @@ def _sweep_run():
         inp,
         decomp,
         grind_time=grind_time(POWERXCELL_8I),
-        fabric=cell_fabric(),
+        fabric=CellMessagePath(),
         locations=spe_locations(decomp),
         obs=rec,
     ).run()

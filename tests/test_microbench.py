@@ -4,7 +4,7 @@ agree with the analytic model it probes (cross-layer validation)."""
 import pytest
 
 from repro.comm.cml import CellMessagePath, INTERNODE_CELL_PATH
-from repro.comm.mpi import Location, TransportMapFabric, UniformFabric
+from repro.comm.mpi import Location, UniformFabric
 from repro.comm.transport import Transport
 from repro.hardware.memory import MEMORY_SYSTEMS, OPTERON_MEMORY
 from repro.hardware.spe_pipeline import (
@@ -70,18 +70,7 @@ def test_pingpong_measures_transport_curve():
 
 def test_pingpong_reproduces_fig6_total():
     """The Cell-to-Cell ping-pong measures the 8.78 us path."""
-    path = CellMessagePath()
-
-    def classify(src, dst):
-        if src == dst:
-            return None
-        return path.classify(tuple(src), tuple(dst))
-
-    fabric = TransportMapFabric(
-        {"intra-socket": path.intra_socket, "intranode": path.intranode,
-         "internode": path.internode},
-        classify,
-    )
+    fabric = CellMessagePath()
     result = pingpong(fabric, Location(0, 0, 0), Location(5, 0, 0))
     assert result.one_way_time == pytest.approx(
         INTERNODE_CELL_PATH.zero_byte_latency, rel=1e-9

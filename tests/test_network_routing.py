@@ -38,6 +38,15 @@ def test_same_crossbar_seven_neighbours_at_1_hop(topo):
     assert at_one == list(range(1, 8))
 
 
+def test_hop_count_rejects_nodes_off_the_machine(topo):
+    with pytest.raises(ValueError, match="node 3060 out of range"):
+        hop_count(topo, 0, topo.node_count)
+    with pytest.raises(ValueError, match="node -1 out of range"):
+        hop_count(topo, -1, 0)
+    with pytest.raises(ValueError, match="node 3060 out of range"):
+        hop_count(topo, 3060, 3060)
+
+
 def test_census_matches_table1(topo):
     census = hop_census(topo, src=0)
     expected_counts = {0: 1, 1: 7, 3: 172 + 88, 5: 1892 + 40, 7: 860}
@@ -228,6 +237,17 @@ def test_message_latency_adds_bandwidth_term(topo):
     assert one_mb == pytest.approx(zero + 1_000_000 / model.bandwidth)
     with pytest.raises(ValueError):
         model.message_latency(topo, 0, 100, -1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("software_overhead", float("nan")), ("software_overhead", float("inf")),
+    ("hop_latency", float("nan")), ("hop_latency", float("inf")),
+    ("bandwidth", float("nan")), ("bandwidth", float("inf")),
+    ("bandwidth", 0.0),
+])
+def test_latency_model_rejects_non_finite_parameters(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        IBLatencyModel(**{field: value})
 
 
 def test_pinned_buffers_reach_1_6_gb_s(topo):

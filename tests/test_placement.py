@@ -2,13 +2,17 @@
 
 import pytest
 
-from repro.comm.cml import QS21_CROSS_SOCKET, CML_EIB_PAIR, INTRANODE_CELL_PATH
+from repro.comm.cml import (
+    QS21_CROSS_SOCKET,
+    CML_EIB_PAIR,
+    INTRANODE_CELL_PATH,
+    CellMessagePath,
+)
 from repro.comm.mpi import Location
 from repro.sweep3d.decomposition import Decomposition2D
 from repro.sweep3d.placement import (
     SPE_TILE,
     boundary_classes,
-    cell_fabric,
     spe_locations,
 )
 
@@ -67,7 +71,7 @@ def test_boundary_census_multi_node_mostly_local():
 
 
 def test_cell_fabric_charges_by_class():
-    fabric = cell_fabric()
+    fabric = CellMessagePath()
     same_socket = fabric.one_way_time(
         Location(0, 0, 0), Location(0, 0, 1), 0
     )

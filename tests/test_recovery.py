@@ -23,10 +23,10 @@ from repro.resilience.recovery import (
 from repro.sweep3d.decomposition import Decomposition2D
 from repro.sweep3d.input import SweepInput
 from repro.sweep3d.parallel import ParallelSweep, SweepAborted
+from repro.comm.cml import CellMessagePath
 from repro.sweep3d.placement import (
-    _node_hops,
+    HopAwareFabric,
     failure_aware_locations,
-    hop_aware_cell_fabric,
     naive_respawn_locations,
     spe_locations,
     unusable_nodes,
@@ -85,17 +85,22 @@ def test_draw_fault_plan_validation():
 
 # -- hop model and placement ------------------------------------------------
 
-def test_node_hops_matches_routing_hop_count():
-    """The placement module's closed form must agree with the network
-    layer's hop_count on raw node ids (the promise in its docstring)."""
+def test_hop_aware_fabric_charges_routing_hops():
+    """The placement fabric charges the network layer's hop_count: the
+    Cell path's cost plus hop_latency per crossbar beyond the first."""
     import random
 
     topo = RoadrunnerTopology()
+    fabric, path = HopAwareFabric(), CellMessagePath()
     rng = random.Random(7)
     pairs = [(rng.randrange(3060), rng.randrange(3060)) for _ in range(200)]
     pairs += [(0, 0), (0, 179), (0, 180), (0, 3059), (176, 178)]
     for a, b in pairs:
-        assert _node_hops(a, b) == hop_count(topo, a, b), (a, b)
+        src, dst = Location(node=a), Location(node=b, spe=1)
+        expected = path.one_way_time(src, dst, 4096)
+        if a != b:
+            expected += fabric.hop_latency * max(0, hop_count(topo, a, b) - 1)
+        assert fabric.one_way_time(src, dst, 4096) == expected, (a, b)
 
 
 def test_unusable_nodes_covers_dead_access_links():
@@ -132,7 +137,7 @@ def test_placement_raises_when_machine_exhausted():
 
 
 def test_hop_aware_fabric_charges_extra_hops():
-    fabric = hop_aware_cell_fabric()
+    fabric = HopAwareFabric()
     a, b_near, b_far = Location(node=0), Location(node=1), Location(node=3059)
     near = fabric.one_way_time(a, b_near, 4096)
     far = fabric.one_way_time(a, b_far, 4096)
@@ -146,13 +151,25 @@ def test_hop_aware_fabric_charges_extra_hops():
         fabric.inner.one_way_time(a, same, 4096)
 
 
+def test_hop_aware_fabric_rejects_nodes_off_the_machine():
+    fabric = HopAwareFabric()
+    with pytest.raises(ValueError, match="node 5000 out of range"):
+        fabric.one_way_time(Location(node=0), Location(node=5000), 0)
+
+
+@pytest.mark.parametrize("hop_latency", [float("nan"), float("inf")])
+def test_hop_aware_fabric_rejects_a_bad_hop_latency(hop_latency):
+    with pytest.raises(ValueError, match="hop_latency"):
+        HopAwareFabric(hop_latency=hop_latency)
+
+
 # -- abort contract at the sweep layer --------------------------------------
 
 def test_mid_iteration_fault_aborts_with_progress_and_retries():
     from repro.resilience import DeliveryPolicy, FaultInjector
 
     health = FabricHealth()
-    fabric = hop_aware_cell_fabric()
+    fabric = HopAwareFabric()
     base = spe_locations(DECOMP)
     clean = ParallelSweep(INP, DECOMP, GRIND, fabric, locations=base)
     it_time = clean.run(iterations=1).iteration_time
@@ -183,7 +200,7 @@ def test_mid_iteration_fault_aborts_with_progress_and_retries():
 # -- recovery orchestration -------------------------------------------------
 
 def test_no_fault_recovery_matches_plain_run_bit_for_bit():
-    fabric = hop_aware_cell_fabric()
+    fabric = HopAwareFabric()
     base = spe_locations(DECOMP)
     plain = ParallelSweep(
         INP, DECOMP, GRIND, fabric, locations=base
@@ -200,7 +217,7 @@ def test_no_fault_recovery_matches_plain_run_bit_for_bit():
 
 
 def test_recovery_survives_fault_and_replays_bitwise():
-    fabric = hop_aware_cell_fabric()
+    fabric = HopAwareFabric()
     base = spe_locations(DECOMP)
     it_time = ParallelSweep(
         INP, DECOMP, GRIND, fabric, locations=base

@@ -279,20 +279,14 @@ def test_perfect_policy_over_contended_fabric_changes_nothing(topo):
     assert events_on == events_off == []
 
 
-def test_hops_exposed(sim, topo):
-    fabric = ContendedFabric(sim, topology=topo)
-    assert fabric.hops(Location(node=0), Location(node=1)) == 1
-    assert fabric.hops(Location(node=0), Location(node=100)) == 3
-
-
 def test_latency_part_is_hop_dependent(sim, topo):
     fabric = ContendedFabric(sim, topology=topo)
     model = IBLatencyModel()
-    near = fabric.zero_byte_latency(Location(node=0), Location(node=1))
-    far = fabric.zero_byte_latency(Location(node=0), Location(node=100))
+    near = fabric.one_way_time(Location(node=0), Location(node=1), 0)
+    far = fabric.one_way_time(Location(node=0), Location(node=100), 0)
     assert near == pytest.approx(model.software_overhead + 1 * model.hop_latency)
     assert far == pytest.approx(model.software_overhead + 3 * model.hop_latency)
-    assert fabric.zero_byte_latency(Location(node=5), Location(node=5)) == 0.0
+    assert fabric.one_way_time(Location(node=5), Location(node=5), 0) == 0.0
 
 
 def test_incast_scales_with_sender_count(topo):
@@ -485,3 +479,25 @@ def test_finished_exchange_leaves_no_cyclic_garbage():
     finally:
         gc.enable()
     assert gc.collect() == 0
+
+
+def test_no_per_pair_state_survives_a_run():
+    """Pricing a run's node pairs leaves nothing behind once the run is
+    dropped: a message's price lives in its communicator's cost table,
+    and nothing below it memoizes per node pair."""
+    import gc
+    import tracemalloc
+
+    seeded_exchange(0, 2, 4, [0, 8 * KIB, 64 * KIB])  # warm-up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = seeded_exchange(1, 2, 4, [0, 8 * KIB, 64 * KIB])
+        assert sum(result[1].sent_counts) == 360 * 4
+        del result
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 16 * KIB

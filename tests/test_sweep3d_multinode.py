@@ -4,12 +4,13 @@ with realistic SPE placement and the location-aware fabric."""
 import numpy as np
 import pytest
 
+from repro.comm.cml import CellMessagePath
 from repro.sweep3d.cellport import grind_time
 from repro.hardware.cell import POWERXCELL_8I
 from repro.sweep3d.decomposition import Decomposition2D
 from repro.sweep3d.input import SweepInput
 from repro.sweep3d.parallel import ParallelSweep
-from repro.sweep3d.placement import boundary_classes, cell_fabric, spe_locations
+from repro.sweep3d.placement import boundary_classes, spe_locations
 from repro.sweep3d.quadrature import make_angle_set
 from repro.sweep3d.solver import sweep_all_octants
 
@@ -22,7 +23,7 @@ def two_node_run():
         inp,
         dec,
         grind_time=grind_time(POWERXCELL_8I),
-        fabric=cell_fabric(),
+        fabric=CellMessagePath(),
         locations=spe_locations(dec),
     )
     return inp, dec, sweep.run()
@@ -52,7 +53,7 @@ def test_internode_boundaries_slow_the_sweep(two_node_run):
         inp,
         one_node,
         grind_time=grind_time(POWERXCELL_8I),
-        fabric=cell_fabric(),
+        fabric=CellMessagePath(),
         locations=spe_locations(one_node),
     ).run()
     # Two-node run has twice the pipeline depth in i plus IB seams.
